@@ -270,12 +270,33 @@ def forgetting_check(
 
     Samples one trace and compares, at every slot, the filter run from the
     start against the filter restarted from the stationary distribution
-    window_len slots back.
+    window_len slots back.  The gap is taken between the predicted states.
     """
+    return _restarted_filter_gap(model, window_len, trace_len, seed, None)
+
+
+def prediction_gap(
+    model: ChannelModel, window_len: int, horizon: int, seed: int
+) -> float:
+    """Max total-variation gap between erasure-pattern predictions.
+
+    The same comparison as `forgetting_check`, with the gap taken between
+    the predicted distributions of the next erasure outcome.
+    """
+    return _restarted_filter_gap(model, window_len, horizon, seed, model.emission)
+
+
+def _restarted_filter_gap(
+    model: ChannelModel,
+    window_len: int,
+    trace_len: int,
+    seed: int,
+    project: np.ndarray | None,
+) -> float:
     if (model.emission <= 0).any():
-        raise ValueError("forgetting bound requires strictly positive emissions")
+        raise ValueError("the windowed filter requires strictly positive emissions")
     if window_len < 1 or trace_len < 1:
-        raise ValueError("window_len and trace_len must be positive")
+        raise ValueError("window_len and the trace length must be positive")
     rng = np.random.default_rng(seed)
     pi = stationary_distribution(model)
     n = model.num_states
@@ -289,8 +310,10 @@ def forgetting_check(
         bank *= model.emission[:, _outcome_index(z)]
         bank /= bank.sum(axis=1, keepdims=True)
         bank = bank @ model.transition
-        gap = 0.5 * np.abs(bank[0] - bank[-1]).sum()
-        worst = max(worst, float(gap))
+        diff = bank[0] - bank[-1]
+        if project is not None:
+            diff = diff @ project
+        worst = max(worst, 0.5 * float(np.abs(diff).sum()))
         bank[1:] = bank[:-1].copy()
         bank[1] = pi
     return worst

@@ -15,11 +15,11 @@ from .channel import (
     ge_hidden,
     ge_visible,
     load_channel,
+    prediction_gap,
     stationary_distribution,
 )
 from .harness import (
     Scenario,
-    prediction_gap,
     run,
     stability_verdict,
     sweep,
@@ -119,7 +119,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return 2
     if args.trace_out:
         Path(args.trace_out).write_text(trace.to_csv())
-    delivered = throughput_check(trace, scenario)
+    delivered = throughput_check(trace)
     verdict_doc = {
         "horizon": trace.horizon,
         "arrivals": trace.arrivals.tolist(),

@@ -4,14 +4,14 @@ A Scenario bundles a channel, arrival rates, a policy choice, and run
 parameters.  Two engines execute it: a fast counts engine (`kernel`) that
 tracks queue lengths only, and a reference packets engine (`queuenet` +
 `policies`) that moves identified packets and supports the decodability
-audit.  Both consume the same per-slot random matrix in the same order, so
-a scenario produces the identical trace under either engine.
+audit.  Both read `kernel.slot_stream`, which simulates the channel and what
+the transmitter observes; each engine only decides and moves, so a scenario
+produces the identical trace under either engine.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -56,7 +56,6 @@ __all__ = [
     "sweep",
     "sweep_to_csv",
     "per_state_split",
-    "prediction_gap",
 ]
 
 _POLICY_KINDS = ("maxweight", "probabilistic", "per_state")
@@ -245,10 +244,9 @@ def stability_verdict(
     )
 
 
-def throughput_check(trace: SimTrace, scenario: Scenario) -> tuple[float, float]:
+def throughput_check(trace: SimTrace) -> tuple[float, float]:
     """Delivered packets per slot for each receiver."""
 
-    del scenario
     return trace.delivered_rate(1), trace.delivered_rate(2)
 
 
@@ -404,50 +402,6 @@ class _RowCursor:
         return value
 
 
-def _fold_belief(
-    belief: np.ndarray, emission: np.ndarray, transition: np.ndarray, outcome: int
-) -> np.ndarray:
-    # Mirrors the compiled kernel's operation order so both engines agree
-    # to the last bit.
-    n = belief.shape[0]
-    scratch = np.empty(n)
-    total = 0.0
-    for k in range(n):
-        scratch[k] = belief[k] * emission[k, outcome]
-        total += scratch[k]
-    if total <= 0.0:
-        raise ValueError("feedback pair has probability zero under the belief")
-    out = np.empty(n)
-    for k in range(n):
-        acc = 0.0
-        for k2 in range(n):
-            acc += scratch[k2] * transition[k2, k]
-        out[k] = acc / total
-    return out
-
-
-def _predict_stats(
-    belief: np.ndarray, pd1: np.ndarray, evecs: np.ndarray
-) -> ErasureStats:
-    n = belief.shape[0]
-    e1 = e2 = e12 = 0.0
-    for k in range(n):
-        acc = 0.0
-        for k2 in range(n):
-            acc += belief[k2] * pd1[k2, k]
-        e1 += acc * evecs[0, k]
-        e2 += acc * evecs[1, k]
-        e12 += acc * evecs[2, k]
-    return ErasureStats(
-        eps1=e1,
-        eps2=e2,
-        eps12=e12,
-        eps1_not2=e1 - e12,
-        eps_not1_2=e2 - e12,
-        eps_not1_not2=1.0 - e1 - e2 + e12,
-    )
-
-
 def _effective_stride(scenario: Scenario) -> int:
     if scenario.stride is not None:
         return int(scenario.stride)
@@ -497,30 +451,16 @@ def _run_counts(scenario: Scenario, model: ChannelModel, stride: int) -> SimTrac
 
 
 def _run_packets(scenario: Scenario, model: ChannelModel, stride: int) -> SimTrace:
-    horizon, delay = scenario.horizon, scenario.delay
+    horizon, delay, visible = scenario.horizon, scenario.delay, scenario.visible
     n_states = model.num_states
-    p_cdf = np.cumsum(model.transition, axis=1)
-    e_cdf = np.cumsum(model.emission, axis=1)
-    pi = stationary_distribution(model)
-    emission, transition = model.emission, model.transition
-    pd1 = np.linalg.matrix_power(transition, delay - 1)
-    evecs = np.vstack(
-        [
-            emission[:, 2] + emission[:, 3],
-            emission[:, 1] + emission[:, 3],
-            emission[:, 3],
-        ]
-    )
-
     policy = scenario.policy
     kind = policy["kind"]
     action_set = policy.get("action_set", "A5")
     window_len = 0
-    four_l = 1
     stats_tab: dict[int, ErasureStats] = {}
     dist_by_code: dict = {}
     ratios: dict = {}
-    if scenario.visible and kind in ("maxweight", "per_state"):
+    if visible and kind in ("maxweight", "per_state"):
         stats_tab = {
             s: cond_erasure_visible(model, s, delay) for s in range(n_states)
         }
@@ -529,7 +469,6 @@ def _run_packets(scenario: Scenario, model: ChannelModel, stride: int) -> SimTra
         dist_by_code = tables.dist_by_code
         ratios = tables.ratios
         window_len = tables.window_len
-        four_l = 4**window_len
 
     nets: dict[int, QueueNetwork]
     if kind == "per_state":
@@ -542,13 +481,6 @@ def _run_packets(scenario: Scenario, model: ChannelModel, stride: int) -> SimTra
         nets = {0: QueueNetwork()}
     net = nets[0]
 
-    rng = np.random.default_rng(scenario.seed)
-    state = min(int(np.searchsorted(np.cumsum(pi), rng.random())), n_states - 1)
-    ring = [state if scenario.visible else -1] * delay
-    belief = pi.copy()
-    wcode = 0
-    folds = 0
-
     n_records = horizon // stride
     record = np.zeros((n_records, 10), dtype=np.int64)
     rec_idx = 0
@@ -556,53 +488,27 @@ def _run_packets(scenario: Scenario, model: ChannelModel, stride: int) -> SimTra
     log_fh = open(scenario.movement_log, "w") if scenario.movement_log else None
 
     try:
-        t0 = 0
-        while t0 < horizon:
-            m = min(kernel.CHUNK_SLOTS, horizon - t0)
-            matrix = rng.random((m, kernel.RNG_COLUMNS))
-            for i in range(m):
+        for t0, matrix, zis, keys, eps in kernel.slot_stream(
+            model, seed=scenario.seed, horizon=horizon, visible=visible,
+            delay=delay, window_len=window_len, predict=kind == "maxweight",
+        ):
+            predicted = eps.tolist()
+            for i, (row, zi, obs_key) in enumerate(
+                zip(matrix, zis.tolist(), keys.tolist())
+            ):
                 t = t0 + i
-                row = matrix[i]
-                u = row[2]
-                cdf = p_cdf[state]
-                ns = 0
-                while ns < n_states - 1 and u >= cdf[ns]:
-                    ns += 1
-                state = ns
-                u = row[3]
-                cdf = e_cdf[ns]
-                zi = 0
-                while zi < 3 and u >= cdf[zi]:
-                    zi += 1
                 z = (zi >> 1, zi & 1)
-
-                pos = t % delay
-                ready = True
-                if scenario.visible:
-                    obs_key = ring[pos]
-                    ring[pos] = ns
-                else:
-                    old = ring[pos]
-                    ring[pos] = zi
-                    if old >= 0:
-                        if kind == "maxweight":
-                            belief = _fold_belief(belief, emission, transition, old)
-                        else:
-                            wcode = (wcode * 4 + old) % four_l
-                        folds += 1
-                    if kind == "probabilistic" and folds < window_len:
-                        ready = False
-                    obs_key = wcode
-
                 serving = net
-                if not ready:
+                if obs_key < 0:
                     action, intents = 0, {}
                 elif kind == "maxweight":
-                    stats = (
-                        stats_tab[obs_key]
-                        if scenario.visible
-                        else _predict_stats(belief, pd1, evecs)
-                    )
+                    if visible:
+                        stats = stats_tab[obs_key]
+                    else:
+                        e1, e2, e12 = predicted[i]
+                        stats = ErasureStats(
+                            e1, e2, e12, e1 - e12, e2 - e12, 1.0 - e1 - e2 + e12
+                        )
                     decision = maxweight_decide(net, stats, action_set)
                     action, intents = decision.action, decision.intents
                 elif kind == "probabilistic":
@@ -670,7 +576,6 @@ def _run_packets(scenario: Scenario, model: ChannelModel, stride: int) -> SimTra
                             nn.exit_counts[j] for nn in nets.values()
                         )
                     rec_idx += 1
-            t0 += m
     finally:
         if log_fh is not None:
             log_fh.close()
@@ -769,41 +674,3 @@ def sweep_to_csv(rows: Sequence[dict]) -> str:
             f"{str(bool(row['stable'])).lower()},{row['slope']:.6g}"
         )
     return "\n".join(lines) + "\n"
-
-
-# -- hidden-state prediction quality --------------------------------------------
-
-
-def prediction_gap(
-    model: ChannelModel, window_len: int, horizon: int, seed: int
-) -> float:
-    """Max total-variation gap between erasure-pattern predictions.
-
-    Compares, along one sampled trace, the outcome distribution predicted
-    from the full feedback history against the one predicted from only the
-    last ``window_len`` feedback pairs (filter restarted from stationarity).
-    """
-
-    if (model.emission <= 0).any():
-        raise ValueError("prediction comparison requires strictly positive emissions")
-    if window_len < 1 or horizon < 1:
-        raise ValueError("window_len and horizon must be positive")
-    rng = np.random.default_rng(seed)
-    pi = stationary_distribution(model)
-    n = model.num_states
-    state = int(rng.choice(n, p=pi))
-    p_cdf = np.cumsum(model.transition, axis=1)
-    e_cdf = np.cumsum(model.emission, axis=1)
-    bank = np.tile(pi, (window_len + 1, 1))
-    worst = 0.0
-    for _ in range(horizon):
-        state = min(int(np.searchsorted(p_cdf[state], rng.random(), side="right")), n - 1)
-        zi = min(int(np.searchsorted(e_cdf[state], rng.random(), side="right")), 3)
-        bank *= model.emission[:, zi]
-        bank /= bank.sum(axis=1, keepdims=True)
-        bank = bank @ model.transition
-        gap = 0.5 * float(np.abs((bank[0] - bank[-1]) @ model.emission).sum())
-        worst = max(worst, gap)
-        bank[1:] = bank[:-1].copy()
-        bank[1] = pi
-    return worst

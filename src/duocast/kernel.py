@@ -1,9 +1,14 @@
-"""Counts-level simulation kernel for long stability runs.
+"""The slot stream both engines consume, and the counts-level kernel.
 
-The kernel tracks queue lengths only; packet identities are left to the
-reference engine in `queuenet`.  Both consume the same per-slot random
-matrix, so their queue trajectories match slot for slot, which is tested.
-The hot loop is compiled with numba when available; setting the environment
+`slot_stream` is the one place that simulates what a slot shows the
+transmitter.  It draws the initial state and the per-slot random matrix,
+advances the channel, delays the feedback, and folds the delayed feedback
+into a belief or a window code.  None of this depends on the queues, so both
+engines read the same stream and differ only in how they decide and move:
+`run_counts` below tracks queue lengths only, for long stability runs, and
+the packets engine in `harness` moves identified packets through `queuenet`.
+Their traces match slot for slot, which is tested.  The loops are compiled
+with numba when it is installed (the ``jit`` extra); setting the environment
 variable DUOCAST_NO_NUMBA=1 selects the pure-Python fallback.
 """
 
@@ -17,27 +22,18 @@ import numpy as np
 from .channel import ChannelModel, cond_erasure_visible, stationary_distribution
 
 __all__ = [
-    "COL_ARRIVAL_1",
-    "COL_ARRIVAL_2",
-    "COL_STATE",
-    "COL_EMISSION",
-    "COL_ACTION",
-    "COL_COINS",
     "RNG_COLUMNS",
     "CHUNK_SLOTS",
     "SimCounts",
     "jit_enabled",
     "run_counts",
+    "slot_stream",
 ]
 
 # Per-slot random matrix layout.  Positional columns keep the stream aligned
-# between engines no matter which action a policy picks.
-COL_ARRIVAL_1 = 0
-COL_ARRIVAL_2 = 1
-COL_STATE = 2
-COL_EMISSION = 3
-COL_ACTION = 4
-COL_COINS = 5  # 5..10 receiver-1 links 12,13,14,24,32,34; 11..16 receiver 2
+# between engines no matter which action a policy picks: 0 and 1 arrivals at
+# receivers 1 and 2, 2 state step, 3 emission, 4 action, 5..10 coins of
+# receiver 1's links 12,13,14,24,32,34, and 11..16 those of receiver 2.
 RNG_COLUMNS = 17
 
 CHUNK_SLOTS = 65536
@@ -64,71 +60,152 @@ def jit_enabled() -> bool:
 
 
 @_njit(cache=True)
-def _chunk(rng, t0,
-           p_cdf, e_cdf,
-           visible, delay, wlen, four_l,
-           ring, belief, scratch, predicted,
-           pd1, trans, emis, evecs,
-           mode, amax, action_cdf, ratios, eps_tab,
-           rates, q, tot, intents, istate,
-           stride, record, rec_meta):
+def _observe(rng, t0, p_cdf, e_cdf, visible, delay, wlen, four_l,
+             trans, emis, pd1, evecs, ring, belief, scratch, predicted,
+             ostate, zis, keys, eps):
     m = rng.shape[0]
     num_states = p_cdf.shape[0]
+    fold = eps.shape[0] > 0
+    # The chain state, window code and fold count live in locals during the
+    # chunk, which the pure-Python fallback reads much faster than arrays.
+    s = ostate[0]
+    code = ostate[1]
+    folds = ostate[2]
     for i in range(m):
-        t = t0 + i
         # Channel: advance the state, then emit an erasure pair from it.
         u = rng[i, 2]
-        s = istate[0]
         ns = 0
         while ns < num_states - 1 and u >= p_cdf[s, ns]:
             ns += 1
-        istate[0] = ns
+        s = ns
         u = rng[i, 3]
         zi = 0
-        while zi < 3 and u >= e_cdf[ns, zi]:
+        while zi < 3 and u >= e_cdf[s, zi]:
             zi += 1
+        zis[i] = zi
+
+        # Feedback delay: the slot sees what the channel did `delay` slots ago.
+        pos = (t0 + i) % delay
+        if visible == 1:
+            keys[i] = ring[pos]
+            ring[pos] = s
+            continue
+        old = ring[pos]
+        ring[pos] = zi
+        if old >= 0:
+            if fold:
+                total = 0.0
+                for k in range(num_states):
+                    scratch[k] = belief[k] * emis[k, old]
+                    total += scratch[k]
+                if total <= 0.0:
+                    ostate[3] = 1
+                    return
+                for k in range(num_states):
+                    acc = 0.0
+                    for k2 in range(num_states):
+                        acc += scratch[k2] * trans[k2, k]
+                    predicted[k] = acc / total
+                for k in range(num_states):
+                    belief[k] = predicted[k]
+            else:
+                code = (code * 4 + old) % four_l
+            folds += 1
+        keys[i] = code if folds >= wlen else -1
+        if fold:
+            # Erasure statistics of the current slot given the belief.
+            for k in range(num_states):
+                acc = 0.0
+                for k2 in range(num_states):
+                    acc += belief[k2] * pd1[k2, k]
+                predicted[k] = acc
+            e1 = 0.0
+            e2 = 0.0
+            e12 = 0.0
+            for k in range(num_states):
+                e1 += predicted[k] * evecs[0, k]
+                e2 += predicted[k] * evecs[1, k]
+                e12 += predicted[k] * evecs[2, k]
+            eps[i, 0] = e1
+            eps[i, 1] = e2
+            eps[i, 2] = e12
+    ostate[0] = s
+    ostate[1] = code
+    ostate[2] = folds
+
+
+def slot_stream(model: ChannelModel, *, seed: int, horizon: int, visible: bool,
+                delay: int, window_len: int = 0, predict: bool = False):
+    """Yield ``(t0, matrix, zi, key, eps)`` for each chunk of slots from t0.
+
+    ``matrix`` is the chunk's random matrix, ``zi`` each slot's erasure
+    outcome index 2*z1 + z2, and ``key`` what the transmitter observes in
+    that slot: the state ``delay`` slots back for a visible model (the
+    initial state before then); for a hidden one the base-4 code of the last ``window_len`` delayed feedback
+    pairs (oldest pair in the highest digit), or -1 until that many have
+    arrived.  With ``predict`` (hidden model), the feedback is instead
+    folded into a belief and ``eps`` holds each slot's predicted
+    (eps1, eps2, eps12); otherwise ``eps`` has no rows.  The arrays are
+    reused from chunk to chunk.
+    """
+
+    num_states = model.num_states
+    fold = predict and not visible
+    pi = stationary_distribution(model)
+    rng = np.random.default_rng(seed)
+    s0 = min(int(np.searchsorted(np.cumsum(pi), rng.random())), num_states - 1)
+    p_cdf = np.cumsum(model.transition, axis=1)
+    e_cdf = np.cumsum(model.emission, axis=1)
+    pd1 = np.linalg.matrix_power(model.transition, delay - 1)
+    evecs = np.empty((3, num_states))
+    evecs[0] = model.emission[:, 2] + model.emission[:, 3]
+    evecs[1] = model.emission[:, 1] + model.emission[:, 3]
+    evecs[2] = model.emission[:, 3]
+    ring = np.full(delay, s0 if visible else -1, dtype=np.int64)
+    belief = pi.copy()
+    scratch = np.empty(num_states)
+    predicted = np.empty(num_states)
+    ostate = np.array([s0, 0, 0, 0], dtype=np.int64)  # state, code, folds, error
+    size = min(CHUNK_SLOTS, horizon)
+    zis = np.empty(size, dtype=np.int64)
+    keys = np.empty(size, dtype=np.int64)
+    eps = np.empty((size if fold else 0, 3))
+
+    t0 = 0
+    while t0 < horizon:
+        m = min(CHUNK_SLOTS, horizon - t0)
+        matrix = rng.random((m, RNG_COLUMNS))
+        _observe(matrix, t0, p_cdf, e_cdf, 1 if visible else 0, delay,
+                 window_len, 4 ** window_len, model.transition, model.emission,
+                 pd1, evecs, ring, belief, scratch, predicted,
+                 ostate, zis, keys, eps)
+        if ostate[3] != 0:
+            raise ValueError(
+                "feedback pair has probability zero under the current belief")
+        yield t0, matrix, zis[:m], keys[:m], eps[:m]
+        t0 += m
+
+
+@_njit(cache=True)
+def _chunk(rng, t0, zis, keys, eps,
+           mode, amax, action_cdf, ratios, eps_tab,
+           rates, q, tot, intents,
+           stride, record, meta):
+    m = rng.shape[0]
+    predicted = eps.shape[0] > 0
+    for i in range(m):
+        t = t0 + i
+        zi = zis[i]
         z1 = zi >> 1
         z2 = zi & 1
-
-        # Observation bookkeeping with feedback delay.
-        pos = t % delay
-        ready = 1
-        key = 0
-        if visible == 1:
-            key = ring[pos]
-            ring[pos] = ns
-        else:
-            old = ring[pos]
-            ring[pos] = zi
-            if old >= 0:
-                if mode == 1:
-                    total = 0.0
-                    for k in range(num_states):
-                        scratch[k] = belief[k] * emis[k, old]
-                        total += scratch[k]
-                    if total <= 0.0:
-                        istate[3] = 1
-                        return
-                    for k in range(num_states):
-                        acc = 0.0
-                        for k2 in range(num_states):
-                            acc += scratch[k2] * trans[k2, k]
-                        predicted[k] = acc / total
-                    for k in range(num_states):
-                        belief[k] = predicted[k]
-                else:
-                    istate[1] = (istate[1] * 4 + old) % four_l
-                istate[2] += 1
-            if mode == 0 and istate[2] < wlen:
-                ready = 0
-            key = istate[1]
+        key = keys[i]
 
         # Decide.
         action = 0
-        if ready == 1:
+        if key >= 0:
             if mode == 0:
                 if not (action_cdf[key, 5] >= 0.0):
-                    istate[3] = 2
+                    meta[1] = 1
                     return
                 u = rng[i, 4]
                 action = 0
@@ -138,23 +215,14 @@ def _chunk(rng, t0,
                     for l in range(6):
                         intents[j, l] = 1 if rng[i, 5 + 6 * j + l] < ratios[j, l] else 0
             else:
-                if visible == 1:
+                if predicted:
+                    e1 = eps[i, 0]
+                    e2 = eps[i, 1]
+                    e12 = eps[i, 2]
+                else:
                     e1 = eps_tab[key, 0]
                     e2 = eps_tab[key, 1]
                     e12 = eps_tab[key, 2]
-                else:
-                    for k in range(num_states):
-                        acc = 0.0
-                        for k2 in range(num_states):
-                            acc += belief[k2] * pd1[k2, k]
-                        predicted[k] = acc
-                    e1 = 0.0
-                    e2 = 0.0
-                    e12 = 0.0
-                    for k in range(num_states):
-                        e1 += predicted[k] * evecs[0, k]
-                        e2 += predicted[k] * evecs[1, k]
-                        e12 += predicted[k] * evecs[2, k]
                 q11 = q[0, 0]
                 q21 = q[0, 1]
                 q31 = q[0, 2]
@@ -266,7 +334,7 @@ def _chunk(rng, t0,
             tot[1, 0] += 1
 
         if (t + 1) % stride == 0:
-            idx = rec_meta[0]
+            idx = meta[0]
             for j in range(2):
                 for l in range(3):
                     record[idx, 3 * j + l] = q[j, l]
@@ -274,7 +342,7 @@ def _chunk(rng, t0,
             record[idx, 7] = tot[1, 0]
             record[idx, 8] = tot[0, 1]
             record[idx, 9] = tot[1, 1]
-            rec_meta[0] = idx + 1
+            meta[0] = idx + 1
 
 
 @dataclass
@@ -302,12 +370,6 @@ class SimCounts:
         return float(self.exits[j - 1]) / self.horizon
 
 
-_ERRORS = {
-    1: "feedback pair has probability zero under the current belief",
-    2: "no action distribution for an observed key",
-}
-
-
 def run_counts(
     model: ChannelModel,
     *,
@@ -322,7 +384,6 @@ def run_counts(
     ratio_table: np.ndarray | None = None,
     window_len: int = 0,
     stride: int | None = None,
-    chunk: int = CHUNK_SLOTS,
 ) -> SimCounts:
     """Simulate the queue counts of a coding scheme over `horizon` slots.
 
@@ -343,10 +404,6 @@ def run_counts(
         raise ValueError(f"unknown policy {policy!r}")
 
     num_states = model.num_states
-    p_cdf = np.cumsum(model.transition, axis=1)
-    e_cdf = np.cumsum(model.emission, axis=1)
-    pi = stationary_distribution(model)
-
     mode = 0 if policy == "probabilistic" else 1
     amax = {"A2": 2, "A3": 3, "A5": 5}[action_set]
 
@@ -364,6 +421,7 @@ def run_counts(
     else:
         action_cdf = np.full((1, 6), np.nan)
         ratios = np.zeros((2, 6))
+        window_len = 0  # max-weight decides on the belief, never a window
 
     if visible and mode == 1:
         eps_tab = np.empty((num_states, 3))
@@ -373,55 +431,34 @@ def run_counts(
     else:
         eps_tab = np.zeros((1, 3))
 
-    pd1 = np.linalg.matrix_power(model.transition, delay - 1)
-    evecs = np.empty((3, num_states))
-    evecs[0] = model.emission[:, 2] + model.emission[:, 3]
-    evecs[1] = model.emission[:, 1] + model.emission[:, 3]
-    evecs[2] = model.emission[:, 3]
-
     if stride is None:
         stride = max(1, horizon // 512)
     if stride < 1:
         raise ValueError("stride must be positive")
 
-    rng = np.random.default_rng(seed)
-    s0 = int(np.searchsorted(np.cumsum(pi), rng.random()))
-    s0 = min(s0, num_states - 1)
-
-    ring = np.full(delay, s0 if visible else -1, dtype=np.int64)
-    belief = pi.copy()
-    scratch = np.empty(num_states)
-    predicted = np.empty(num_states)
     q = np.zeros((2, 3), dtype=np.int64)
     tot = np.zeros((2, 2), dtype=np.int64)
     intents = np.zeros((2, 6), dtype=np.int64)
-    istate = np.array([s0, 0, 0, 0], dtype=np.int64)
-    n_records = horizon // stride
-    record = np.zeros((n_records, 10), dtype=np.int64)
-    rec_meta = np.zeros(1, dtype=np.int64)
+    record = np.zeros((horizon // stride, 10), dtype=np.int64)
+    meta = np.zeros(2, dtype=np.int64)  # records written, error
     rates_arr = np.array(rates, dtype=float)
 
-    t0 = 0
-    while t0 < horizon:
-        m = min(chunk, horizon - t0)
-        matrix = rng.random((m, RNG_COLUMNS))
-        _chunk(matrix, t0,
-               p_cdf, e_cdf,
-               1 if visible else 0, delay, window_len, 4 ** window_len,
-               ring, belief, scratch, predicted,
-               pd1, model.transition, model.emission, evecs,
+    for t0, matrix, zis, keys, eps in slot_stream(
+        model, seed=seed, horizon=horizon, visible=visible, delay=delay,
+        window_len=window_len, predict=mode == 1,
+    ):
+        _chunk(matrix, t0, zis, keys, eps,
                mode, amax, action_cdf, ratios, eps_tab,
-               rates_arr, q, tot, intents, istate,
-               stride, record, rec_meta)
-        if istate[3] != 0:
-            raise ValueError(_ERRORS[int(istate[3])])
-        t0 += m
+               rates_arr, q, tot, intents,
+               stride, record, meta)
+        if meta[1] != 0:
+            raise ValueError("no action distribution for an observed key")
 
     stored = int(q.sum())
     if int(tot[:, 0].sum()) != stored + int(tot[:, 1].sum()):
         raise AssertionError("conservation violated in counts kernel")
 
-    times = stride * np.arange(1, rec_meta[0] + 1, dtype=np.int64)
+    times = stride * np.arange(1, meta[0] + 1, dtype=np.int64)
     return SimCounts(
         horizon=horizon,
         stride=stride,
@@ -429,5 +466,5 @@ def run_counts(
         arrivals=tot[:, 0].copy(),
         exits=tot[:, 1].copy(),
         record_times=times,
-        record=record[: int(rec_meta[0])].copy(),
+        record=record[: int(meta[0])].copy(),
     )

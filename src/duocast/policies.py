@@ -42,12 +42,10 @@ class Observation:
 
     ``key`` indexes the action distribution: the (possibly delayed) channel
     state for a visible model, the recent feedback window for a hidden one,
-    or None when decisions are unconditional.  ``belief`` optionally carries
-    a posterior over channel states for belief-based policies.
+    or None when decisions are unconditional.
     """
 
     key: Hashable | None = None
-    belief: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True)

@@ -11,19 +11,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from duocast.channel import (
-    Belief,
     ChannelModel,
-    ErasureStats,
     FeedbackWindow,
     cond_erasure_hidden,
     window_distribution,
 )
-from duocast.lp import LinearProgram, feasible, solve
+from duocast.lp import LinearProgram, solve
 
 REGION_KINDS = (
     "visible",

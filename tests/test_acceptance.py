@@ -26,11 +26,11 @@ from duocast.channel import (
     cond_erasure_visible,
     ge_hidden,
     ge_visible,
+    prediction_gap,
     stationary_distribution,
 )
 from duocast.harness import (
     Scenario,
-    prediction_gap,
     run,
     stability_verdict,
     throughput_check,
@@ -324,6 +324,6 @@ def test_12_probabilistic_policy_delivers_its_target():
         seed=2,
         policy={"kind": "probabilistic"},
     )
-    delivered = throughput_check(run(scenario), scenario)
+    delivered = throughput_check(run(scenario))
     for got, want in zip(delivered, target):
         assert abs(got - want) / want <= 0.02

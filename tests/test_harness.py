@@ -6,14 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from duocast.channel import ge_visible, load_channel
+from duocast.channel import ge_visible, load_channel, prediction_gap
 from duocast.harness import (
     Scenario,
     SimTrace,
     StabilityVerdict,
     _arrival_bins,
     per_state_split,
-    prediction_gap,
     run,
     stability_verdict,
     sweep,
@@ -142,7 +141,7 @@ class TestRunBasics:
             Scenario(channel=fair_channel(), rates=(0.0, 0.0), horizon=100_000, seed=1)
         )
         assert trace.backlog.max() == 0
-        assert throughput_check(trace, None) == (0.0, 0.0)
+        assert throughput_check(trace) == (0.0, 0.0)
         assert stability_verdict(trace).stable
 
     def test_erasure_free_direct_service(self):
@@ -159,7 +158,7 @@ class TestRunBasics:
         verdict = stability_verdict(trace)
         assert verdict.stable
         assert trace.backlog.max() < 100
-        d1, d2 = throughput_check(trace, scenario)
+        d1, d2 = throughput_check(trace)
         assert abs(d1 - 0.4) < 0.008
         assert abs(d2 - 0.4) < 0.008
 
@@ -338,7 +337,7 @@ class TestPerState:
         trace = run(scenario)
         assert trace.audit_passed is True
         assert stability_verdict(trace).stable
-        d1, d2 = throughput_check(trace, scenario)
+        d1, d2 = throughput_check(trace)
         assert abs(d1 - 0.15) < 0.01
         assert abs(d2 - 0.15) < 0.01
 

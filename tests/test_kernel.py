@@ -10,16 +10,17 @@ import numpy as np
 import pytest
 
 from duocast.channel import (
+    OUTCOMES,
     Belief,
     belief_update,
-    ge_hidden,
+    cond_erasure_hidden,
     ge_visible,
     load_channel,
     memoryless,
     stationary_distribution,
 )
-from duocast.harness import Scenario, run
-from duocast.kernel import SimCounts, jit_enabled, run_counts
+from duocast.harness import Scenario, _window_code, run
+from duocast.kernel import CHUNK_SLOTS, SimCounts, jit_enabled, run_counts, slot_stream
 from duocast.regions import diagonal_rate, region_hidden_L
 
 
@@ -88,6 +89,7 @@ class TestEngineEquivalence:
             (memoryless_channel(), True, 1, {"kind": "maxweight", "action_set": "A2"}, (0.25, 0.25)),
             (ge_hmm_channel(), False, 1, {"kind": "maxweight", "action_set": "A5"}, (0.20, 0.20)),
             (ge_hmm_channel(), False, 2, {"kind": "maxweight", "action_set": "A5"}, (0.18, 0.18)),
+            (ge_hmm_channel(), False, 2, {"kind": "maxweight", "action_set": "A3"}, (0.18, 0.18)),
         ],
     )
     def test_maxweight_counts_match_packets(self, channel, visible, delay, policy, rates):
@@ -114,6 +116,21 @@ class TestEngineEquivalence:
             horizon=2000,
             seed=7,
             policy={"kind": "probabilistic", "target": [0.25, 0.25]},
+            stride=1,
+            engine="counts",
+        )
+        counts = run(scenario)
+        packets = run(replace(scenario, engine="packets"))
+        assert_traces_identical(counts, packets)
+
+    def test_probabilistic_visible_delay_three_matches(self):
+        scenario = Scenario(
+            channel=ge_fig_channel(),
+            rates=(0.2, 0.2),
+            horizon=2000,
+            seed=7,
+            delay=3,
+            policy={"kind": "probabilistic", "target": [0.2, 0.2]},
             stride=1,
             engine="counts",
         )
@@ -249,19 +266,85 @@ class TestKernelValidation:
             run_counts(self.model, rates=(0.1, 0.1), horizon=10, seed=0, stride=0)
 
 
-class TestBeliefFoldMatchesReference:
-    def test_kernel_style_fold_agrees_with_belief_update(self):
-        model = ge_hidden(0.6, 0.1, 0.5, 0.2, 0.2, 0.866, 0.2, 0.8)
-        from duocast.harness import _fold_belief
+def _stream_arrays(model, horizon, seed, **kwargs):
+    """The whole stream as arrays; its per-chunk buffers are reused, so copy."""
 
-        rng = np.random.default_rng(2)
-        belief = stationary_distribution(model)
-        ref = Belief(belief.copy())
-        for _ in range(200):
-            zi = int(rng.integers(4))
-            belief = _fold_belief(belief, model.emission, model.transition, zi)
-            ref = belief_update(model, ref, ((zi >> 1) & 1, zi & 1))
-            np.testing.assert_allclose(belief, ref.probs, atol=1e-12)
+    chunks = [
+        (matrix, zis.copy(), keys.copy(), eps.copy())
+        for _, matrix, zis, keys, eps in slot_stream(
+            model, seed=seed, horizon=horizon, **kwargs
+        )
+    ]
+    return [np.concatenate(parts) for parts in zip(*chunks)]
+
+
+def _reference_path(model, matrix, seed):
+    """Initial state, then each slot's state and outcome by inverse CDF."""
+
+    n = model.num_states
+    pi = stationary_distribution(model)
+    u0 = np.random.default_rng(seed).random()
+    state = s0 = min(int(np.searchsorted(np.cumsum(pi), u0)), n - 1)
+    states, outcomes = [], []
+    for u_state, u_emit in matrix[:, 2:4]:
+        cdf = np.cumsum(model.transition[state])
+        state = min(int(np.searchsorted(cdf, u_state, side="right")), n - 1)
+        cdf = np.cumsum(model.emission[state])
+        outcomes.append(min(int(np.searchsorted(cdf, u_emit, side="right")), 3))
+        states.append(state)
+    return s0, np.array(states), np.array(outcomes)
+
+
+class TestSlotStreamOracle:
+    """The stream's observations against independent references."""
+
+    def test_visible_keys_are_the_delayed_states(self):
+        model = load_channel(ge_fig_channel())
+        horizon = CHUNK_SLOTS + 300  # crosses a chunk boundary
+        for delay in (1, 3):
+            matrix, zis, keys, eps = _stream_arrays(
+                model, horizon, 8, visible=True, delay=delay
+            )
+            s0, states, outcomes = _reference_path(model, matrix, 8)
+            assert np.array_equal(zis, outcomes)
+            assert np.all(keys[:delay] == s0)
+            assert np.array_equal(keys[delay:], states[:-delay])
+            assert eps.shape == (0, 3)
+
+    def test_window_keys_code_the_last_pairs(self):
+        model = load_channel(ge_hmm_channel())
+        for delay, window_len in ((1, 2), (2, 3)):
+            matrix, zis, keys, _ = _stream_arrays(
+                model, 3000, 5, visible=False, delay=delay, window_len=window_len
+            )
+            _, _, outcomes = _reference_path(model, matrix, 5)
+            assert np.array_equal(zis, outcomes)
+            pairs = [OUTCOMES[zi] for zi in outcomes]
+            for t, key in enumerate(keys):
+                newest = t - delay  # the latest pair fed back by slot t
+                if newest - window_len + 1 < 0:
+                    assert key == -1
+                else:
+                    window = tuple(pairs[newest - window_len + 1 : newest + 1])
+                    assert key == _window_code(window)
+
+    def test_predicted_stats_follow_belief_update(self):
+        model = load_channel(ge_hmm_channel())
+        for delay in (1, 2):
+            matrix, zis, _, eps = _stream_arrays(
+                model, 1500, 3, visible=False, delay=delay, predict=True
+            )
+            _, _, outcomes = _reference_path(model, matrix, 3)
+            assert np.array_equal(zis, outcomes)
+            ahead = np.linalg.matrix_power(model.transition, delay - 1)
+            belief = Belief(stationary_distribution(model))
+            for t in range(len(zis)):
+                if t >= delay:
+                    belief = belief_update(model, belief, OUTCOMES[outcomes[t - delay]])
+                ref = cond_erasure_hidden(model, Belief(belief.probs @ ahead))
+                np.testing.assert_allclose(
+                    eps[t], (ref.eps1, ref.eps2, ref.eps12), rtol=0, atol=1e-12
+                )
 
 
 _FALLBACK_SNIPPET = """
