@@ -89,9 +89,9 @@ def cmd_region(args: argparse.Namespace) -> int:
             "uncoded": region_uncoded,
             "minkowski": region_minkowski,
         }[args.kind]
-        region = fn(stats, pi, directions=args.directions)
+        region = fn(stats, pi)
     elif args.kind == "hidden":
-        region = region_hidden_L(model, args.window_len, directions=args.directions)
+        region = region_hidden_L(model, args.window_len)
     else:
         e1, e2, e12 = _average_triple(model)
         if args.kind == "memoryless-fb":
@@ -217,13 +217,12 @@ def _suite_inclusions(rng: np.random.Generator) -> tuple[bool, str]:
         _random_model(rng, 2),
         _random_model(rng, 3),
     ]
-    directions = 33
     for model in models:
         stats, pi = _visible_inputs(model, 1)
-        uncoded = region_uncoded(stats, pi, directions=directions)
-        reactive = region_reactive(stats, pi, directions=directions)
-        visible = region_visible(stats, pi, directions=directions)
-        minkowski = region_minkowski(stats, pi, directions=directions)
+        uncoded = region_uncoded(stats, pi)
+        reactive = region_reactive(stats, pi)
+        visible = region_visible(stats, pi)
+        minkowski = region_minkowski(stats, pi)
         if not (
             _vertices_inside(uncoded, reactive)
             and _vertices_inside(reactive, visible)
@@ -353,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_region.add_argument("--kind", required=True, choices=_REGION_KINDS)
     p_region.add_argument("--delay", type=int, default=1)
     p_region.add_argument("--window-len", type=int, default=1)
-    p_region.add_argument("--directions", type=int, default=129)
     p_region.add_argument("--format", choices=("csv", "json"), default="csv")
     p_region.add_argument("-o", "--output")
     p_region.set_defaults(func=cmd_region)
@@ -397,7 +395,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        # Bad input found past argparse: report it the way argparse does.
+        print(f"duocast {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,10 +1,12 @@
 """Rate regions, cut calculus, and policy synthesis for the broadcast channel.
 
 Every region is a convex polygon in the (R1, R2) quadrant, produced as an
-explicit boundary polyline from (R1max, 0) to (0, R2max) with an LP witness
-per vertex.  Regions parameterized by per-conditioning transmit fractions
-(x_k, y_k) share one support-sweep tracer; the memoryless and Minkowski
-regions use closed forms.
+explicit boundary polyline from (R1max, 0) to (0, R2max) with a witness per
+vertex.  One exact vertex tracer, `_trace`, builds every boundary that is
+not a closed form from a support oracle: an LP over per-conditioning
+transmit fractions (x_k, y_k) for the visible, reactive, uncoded and hidden
+regions, and a closed-form sum of per-state vertices for the Minkowski
+region.  The memoryless regions are closed forms.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ N_ACTIONS = 6
 LINKS = ("12", "13", "14", "24", "32", "34")
 
 _GEOM_TOL = 1e-9
-_DEFAULT_DIRECTIONS = 257
 _MAX_HIDDEN_REGION_L = 5
 
 
@@ -189,69 +190,39 @@ def _stats_arrays(stats_by_key: dict, weights: dict | np.ndarray):
     return keys, w, eps1, eps2, eps12
 
 
-class _SweepRegion:
-    """Support-sweep boundary tracer for LP-defined regions."""
+def _trace(kind: str, support) -> RateRegion:
+    """Exact boundary of a convex region from its support oracle.
 
-    def __init__(self, kind: str, keys, lp_builder, witness_of):
-        self.kind = kind
-        self.keys = keys
-        self.lp_builder = lp_builder
-        self.witness_of = witness_of
-
-    def support(self, d1: float, d2: float):
-        lp = self.lp_builder(np.array([d1, d2]))
-        sol = solve(lp)
-        if sol.status != "optimal":
-            raise ArithmeticError(f"region support LP ended {sol.status}")
-        r1, r2 = max(sol.witness[0], 0.0), max(sol.witness[1], 0.0)
-        return sol.value, RatePoint(r1, r2), sol.witness[2:]
-
-    def trace(self, directions: int = _DEFAULT_DIRECTIONS) -> RateRegion:
-        found: list[tuple[RatePoint, np.ndarray]] = []
-
-        def add(point, vars_):
-            for q, _ in found:
-                if abs(q.r1 - point.r1) < 1e-11 and abs(q.r2 - point.r2) < 1e-11:
-                    return
-            found.append((point, vars_))
-
-        _, east, east_vars = self.support(1.0, 0.0)
-        _, north, north_vars = self.support(0.0, 1.0)
-        add(RatePoint(east.r1, 0.0), east_vars)
-        add(RatePoint(0.0, north.r2), north_vars)
-        for i in range(1, max(directions, 2) - 1):
-            theta = 0.5 * math.pi * i / (max(directions, 2) - 1)
-            _, point, vars_ = self.support(math.cos(theta), math.sin(theta))
-            add(point, vars_)
-        # Refine between neighbouring maximizers until every edge is certified
-        # by its own normal direction.
-        ordered = sorted(found, key=lambda t: (-t[0].r1, t[0].r2))
-        stack = [
-            (ordered[i][0], ordered[i + 1][0]) for i in range(len(ordered) - 1)
-        ]
-        depth = 0
-        while stack and depth < 10000:
-            depth += 1
-            pa, pb = stack.pop()
-            d1, d2 = pb.r2 - pa.r2, pa.r1 - pb.r1
-            norm = math.hypot(d1, d2)
-            if norm < 1e-12 or d1 < -1e-12 or d2 < -1e-12:
-                continue
-            d1, d2 = max(d1, 0.0) / norm, max(d2, 0.0) / norm
-            value, point, vars_ = self.support(d1, d2)
-            if value <= d1 * pa.r1 + d2 * pa.r2 + 1e-10:
-                continue
-            add(point, vars_)
-            stack.append((pa, point))
-            stack.append((point, pb))
-        ordered = sorted(found, key=lambda t: (-t[0].r1, t[0].r2))
-        pruned = _prune_collinear(ordered)
-        boundary = [p for p, _ in pruned]
-        witnesses = [
-            RegionWitness(kind=self.kind, parameters=self.witness_of(v))
-            for _, v in pruned
-        ]
-        return RateRegion(kind=self.kind, boundary=boundary, witnesses=witnesses)
+    support(d1, d2) returns (value, RatePoint, RegionWitness) for a maximizer
+    of d1*R1 + d2*R2.  Starting from the two axis maximizers, each pair of
+    neighbouring vertices is split by the maximizer along the normal of the
+    edge between them, until every edge is certified by its own normal.  An
+    oracle that returns vertices is called 2V - 1 times for V vertices.
+    """
+    _, east, east_witness = support(1.0, 0.0)
+    _, north, north_witness = support(0.0, 1.0)
+    found = [(RatePoint(east.r1, 0.0), east_witness)]
+    if east.r1 >= 1e-11 or north.r2 >= 1e-11:
+        found.append((RatePoint(0.0, north.r2), north_witness))
+    stack = [(found[0][0], found[-1][0])]
+    while stack:
+        pa, pb = stack.pop()
+        d1, d2 = pb.r2 - pa.r2, pa.r1 - pb.r1
+        norm = math.hypot(d1, d2)
+        if norm < 1e-12 or d1 < -1e-12 or d2 < -1e-12:
+            continue
+        d1, d2 = max(d1, 0.0) / norm, max(d2, 0.0) / norm
+        value, point, witness = support(d1, d2)
+        if value <= d1 * pa.r1 + d2 * pa.r2 + 1e-10:
+            continue
+        found.append((point, witness))
+        stack.append((pa, point))
+        stack.append((point, pb))
+    found.sort(key=lambda t: (-t[0].r1, t[0].r2))
+    pruned = _prune_collinear(found)
+    return RateRegion(
+        kind=kind, boundary=[p for p, _ in pruned], witnesses=[w for _, w in pruned]
+    )
 
 
 def _prune_collinear(ordered):
@@ -322,47 +293,50 @@ def _fraction_lp_builder(
     return build
 
 
-def _fraction_region(kind, stats_by_key, weights, *, reactive, uncoded, directions):
+def _fraction_region(kind, stats_by_key, weights, *, reactive, uncoded):
     keys, w, eps1, eps2, eps12 = _stats_arrays(stats_by_key, weights)
     K = len(keys)
     builder = _fraction_lp_builder(
         w, eps1, eps2, eps12, reactive=reactive, uncoded=uncoded
     )
 
-    def witness_of(vars_):
-        return {
-            keys[k]: (float(np.clip(vars_[k], 0, 1)), float(np.clip(vars_[K + k], 0, 1)))
-            for k in range(K)
-        }
+    def support(d1: float, d2: float):
+        sol = solve(builder(np.array([d1, d2])))
+        if sol.status != "optimal":
+            raise ArithmeticError(f"region support LP ended {sol.status}")
+        r1, r2, *fractions = sol.witness
+        x = np.clip(fractions[:K], 0, 1)
+        y = np.clip(fractions[K:], 0, 1)
+        params = {key: (float(x[k]), float(y[k])) for k, key in enumerate(keys)}
+        point = RatePoint(max(r1, 0.0), max(r2, 0.0))
+        return sol.value, point, RegionWitness(kind=kind, parameters=params)
 
-    sweep = _SweepRegion(kind, keys, builder, witness_of)
-    return sweep.trace(directions)
+    return _trace(kind, support)
 
 
-def region_visible(
-    stats_by_state: dict, pi, directions: int = _DEFAULT_DIRECTIONS
-) -> RateRegion:
+# The five traced regions (visible, reactive, uncoded, hidden_L, minkowski)
+# accept `directions` and ignore it: the boundary is exact without a
+# direction fan, and older callers still pass the argument.
+
+
+def region_visible(stats_by_state: dict, pi, directions=None) -> RateRegion:
     """Rates supportable when the previous channel state is observed."""
     return _fraction_region(
-        "visible", stats_by_state, pi, reactive=False, uncoded=False, directions=directions
+        "visible", stats_by_state, pi, reactive=False, uncoded=False
     )
 
 
-def region_reactive(
-    stats_by_state: dict, pi, directions: int = _DEFAULT_DIRECTIONS
-) -> RateRegion:
+def region_reactive(stats_by_state: dict, pi, directions=None) -> RateRegion:
     """Visible-state region restricted to reactive coding (x_s + y_s >= 1)."""
     return _fraction_region(
-        "reactive", stats_by_state, pi, reactive=True, uncoded=False, directions=directions
+        "reactive", stats_by_state, pi, reactive=True, uncoded=False
     )
 
 
-def region_uncoded(
-    stats_by_state: dict, pi, directions: int = _DEFAULT_DIRECTIONS
-) -> RateRegion:
+def region_uncoded(stats_by_state: dict, pi, directions=None) -> RateRegion:
     """Plain per-state time sharing between the two uncoded transmissions."""
     return _fraction_region(
-        "uncoded", stats_by_state, pi, reactive=False, uncoded=True, directions=directions
+        "uncoded", stats_by_state, pi, reactive=False, uncoded=True
     )
 
 
@@ -384,7 +358,7 @@ def hidden_window_stats(
 
 
 def region_hidden_L(
-    model: ChannelModel, window_len: int, directions: int = _DEFAULT_DIRECTIONS
+    model: ChannelModel, window_len: int, directions=None
 ) -> RateRegion:
     """Rates supportable with policies conditioned on the last L feedback pairs."""
     if window_len > _MAX_HIDDEN_REGION_L:
@@ -394,7 +368,7 @@ def region_hidden_L(
         )
     stats, weights = hidden_window_stats(model, window_len)
     return _fraction_region(
-        "hidden_L", stats, weights, reactive=False, uncoded=False, directions=directions
+        "hidden_L", stats, weights, reactive=False, uncoded=False
     )
 
 
@@ -433,14 +407,13 @@ def region_memoryless_nofb(eps1: float, eps2: float) -> RateRegion:
     return RateRegion(kind="memoryless_nofb", boundary=points, witnesses=witnesses)
 
 
-def region_minkowski(
-    stats_by_state: dict, pi, directions: int = 720
-) -> RateRegion:
+def region_minkowski(stats_by_state: dict, pi, directions=None) -> RateRegion:
     """Weighted sum of per-state memoryless feedback regions.
 
-    Support functions add under Minkowski sums, so the boundary is traced by
-    sweeping directions; every summand edge normal is included in the sweep,
-    making the reconstruction exact.
+    Support functions add under Minkowski sums, so the closed-form oracle
+    sums each summand's maximizing vertex; the shared tracer turns it into
+    the exact boundary.  Each witness maps every state to its own (x, y) in
+    parameters and to its contributed rate pair in shares.
     """
     keys, w, _, _, _ = _stats_arrays(stats_by_state, pi)
     summands = []
@@ -449,53 +422,22 @@ def region_minkowski(
         sub = region_memoryless_fb(st.eps1, st.eps2, st.eps12)
         pts = np.array([[p.r1 * w[k], p.r2 * w[k]] for p in sub.boundary])
         summands.append((key, pts, sub))
-    angles = {0.5 * math.pi * i / (max(directions, 2) - 1) for i in range(max(directions, 2))}
-    for _, pts, _ in summands:
-        for a, b in zip(pts, pts[1:]):
-            # Edge normal: rotate the edge direction by -90 degrees.
-            nx, ny = b[1] - a[1], a[0] - b[0]
-            if nx < -1e-15 or ny < -1e-15 or (nx == 0 and ny == 0):
-                continue
-            angles.add(math.atan2(ny, nx))
-    # Midpoints between neighbouring directions pin down the vertex selected
-    # strictly between two summand edge normals.
-    base = sorted(angles)
-    angles.update(0.5 * (t1 + t2) for t1, t2 in zip(base, base[1:]))
-    vertices = []
-    for theta in sorted(angles):
-        d = np.array([math.cos(theta), math.sin(theta)])
+
+    def support(d1: float, d2: float):
+        d = np.array([d1, d2])
         total = np.zeros(2)
-        decomposition = {}
-        share = {}
+        params = {}
+        shares = {}
         for key, pts, sub in summands:
-            scores = pts @ d
-            best = int(np.argmax(scores))
+            best = int(np.argmax(pts @ d))
             total += pts[best]
-            decomposition[key] = sub.witnesses[best].parameters[0]
-            share[key] = (float(pts[best][0]), float(pts[best][1]))
-        vertices.append((RatePoint(max(total[0], 0.0), max(total[1], 0.0)), decomposition, share))
-    unique = []
-    for point, params, share in vertices:
-        if any(
-            abs(point.r1 - q.r1) < 1e-11 and abs(point.r2 - q.r2) < 1e-11
-            for q, _, _ in unique
-        ):
-            continue
-        unique.append((point, params, share))
-    unique.sort(key=lambda t: (-t[0].r1, t[0].r2))
-    trimmed = _prune_collinear([(p, (params, share)) for p, params, share in unique])
-    boundary = []
-    witnesses = []
-    for point, (params, share) in trimmed:
-        boundary.append(point)
-        witnesses.append(
-            RegionWitness(kind="minkowski", parameters=params, shares=share)
-        )
-    # Force exact axis endpoints; supports at the axes have zero coordinates.
-    first, last = boundary[0], boundary[-1]
-    boundary[0] = RatePoint(first.r1, 0.0)
-    boundary[-1] = RatePoint(0.0, last.r2)
-    return RateRegion(kind="minkowski", boundary=boundary, witnesses=witnesses)
+            params[key] = sub.witnesses[best].parameters[0]
+            shares[key] = (float(pts[best][0]), float(pts[best][1]))
+        point = RatePoint(max(total[0], 0.0), max(total[1], 0.0))
+        witness = RegionWitness(kind="minkowski", parameters=params, shares=shares)
+        return float(total @ d), point, witness
+
+    return _trace("minkowski", support)
 
 
 def region_membership(

@@ -107,8 +107,8 @@ def test_02_reactive_matches_visible_when_states_are_iid():
         model = ChannelModel(np.tile(row, (n, 1)), emission)
         pi = stationary_distribution(model)
         stats = stats_for(model)
-        reactive = region_reactive(stats, pi, directions=33)
-        visible = region_visible(stats, pi, directions=33)
+        reactive = region_reactive(stats, pi)
+        visible = region_visible(stats, pi)
         assert hausdorff_distance(reactive, visible) <= 1e-7
     assert time.perf_counter() - t0 < 30.0
 
@@ -174,10 +174,10 @@ def test_06_region_inclusion_chain():
     for model in models:
         pi = stationary_distribution(model)
         stats = stats_for(model)
-        uncoded = region_uncoded(stats, pi, directions=33)
-        reactive = region_reactive(stats, pi, directions=33)
-        visible = region_visible(stats, pi, directions=33)
-        minkowski = region_minkowski(stats, pi, directions=33)
+        uncoded = region_uncoded(stats, pi)
+        reactive = region_reactive(stats, pi)
+        visible = region_visible(stats, pi)
+        minkowski = region_minkowski(stats, pi)
         vertices_inside(uncoded, reactive)
         vertices_inside(reactive, visible)
         vertices_inside(minkowski, reactive)
@@ -261,8 +261,8 @@ def test_09_three_state_hidden_windows_nest():
     """A one-outcome feedback window never beats a three-outcome window:
     the windowed region at L=1 sits inside the one at L=3."""
     model = three_state_model()
-    short = region_hidden_L(model, 1, directions=33)
-    long = region_hidden_L(model, 3, directions=33)
+    short = region_hidden_L(model, 1)
+    long = region_hidden_L(model, 3)
     vertices_inside(short, long)
 
 

@@ -46,9 +46,7 @@ def write_scenario(path, **overrides) -> str:
 class TestRegionCommand:
     def test_csv_to_stdout(self, tmp_path, capsys):
         channel = write_channel(tmp_path / "ch.json")
-        rc = main(
-            ["region", "--channel", channel, "--kind", "visible", "--directions", "17"]
-        )
+        rc = main(["region", "--channel", channel, "--kind", "visible"])
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "r1,r2"
@@ -66,8 +64,6 @@ class TestRegionCommand:
                 channel,
                 "--kind",
                 "reactive",
-                "--directions",
-                "17",
                 "--format",
                 "json",
                 "-o",
@@ -104,8 +100,6 @@ class TestRegionCommand:
                 "hidden",
                 "--window-len",
                 "2",
-                "--directions",
-                "9",
             ]
         )
         assert rc == 0
@@ -121,6 +115,31 @@ class TestRegionCommand:
             points = [tuple(map(float, row.split(","))) for row in rows]
             support[kind] = max(r1 + r2 for r1, r2 in points)
         assert support["memoryless-nofb"] <= support["memoryless-fb"] + 1e-12
+
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--kind", "hidden", "--window-len", "6"], "window length"),
+            (["--kind", "hidden", "--window-len", "-1"], "window length"),
+            (["--kind", "visible", "--delay", "0"], "delay"),
+        ],
+    )
+    def test_bad_input_fails_fast(self, tmp_path, capsys, flags, field):
+        channel = write_channel(tmp_path / "ch.json")
+        rc = main(["region", "--channel", channel, *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("duocast region: error: ")
+        assert field in err
+
+    def test_directions_flag_is_gone(self, tmp_path, capsys):
+        channel = write_channel(tmp_path / "ch.json")
+        extra = ["--directions", "17"]
+        with pytest.raises(SystemExit) as exc:
+            main(["region", "--channel", channel, "--kind", "visible", *extra])
+        assert exc.value.code == 2
+        assert "--directions" in capsys.readouterr().err
 
 
 class TestSimulateCommand:

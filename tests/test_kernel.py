@@ -140,7 +140,7 @@ class TestEngineEquivalence:
 
     def test_probabilistic_hidden_window_matches(self):
         model = load_channel(ge_hmm_channel())
-        r = 0.85 * diagonal_rate(region_hidden_L(model, 2, directions=17))
+        r = 0.85 * diagonal_rate(region_hidden_L(model, 2))
         scenario = Scenario(
             channel=ge_hmm_channel(),
             rates=(r, r),

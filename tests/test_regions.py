@@ -22,7 +22,9 @@ from duocast import (
     flow_optimum,
     flow_solve,
     ge_hidden,
+    ge_visible,
     hausdorff_distance,
+    hidden_window_stats,
     link_capacities,
     memoryless,
     redundancy_transform,
@@ -40,6 +42,8 @@ from duocast import (
     synthesize_policy,
     witness_to_distribution,
 )
+from duocast.lp import solve
+from duocast.regions import _fraction_lp_builder, _stats_arrays
 
 THREE_STATE_P = np.array(
     [[0.7, 0.2, 0.1], [0.2, 0.4, 0.4], [0.3, 0.01, 0.69]]
@@ -202,7 +206,7 @@ class TestVisibleRegion:
         model = three_state_model()
         pi = stationary_distribution(model)
         regions = {
-            d: region_visible(stats_for(model, d), pi, directions=33)
+            d: region_visible(stats_for(model, d), pi)
             for d in (1, 2, 5, 10)
         }
         vertices_inside(regions[2], regions[1])
@@ -237,8 +241,8 @@ class TestRegionRelations:
             model = ChannelModel(np.tile(row, (n, 1)), E)
             pi = stationary_distribution(model)
             stats = stats_for(model)
-            reactive = region_reactive(stats, pi, directions=33)
-            visible = region_visible(stats, pi, directions=33)
+            reactive = region_reactive(stats, pi)
+            visible = region_visible(stats, pi)
             assert hausdorff_distance(reactive, visible) < 1e-7
 
     def test_uncoded_alternating_diagonal(self):
@@ -266,16 +270,16 @@ class TestHiddenRegion:
         assert hausdorff_distance(region, closed) < 1e-9
 
     def test_longer_windows_grow_the_region(self, ge_model):
-        r0 = region_hidden_L(ge_model, 0, directions=33)
-        r1 = region_hidden_L(ge_model, 1, directions=33)
-        r2 = region_hidden_L(ge_model, 2, directions=33)
+        r0 = region_hidden_L(ge_model, 0)
+        r1 = region_hidden_L(ge_model, 1)
+        r2 = region_hidden_L(ge_model, 2)
         vertices_inside(r0, r1)
         vertices_inside(r1, r2)
 
     def test_hidden_stays_inside_visible(self, ge_model):
         pi = stationary_distribution(ge_model)
-        visible = region_visible(stats_for(ge_model), pi, directions=33)
-        hidden = region_hidden_L(ge_model, 2, directions=33)
+        visible = region_visible(stats_for(ge_model), pi)
+        hidden = region_hidden_L(ge_model, 2)
         vertices_inside(hidden, visible)
 
     def test_window_length_guard(self, ge_model):
@@ -283,25 +287,95 @@ class TestHiddenRegion:
             region_hidden_L(ge_model, 6)
 
 
+def lp_support(kind, stats, weights, d) -> float:
+    """Support value straight from the region's LP, without the tracer."""
+    _, w, eps1, eps2, eps12 = _stats_arrays(stats, weights)
+    build = _fraction_lp_builder(
+        w, eps1, eps2, eps12, reactive=kind == "reactive", uncoded=kind == "uncoded"
+    )
+    return solve(build(np.asarray(d, dtype=float))).value
+
+
+def oracle_cases():
+    rng = np.random.default_rng(19)
+    tracers = {
+        "visible": region_visible,
+        "reactive": region_reactive,
+        "uncoded": region_uncoded,
+    }
+    for n in (1, 2, 3, 4, 5):
+        model = random_model(rng, n) if n > 1 else memoryless(rng.dirichlet(np.ones(4)))
+        stats, pi = stats_for(model), stationary_distribution(model)
+        for kind, tracer in tracers.items():
+            yield f"{kind}-{n}state", kind, stats, pi, tracer(stats, pi)
+    noisy = ge_hidden(0.6, 0.1, 0.5, 0.2, 0.2, 0.866, 0.2, 0.8)
+    for L in (1, 2):
+        stats, weights = hidden_window_stats(noisy, L)
+        yield f"hidden_L{L}", "hidden_L", stats, weights, region_hidden_L(noisy, L)
+
+
+class TestTracerAgainstLp:
+    """The traced boundary against direct solves of the same LP."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return list(oracle_cases())
+
+    def test_support_equals_the_lp_value(self, cases):
+        rng = np.random.default_rng(31)
+        for label, kind, stats, weights, region in cases:
+            for theta in rng.uniform(0, math.pi / 2, size=32):
+                d = (math.cos(theta), math.sin(theta))
+                expect = lp_support(kind, stats, weights, d)
+                assert abs(region.support(*d) - expect) < 1e-9, label
+
+    def test_every_edge_is_certified_by_its_normal(self, cases):
+        for label, kind, stats, weights, region in cases:
+            for a, b in zip(region.boundary, region.boundary[1:]):
+                d = np.array([b.r2 - a.r2, a.r1 - b.r1])
+                d /= np.hypot(*d)
+                gap = lp_support(kind, stats, weights, d) - (d[0] * a.r1 + d[1] * a.r2)
+                assert abs(gap) < 1e-9, label
+
+    def test_lp_solves_stay_within_two_per_vertex(self, monkeypatch):
+        calls = []
+
+        def counted(lp):
+            calls.append(1)
+            return solve(lp)
+
+        monkeypatch.setattr("duocast.regions.solve", counted)
+        model = ge_visible(0.6, 0.1, 0.5, 0.2)
+        region = region_visible(stats_for(model), stationary_distribution(model))
+        assert len(calls) <= 2 * len(region.boundary) + 1
+
+
 class TestMinkowski:
     def test_support_matches_per_state_sum(self):
-        stats = {0: triple(0.5, 0.5, 0.25), 1: triple(0.2, 0.4, 0.08)}
-        pi = np.array([0.5, 0.5])
-        region = region_minkowski(stats, pi)
-        # Oracle: per-state polygons built from the analytic kink.
-        polys = []
-        for s, w in zip((0, 1), pi):
-            e = stats[s]
-            r1m, r2m, g = 1 - e.eps1, 1 - e.eps2, 1 - e.eps12
-            A = np.array([[1 / r1m, 1 / g], [1 / g, 1 / r2m]])
-            kink = np.linalg.solve(A, np.ones(2))
-            polys.append(w * np.array([[r1m, 0.0], kink, [0.0, r2m]]))
+        chain = random_model(np.random.default_rng(13), n=3)
+        inputs = [
+            (
+                {0: triple(0.5, 0.5, 0.25), 1: triple(0.2, 0.4, 0.08)},
+                np.array([0.5, 0.5]),
+            ),
+            (stats_for(chain), stationary_distribution(chain)),
+        ]
         rng = np.random.default_rng(3)
-        for _ in range(500):
-            theta = rng.uniform(0, math.pi / 2)
-            d = np.array([math.cos(theta), math.sin(theta)])
-            expect = sum((poly @ d).max() for poly in polys)
-            assert abs(region.support(*d) - expect) < 1e-10
+        for stats, pi in inputs:
+            region = region_minkowski(stats, pi)
+            # Oracle: per-state polygons built from the analytic kink.
+            polys = []
+            for s, w in zip(stats, pi):
+                e = stats[s]
+                r1m, r2m, g = 1 - e.eps1, 1 - e.eps2, 1 - e.eps12
+                A = np.array([[1 / r1m, 1 / g], [1 / g, 1 / r2m]])
+                kink = np.linalg.solve(A, np.ones(2))
+                polys.append(w * np.array([[r1m, 0.0], kink, [0.0, r2m]]))
+            for _ in range(500):
+                theta = rng.uniform(0, math.pi / 2)
+                d = np.array([math.cos(theta), math.sin(theta)])
+                expect = sum((poly @ d).max() for poly in polys)
+                assert abs(region.support(*d) - expect) < 1e-10
 
     def test_witness_shares_decompose_each_vertex(self):
         model = three_state_model()
@@ -321,7 +395,7 @@ class TestMembership:
         model = three_state_model()
         pi = stationary_distribution(model)
         stats = stats_for(model)
-        region = region_visible(stats, pi, directions=65)
+        region = region_visible(stats, pi)
         for p in region.boundary:
             inner = RatePoint(p.r1 * 0.98, p.r2 * 0.98)
             outer = RatePoint(p.r1 * 1.02 + 1e-6, p.r2 * 1.02 + 1e-6)
@@ -568,7 +642,7 @@ class TestSynthesizePolicy:
             model = random_model(rng, n=int(rng.integers(1, 4)))
             pi = stationary_distribution(model)
             stats = stats_for(model)
-            region = region_visible(stats, pi, directions=17)
+            region = region_visible(stats, pi)
             idx = len(region.boundary) // 2
             vertex, witness = region.boundary[idx], region.witnesses[idx]
             target = RatePoint(vertex.r1 * 0.95, vertex.r2 * 0.95)
@@ -603,7 +677,7 @@ class TestSerialization:
 
     def test_json_window_keys_are_readable(self):
         model = ge_hidden(0.6, 0.1, 0.5, 0.2, 0.2, 0.866, 0.2, 0.8)
-        region = region_hidden_L(model, 1, directions=9)
+        region = region_hidden_L(model, 1)
         doc = json.loads(region_to_json(region))
         keys = set()
         for wit in doc["witnesses"]:
