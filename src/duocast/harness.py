@@ -392,7 +392,7 @@ class _RowCursor:
 
     __slots__ = ("row", "pos")
 
-    def __init__(self, row: np.ndarray, pos: int) -> None:
+    def __init__(self, row: Sequence[float], pos: int) -> None:
         self.row = row
         self.pos = pos
 
@@ -488,14 +488,13 @@ def _run_packets(scenario: Scenario, model: ChannelModel, stride: int) -> SimTra
     log_fh = open(scenario.movement_log, "w") if scenario.movement_log else None
 
     try:
-        for t0, matrix, zis, keys, eps in kernel.slot_stream(
+        for t0, rows, zis, keys, eps in kernel.slot_stream(
             model, seed=scenario.seed, horizon=horizon, visible=visible,
             delay=delay, window_len=window_len, predict=kind == "maxweight",
         ):
-            predicted = eps.tolist()
-            for i, (row, zi, obs_key) in enumerate(
-                zip(matrix, zis.tolist(), keys.tolist())
-            ):
+            if not isinstance(zis, list):  # the compiled stream yields arrays
+                zis, keys, eps = zis.tolist(), keys.tolist(), eps.tolist()
+            for i, (row, zi, obs_key) in enumerate(zip(rows, zis, keys)):
                 t = t0 + i
                 z = (zi >> 1, zi & 1)
                 serving = net
@@ -505,7 +504,7 @@ def _run_packets(scenario: Scenario, model: ChannelModel, stride: int) -> SimTra
                     if visible:
                         stats = stats_tab[obs_key]
                     else:
-                        e1, e2, e12 = predicted[i]
+                        e1, e2, e12 = eps[i]
                         stats = ErasureStats(
                             e1, e2, e12, e1 - e12, e2 - e12, 1.0 - e1 - e2 + e12
                         )

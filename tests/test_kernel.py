@@ -19,7 +19,8 @@ from duocast.channel import (
     memoryless,
     stationary_distribution,
 )
-from duocast.harness import Scenario, _window_code, run
+from duocast import kernel
+from duocast.harness import Scenario, _probabilistic_tables, _window_code, run
 from duocast.kernel import CHUNK_SLOTS, SimCounts, jit_enabled, run_counts, slot_stream
 from duocast.regions import diagonal_rate, region_hidden_L
 
@@ -265,15 +266,33 @@ class TestKernelValidation:
         with pytest.raises(ValueError):
             run_counts(self.model, rates=(0.1, 0.1), horizon=10, seed=0, stride=0)
 
+    def test_unknown_action_set_names_the_field(self):
+        with pytest.raises(ValueError, match="action_set"):
+            run_counts(self.model, rates=(0.1, 0.1), horizon=10, seed=0, action_set="A4")
+
+    def test_negative_window_len_names_the_field(self):
+        with pytest.raises(ValueError, match="window_len"):
+            run_counts(
+                self.model,
+                rates=(0.1, 0.1),
+                horizon=10,
+                seed=0,
+                visible=False,
+                policy="probabilistic",
+                action_table=np.full((1, 6), 1 / 6),
+                window_len=-1,
+            )
+
+    def test_fractional_horizon_names_the_field(self):
+        with pytest.raises(ValueError, match="horizon"):
+            run_counts(self.model, rates=(0.1, 0.1), horizon=10.5, seed=0)
+
 
 def _stream_arrays(model, horizon, seed, **kwargs):
-    """The whole stream as arrays; its per-chunk buffers are reused, so copy."""
+    """The whole stream as arrays."""
 
     chunks = [
-        (matrix, zis.copy(), keys.copy(), eps.copy())
-        for _, matrix, zis, keys, eps in slot_stream(
-            model, seed=seed, horizon=horizon, **kwargs
-        )
+        chunk[1:] for chunk in slot_stream(model, seed=seed, horizon=horizon, **kwargs)
     ]
     return [np.concatenate(parts) for parts in zip(*chunks)]
 
@@ -345,6 +364,122 @@ class TestSlotStreamOracle:
                 np.testing.assert_allclose(
                     eps[t], (ref.eps1, ref.eps2, ref.eps12), rtol=0, atol=1e-12
                 )
+
+
+# Chunk lengths the stream is cut into: one slot, a prime, the fallback's
+# and the compiled loops' defaults.
+_CHUNK_LENGTHS = (1, 7, 1024, 65536)
+
+
+def _chunked_runs(monkeypatch, simulate):
+    runs = []
+    for length in _CHUNK_LENGTHS:
+        monkeypatch.setattr(kernel, "_STREAM_CHUNK", length)
+        runs.append(simulate())
+    return runs
+
+
+def _counts_case(name, delay):
+    """run_counts keyword arguments for one kernel path at ``delay``."""
+
+    if name == "visible_mw":
+        return dict(model=load_channel(ge_fig_channel()), rates=(0.28, 0.3))
+    if name == "hidden_mw":
+        return dict(model=load_channel(ge_hmm_channel()), rates=(0.18, 0.18),
+                    visible=False)
+    visible = name == "prob_visible"
+    doc = ge_fig_channel() if visible else ge_hmm_channel()
+    policy = {"kind": "probabilistic", "target": [0.2, 0.2]}
+    if not visible:
+        # The window tables do not depend on the delay; hidden scenarios only
+        # admit delay 1, so build them there.
+        policy["window_len"] = 2
+    scenario = Scenario(channel=doc, rates=(0.15, 0.15), horizon=10,
+                        seed=0, visible=visible, delay=delay if visible else 1,
+                        policy=policy)
+    model = scenario.model()
+    tables = _probabilistic_tables(scenario, model)
+    return dict(model=model, rates=(0.15, 0.15), visible=visible,
+                policy="probabilistic", action_table=tables.action_table,
+                ratio_table=tables.ratio_table, window_len=tables.window_len)
+
+
+class TestChunkInvariance:
+    """Where the stream cuts its chunks cannot change a trace."""
+
+    @pytest.mark.parametrize("delay", (1, 3))
+    @pytest.mark.parametrize(
+        "name", ("visible_mw", "hidden_mw", "prob_visible", "prob_hidden")
+    )
+    def test_counts_equal_for_every_chunk_length(self, monkeypatch, name, delay):
+        case = _counts_case(name, delay)
+        model = case.pop("model")
+        # stride 5 divides none of the chunk lengths but 1, so records fall
+        # at every offset into a chunk.
+        runs = _chunked_runs(monkeypatch, lambda: run_counts(
+            model, horizon=3000, seed=17, delay=delay, stride=5, **case))
+        first = runs[0]
+        assert first.exits.sum() > 0
+        for other in runs[1:]:
+            assert np.array_equal(other.record, first.record)
+            assert np.array_equal(other.record_times, first.record_times)
+            assert np.array_equal(other.queues, first.queues)
+            assert np.array_equal(other.arrivals, first.arrivals)
+            assert np.array_equal(other.exits, first.exits)
+
+    def test_packets_trace_equal_for_every_chunk_length(self, monkeypatch):
+        scenario = Scenario(
+            channel=ge_hmm_channel(),
+            rates=(0.18, 0.18),
+            horizon=1500,
+            seed=5,
+            visible=False,
+            delay=2,
+            policy={"kind": "maxweight", "action_set": "A5"},
+            stride=3,
+            engine="packets",
+        )
+        runs = _chunked_runs(monkeypatch, lambda: run(scenario))
+        for other in runs[1:]:
+            assert_traces_identical(other, runs[0])
+            assert other.audit_passed is True
+
+
+class TestArrayInputs:
+    """The loops fed numpy arrays, as numba compiles them, run here as plain
+    Python and must give the list-fed fallback's traces."""
+
+    @pytest.mark.parametrize(
+        "name", ("visible_mw", "hidden_mw", "prob_visible", "prob_hidden")
+    )
+    def test_counts_match_list_inputs(self, monkeypatch, name):
+        case = _counts_case(name, 2)
+        model = case.pop("model")
+
+        def simulate():
+            return run_counts(model, horizon=2000, seed=23, delay=2, stride=3, **case)
+
+        lists = simulate()
+        monkeypatch.setattr(kernel, "_DISABLED", False)
+        arrays = simulate()
+        assert np.array_equal(arrays.record, lists.record)
+        assert np.array_equal(arrays.queues, lists.queues)
+
+    def test_packets_match_list_inputs(self, monkeypatch):
+        scenario = Scenario(
+            channel=ge_hmm_channel(),
+            rates=(0.18, 0.18),
+            horizon=1000,
+            seed=6,
+            visible=False,
+            delay=2,
+            policy={"kind": "maxweight", "action_set": "A5"},
+            stride=1,
+            engine="packets",
+        )
+        lists = run(scenario)
+        monkeypatch.setattr(kernel, "_DISABLED", False)
+        assert_traces_identical(run(scenario), lists)
 
 
 _FALLBACK_SNIPPET = """
