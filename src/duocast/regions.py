@@ -2,17 +2,22 @@
 
 Every region is a convex polygon in the (R1, R2) quadrant, produced as an
 explicit boundary polyline from (R1max, 0) to (0, R2max) with a witness per
-vertex.  One exact vertex tracer, `_trace`, builds every boundary that is
-not a closed form from a support oracle: an LP over per-conditioning
-transmit fractions (x_k, y_k) for the visible, reactive, uncoded and hidden
-regions, and a closed-form sum of per-state vertices for the Minkowski
-region.  The memoryless regions are closed forms.
+vertex.  One exact vertex tracer, `_trace`, turns a support oracle into that
+boundary.  Only the reactive region's oracle solves an LP over the
+per-conditioning transmit fractions (x_k, y_k): its x_k + y_k >= 1 couples
+the two receivers.  The visible and hidden_L LP separates into two
+fractional knapsacks, each solved by a greedy fill after one sort, and
+their oracle picks from the breakpoints of the two frontiers' lower
+envelope.  The uncoded and Minkowski regions are sums of per-key pieces,
+so their oracles add each piece's maximizer.  The memoryless regions are
+closed forms.  Membership and policy synthesis always solve the LP.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +46,6 @@ N_ACTIONS = 6
 LINKS = ("12", "13", "14", "24", "32", "34")
 
 _GEOM_TOL = 1e-9
-_MAX_HIDDEN_REGION_L = 5
 
 
 @dataclass(frozen=True)
@@ -55,9 +59,6 @@ class RatePoint:
         if self.r1 < -_GEOM_TOL or self.r2 < -_GEOM_TOL:
             raise ValueError("rates must be nonnegative")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.r1, self.r2])
-
 
 @dataclass(frozen=True)
 class RegionWitness:
@@ -69,12 +70,14 @@ class RegionWitness:
     """
 
     kind: str
-    parameters: dict
+    parameters: Mapping
     shares: dict | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in REGION_KINDS:
             raise ValueError(f"unknown region kind {self.kind!r}")
+        if isinstance(self.parameters, _FillView):
+            return  # every value is 0, 1 or a share clipped to [0, 1]
         for key, (x, y) in self.parameters.items():
             if not (-_GEOM_TOL <= x <= 1 + _GEOM_TOL and -_GEOM_TOL <= y <= 1 + _GEOM_TOL):
                 raise ValueError(f"witness parameters for {key!r} outside [0,1]")
@@ -123,15 +126,11 @@ class RateRegion:
 
     def contains(self, point: RatePoint, tol: float = _GEOM_TOL) -> bool:
         poly = self.polygon()
-        p = point.as_array()
-        for a, b in zip(poly, np.vstack([poly[1:], poly[:1]])):
-            edge = b - a
-            if edge @ edge < 1e-24:
-                continue
-            cross = edge[0] * (p[1] - a[1]) - edge[1] * (p[0] - a[0])
-            if cross < -tol * max(1.0, float(np.hypot(*edge))):
-                return False
-        return True
+        edge = np.vstack([poly[1:], poly[:1]]) - poly
+        cross = edge[:, 0] * (point.r2 - poly[:, 1]) - edge[:, 1] * (point.r1 - poly[:, 0])
+        length = np.hypot(edge[:, 0], edge[:, 1])
+        outside = (cross < -tol * np.maximum(length, 1.0)) & (length * length >= 1e-24)
+        return not outside.any()
 
     def support(self, d1: float, d2: float) -> float:
         vals = [d1 * p.r1 + d2 * p.r2 for p in self.boundary]
@@ -235,17 +234,18 @@ def _prune_collinear(ordered):
             continue
         kept.append(cand)
     kept.append(ordered[-1])
-    # Drop interior vertices that lie on the segment of their neighbours.
-    changed = True
-    while changed and len(kept) > 2:
-        changed = False
-        for i in range(1, len(kept) - 1):
-            a, b, c = kept[i - 1][0], kept[i][0], kept[i + 1][0]
-            cross = (b.r1 - a.r1) * (c.r2 - a.r2) - (b.r2 - a.r2) * (c.r1 - a.r1)
-            if abs(cross) < 1e-10:
-                kept.pop(i)
-                changed = True
-                break
+    # Drop interior vertices that lie on the segment of their neighbours,
+    # the first such vertex first.  A drop changes only the two triples
+    # around it, so the scan resumes one vertex back, not from the start.
+    i = 1
+    while i < len(kept) - 1:
+        a, b, c = kept[i - 1][0], kept[i][0], kept[i + 1][0]
+        cross = (b.r1 - a.r1) * (c.r2 - a.r2) - (b.r2 - a.r2) * (c.r1 - a.r1)
+        if abs(cross) < 1e-10:
+            kept.pop(i)
+            i = max(i - 1, 1)
+        else:
+            i += 1
     return kept
 
 
@@ -293,23 +293,120 @@ def _fraction_lp_builder(
     return build
 
 
-def _fraction_region(kind, stats_by_key, weights, *, reactive, uncoded):
+class _FillView(Mapping):
+    """One vertex's (x, y) per key, read on demand from two greedy fills.
+
+    A fill is (rank of each key in the fill order, whole keys taken, share of
+    the next key): x_k is 1 below the cut, the share at it and 0 past it.
+    Holding the fills instead of a dict keeps a trace at O(1) memory per
+    vertex, which matters at window lengths with thousands of keys.  The
+    share is clipped to [0, 1], so every value lies in [0, 1].
+    """
+
+    __slots__ = ("_keys", "_index", "_x", "_y")
+
+    def __init__(self, keys, index, fill_x, fill_y):
+        self._keys, self._index, self._x, self._y = keys, index, fill_x, fill_y
+
+    @staticmethod
+    def _value(fill, k: int) -> float:
+        rank, whole, share = fill
+        r = rank[k]
+        return 1.0 if r < whole else (share if r == whole else 0.0)
+
+    def __getitem__(self, key):
+        k = self._index[key]
+        return (self._value(self._x, k), self._value(self._y, k))
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+
+def _greedy_fill(a: np.ndarray, g: np.ndarray):
+    """Dantzig's fractional knapsack: least g spent per unit of a gained.
+
+    Returns the keys in fill order (keys with a = 0 last, never filled), the
+    running gain of a and the running spend of g over the usable prefix.
+    """
+    usable = np.flatnonzero(a > 0)
+    order = np.concatenate(
+        [usable[np.argsort(g[usable] / a[usable], kind="stable")],
+         np.flatnonzero(a <= 0)]
+    )
+    head = order[: usable.size]
+    gain = np.concatenate([[0.0], np.cumsum(a[head])])
+    spent = np.concatenate([[0.0], np.cumsum(g[head])])
+    return order, gain, spent
+
+
+def _fill_cuts(order, gain, a, targets: np.ndarray):
+    """Whole keys taken and share of the next so that a.x reaches each target."""
+    n = gain.size - 1
+    whole = np.clip(np.searchsorted(gain, targets, side="right") - 1, 0, n)
+    share = np.zeros(targets.size)
+    part = whole < n
+    share[part] = (targets[part] - gain[whole[part]]) / a[order[whole[part]]]
+    return whole, np.clip(share, 0.0, 1.0)
+
+
+def _knapsack_region(kind: str, stats_by_key: dict, weights) -> RateRegion:
+    """Exact visible/hidden_L region, P_x ∩ P_y, without an LP.
+
+    x appears only in R1 <= a1.x, R2 <= G - g.x and y only in R2 <= a2.y,
+    R1 <= G - g.y.  So the region is P_x ∩ P_y, and each P is bounded by a
+    greedy fill: P_x by R2 <= f_x(R1) = G - (least g.x with a1.x = R1), P_y
+    likewise with the axes swapped.  Both frontiers take one sort, O(K log K).
+    The boundary is min(f_x, f_y) over R1 in [0, sum a1]; its vertices are
+    among the breakpoints of both frontiers and their crossings, and `_trace`
+    picks them out with the tolerances it applies to an LP oracle.  Each
+    vertex's witness is the x fill that reaches R1 and the y fill that
+    reaches R2, so it supports the vertex by construction.
+    """
     keys, w, eps1, eps2, eps12 = _stats_arrays(stats_by_key, weights)
-    K = len(keys)
-    builder = _fraction_lp_builder(
-        w, eps1, eps2, eps12, reactive=reactive, uncoded=uncoded
+    a1, a2, g = w * (1.0 - eps1), w * (1.0 - eps2), w * (1.0 - eps12)
+    G = float(g.sum())
+    order_x, gain_x, spent_x = _greedy_fill(a1, g)
+    order_y, gain_y, spent_y = _greedy_fill(a2, g)
+    # f_x over R1 ascending; f_y as the inverse of P_y's frontier, also over
+    # R1 ascending (np.interp holds its value sum a2 left of the last fill).
+    fx_t, fx_v = gain_x, G - spent_x
+    fy_t, fy_v = (G - spent_y)[::-1], gain_y[::-1]
+    r1_max = float(gain_x[-1])
+
+    t = np.sort(np.concatenate([fx_t, fy_t[(fy_t > 0.0) & (fy_t < r1_max)]]))
+    fx, fy = np.interp(t, fx_t, fx_v), np.interp(t, fy_t, fy_v)
+    d = fx - fy
+    cross = np.flatnonzero(d[:-1] * d[1:] < 0.0)
+    tc = t[cross] + d[cross] / (d[cross] - d[cross + 1]) * (t[cross + 1] - t[cross])
+    points = np.maximum(
+        np.column_stack([
+            np.concatenate([t, tc]),
+            np.concatenate([np.minimum(fx, fy), np.interp(tc, fx_t, fx_v)]),
+        ]),
+        0.0,
     )
 
+    index = {key: k for k, key in enumerate(keys)}
+    fills = []
+    for order, gain, a, target in (
+        (order_x, gain_x, a1, points[:, 0]), (order_y, gain_y, a2, points[:, 1])
+    ):
+        rank = np.empty(len(keys), dtype=np.int64)
+        rank[order] = np.arange(len(keys))
+        whole, share = _fill_cuts(order, gain, a, target)
+        fills.append((rank.tolist(), whole.tolist(), share.tolist()))
+
     def support(d1: float, d2: float):
-        sol = solve(builder(np.array([d1, d2])))
-        if sol.status != "optimal":
-            raise ArithmeticError(f"region support LP ended {sol.status}")
-        r1, r2, *fractions = sol.witness
-        x = np.clip(fractions[:K], 0, 1)
-        y = np.clip(fractions[K:], 0, 1)
-        params = {key: (float(x[k]), float(y[k])) for k, key in enumerate(keys)}
-        point = RatePoint(max(r1, 0.0), max(r2, 0.0))
-        return sol.value, point, RegionWitness(kind=kind, parameters=params)
+        values = points @ np.array([d1, d2])
+        i = int(np.argmax(values))
+        fill_x, fill_y = ((rank, whole[i], share[i]) for rank, whole, share in fills)
+        witness = RegionWitness(
+            kind=kind, parameters=_FillView(keys, index, fill_x, fill_y)
+        )
+        return float(values[i]), RatePoint(*points[i].tolist()), witness
 
     return _trace(kind, support)
 
@@ -321,23 +418,56 @@ def _fraction_region(kind, stats_by_key, weights, *, reactive, uncoded):
 
 def region_visible(stats_by_state: dict, pi, directions=None) -> RateRegion:
     """Rates supportable when the previous channel state is observed."""
-    return _fraction_region(
-        "visible", stats_by_state, pi, reactive=False, uncoded=False
-    )
+    return _knapsack_region("visible", stats_by_state, pi)
 
 
 def region_reactive(stats_by_state: dict, pi, directions=None) -> RateRegion:
-    """Visible-state region restricted to reactive coding (x_s + y_s >= 1)."""
-    return _fraction_region(
-        "reactive", stats_by_state, pi, reactive=True, uncoded=False
-    )
+    """Visible-state region restricted to reactive coding (x_s + y_s >= 1).
+
+    x + y >= 1 couples x and y per state, so this region is traced from its
+    support LP.
+    """
+    keys, w, eps1, eps2, eps12 = _stats_arrays(stats_by_state, pi)
+    K = len(keys)
+    builder = _fraction_lp_builder(w, eps1, eps2, eps12, reactive=True, uncoded=False)
+
+    def support(d1: float, d2: float):
+        sol = solve(builder(np.array([d1, d2])))
+        if sol.status != "optimal":
+            raise ArithmeticError(f"region support LP ended {sol.status}")
+        r1, r2, *fractions = sol.witness
+        x = np.clip(fractions[:K], 0, 1)
+        y = np.clip(fractions[K:], 0, 1)
+        params = {key: (float(x[k]), float(y[k])) for k, key in enumerate(keys)}
+        point = RatePoint(max(r1, 0.0), max(r2, 0.0))
+        return sol.value, point, RegionWitness(kind="reactive", parameters=params)
+
+    return _trace("reactive", support)
 
 
 def region_uncoded(stats_by_state: dict, pi, directions=None) -> RateRegion:
-    """Plain per-state time sharing between the two uncoded transmissions."""
-    return _fraction_region(
-        "uncoded", stats_by_state, pi, reactive=False, uncoded=True
-    )
+    """Plain per-state time sharing between the two uncoded transmissions.
+
+    The region is the sum of per-state triangles with legs w(1 - eps1) and
+    w(1 - eps2), so its support along (d1, d2) gives each state to the
+    receiver with the larger d_j * w(1 - eps_j); the shared tracer turns
+    that oracle into the exact boundary.
+    """
+    keys, w, eps1, eps2, _ = _stats_arrays(stats_by_state, pi)
+    gains = np.column_stack([w * (1.0 - eps1), w * (1.0 - eps2)])
+
+    def support(d1: float, d2: float):
+        to_two = gains[:, 1] * d2 > gains[:, 0] * d1
+        r1 = float(gains[~to_two, 0].sum())
+        r2 = float(gains[to_two, 1].sum())
+        params = {
+            key: ((0.0, 1.0) if two else (1.0, 0.0))
+            for key, two in zip(keys, to_two.tolist())
+        }
+        witness = RegionWitness(kind="uncoded", parameters=params)
+        return d1 * r1 + d2 * r2, RatePoint(r1, r2), witness
+
+    return _trace("uncoded", support)
 
 
 def hidden_window_stats(
@@ -361,15 +491,8 @@ def region_hidden_L(
     model: ChannelModel, window_len: int, directions=None
 ) -> RateRegion:
     """Rates supportable with policies conditioned on the last L feedback pairs."""
-    if window_len > _MAX_HIDDEN_REGION_L:
-        raise ValueError(
-            f"window length {window_len} exceeds the region guard "
-            f"{_MAX_HIDDEN_REGION_L}"
-        )
     stats, weights = hidden_window_stats(model, window_len)
-    return _fraction_region(
-        "hidden_L", stats, weights, reactive=False, uncoded=False
-    )
+    return _knapsack_region("hidden_L", stats, weights)
 
 
 def region_memoryless_fb(eps1: float, eps2: float, eps12: float) -> RateRegion:

@@ -120,7 +120,7 @@ class TestRegionCommand:
     @pytest.mark.parametrize(
         "flags, field",
         [
-            (["--kind", "hidden", "--window-len", "6"], "window length"),
+            (["--kind", "hidden", "--window-len", "9"], "window length"),
             (["--kind", "hidden", "--window-len", "-1"], "window length"),
             (["--kind", "visible", "--delay", "0"], "delay"),
         ],

@@ -42,6 +42,7 @@ from duocast import (
     synthesize_policy,
     witness_to_distribution,
 )
+from duocast import regions
 from duocast.lp import solve
 from duocast.regions import _fraction_lp_builder, _stats_arrays
 
@@ -257,10 +258,19 @@ class TestRegionRelations:
         assert hausdorff_distance(region, region_memoryless_nofb(0.4, 0.3)) < 1e-9
 
 
+def noisy_model() -> ChannelModel:
+    return ge_hidden(0.6, 0.1, 0.5, 0.2, 0.2, 0.866, 0.2, 0.8)
+
+
 class TestHiddenRegion:
     @pytest.fixture()
     def ge_model(self):
-        return ge_hidden(0.6, 0.1, 0.5, 0.2, 0.2, 0.866, 0.2, 0.8)
+        return noisy_model()
+
+    @pytest.fixture(scope="class")
+    def ladder(self):
+        model = noisy_model()
+        return {L: region_hidden_L(model, L) for L in range(7)}
 
     def test_order_zero_is_averaged_memoryless(self, ge_model):
         pi = stationary_distribution(ge_model)
@@ -269,31 +279,37 @@ class TestHiddenRegion:
         closed = region_memoryless_fb(avg.eps1, avg.eps2, avg.eps12)
         assert hausdorff_distance(region, closed) < 1e-9
 
-    def test_longer_windows_grow_the_region(self, ge_model):
-        r0 = region_hidden_L(ge_model, 0)
-        r1 = region_hidden_L(ge_model, 1)
-        r2 = region_hidden_L(ge_model, 2)
-        vertices_inside(r0, r1)
-        vertices_inside(r1, r2)
+    def test_longer_windows_grow_the_region(self, ladder):
+        for L in range(6):
+            vertices_inside(ladder[L], ladder[L + 1])
+            assert diagonal_rate(ladder[L]) <= diagonal_rate(ladder[L + 1])
+        # Vertex counts of the LP tracer on this channel.
+        counts = [len(ladder[L].boundary) for L in (1, 2, 3, 4)]
+        assert counts == [5, 17, 59, 223]
 
-    def test_hidden_stays_inside_visible(self, ge_model):
+    def test_hidden_stays_inside_visible(self, ge_model, ladder):
         pi = stationary_distribution(ge_model)
         visible = region_visible(stats_for(ge_model), pi)
-        hidden = region_hidden_L(ge_model, 2)
-        vertices_inside(hidden, visible)
+        for hidden in ladder.values():
+            vertices_inside(hidden, visible)
 
     def test_window_length_guard(self, ge_model):
-        with pytest.raises(ValueError):
-            region_hidden_L(ge_model, 6)
+        with pytest.raises(ValueError, match="window length"):
+            region_hidden_L(ge_model, 9)
 
 
-def lp_support(kind, stats, weights, d) -> float:
-    """Support value straight from the region's LP, without the tracer."""
+def lp_solution(kind, stats, weights, d):
+    """The region's LP solved along d, without the tracer."""
     _, w, eps1, eps2, eps12 = _stats_arrays(stats, weights)
     build = _fraction_lp_builder(
         w, eps1, eps2, eps12, reactive=kind == "reactive", uncoded=kind == "uncoded"
     )
-    return solve(build(np.asarray(d, dtype=float))).value
+    return solve(build(np.asarray(d, dtype=float)))
+
+
+def lp_support(kind, stats, weights, d) -> float:
+    """Support value straight from the region's LP, without the tracer."""
+    return lp_solution(kind, stats, weights, d).value
 
 
 def oracle_cases():
@@ -303,13 +319,13 @@ def oracle_cases():
         "reactive": region_reactive,
         "uncoded": region_uncoded,
     }
-    for n in (1, 2, 3, 4, 5):
+    for n in (1, 2, 3, 4, 5) * 2:
         model = random_model(rng, n) if n > 1 else memoryless(rng.dirichlet(np.ones(4)))
         stats, pi = stats_for(model), stationary_distribution(model)
         for kind, tracer in tracers.items():
             yield f"{kind}-{n}state", kind, stats, pi, tracer(stats, pi)
-    noisy = ge_hidden(0.6, 0.1, 0.5, 0.2, 0.2, 0.866, 0.2, 0.8)
-    for L in (1, 2):
+    noisy = noisy_model()
+    for L in (1, 2, 3):
         stats, weights = hidden_window_stats(noisy, L)
         yield f"hidden_L{L}", "hidden_L", stats, weights, region_hidden_L(noisy, L)
 
@@ -337,7 +353,35 @@ class TestTracerAgainstLp:
                 gap = lp_support(kind, stats, weights, d) - (d[0] * a.r1 + d[1] * a.r2)
                 assert abs(gap) < 1e-9, label
 
-    def test_lp_solves_stay_within_two_per_vertex(self, monkeypatch):
+    def test_closed_forms_match_the_lp_traced_boundary(self, cases):
+        # The LP is the oracle: the same tracer over direct LP solves must
+        # give the closed form's vertices.
+        for label, kind, stats, weights, region in cases:
+            if kind == "reactive":
+                continue
+
+            def support(d1, d2):
+                sol = lp_solution(kind, stats, weights, (d1, d2))
+                point = RatePoint(max(sol.witness[0], 0.0), max(sol.witness[1], 0.0))
+                return sol.value, point, RegionWitness(kind=kind, parameters={})
+
+            traced = regions._trace(kind, support)
+            assert len(traced.boundary) == len(region.boundary), label
+            assert hausdorff_distance(traced, region) <= 1e-9, label
+            assert abs(diagonal_rate(traced) - diagonal_rate(region)) <= 1e-9, label
+
+    def test_closed_form_witnesses_support_their_vertices(self, cases):
+        for label, kind, stats, weights, region in cases:
+            if kind == "reactive":
+                continue
+            for vertex, witness in zip(region.boundary, region.witnesses):
+                assert set(witness.parameters) == set(stats), label
+                for x, y in witness.parameters.values():
+                    assert 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0, label
+                assert regions._witness_supports(witness, vertex, stats, weights), label
+
+    @staticmethod
+    def count_solves(monkeypatch) -> list:
         calls = []
 
         def counted(lp):
@@ -345,9 +389,23 @@ class TestTracerAgainstLp:
             return solve(lp)
 
         monkeypatch.setattr("duocast.regions.solve", counted)
+        return calls
+
+    def test_lp_solves_stay_within_two_per_vertex(self, monkeypatch):
+        calls = self.count_solves(monkeypatch)
         model = ge_visible(0.6, 0.1, 0.5, 0.2)
-        region = region_visible(stats_for(model), stationary_distribution(model))
+        region = region_reactive(stats_for(model), stationary_distribution(model))
         assert len(calls) <= 2 * len(region.boundary) + 1
+
+    def test_closed_forms_solve_no_lp(self, monkeypatch):
+        calls = self.count_solves(monkeypatch)
+        model = ge_visible(0.6, 0.1, 0.5, 0.2)
+        stats, pi = stats_for(model), stationary_distribution(model)
+        region_visible(stats, pi)
+        region_uncoded(stats, pi)
+        for L in (1, 2, 3):
+            region_hidden_L(noisy_model(), L)
+        assert calls == []
 
 
 class TestMinkowski:
