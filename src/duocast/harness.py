@@ -35,9 +35,8 @@ from .policies import (
     per_state_memoryless_decide,
     probabilistic_decide,
 )
-from .queuenet import QueueNetwork, apply_slot, audit_decodability
+from .queuenet import LINK_NAMES, QueueNetwork, apply_slot, audit_decodability
 from .regions import (
-    LINKS,
     RatePoint,
     hidden_window_stats,
     region_membership,
@@ -299,7 +298,7 @@ def _probabilistic_tables(scenario: Scenario, model: ChannelModel) -> _ProbTable
     for key, row in dist.probs.items():
         table[code(key)] = row
         dist_by_code[code(key)] = row
-    ratio_table = np.array([[ratios[j][l] for l in LINKS] for j in (1, 2)])
+    ratio_table = np.array([[ratios[j][l] for l in LINK_NAMES] for j in (1, 2)])
     return _ProbTables(table, ratio_table, dist_by_code, ratios, window_len)
 
 
@@ -492,8 +491,6 @@ def _run_packets(scenario: Scenario, model: ChannelModel, stride: int) -> SimTra
             model, seed=scenario.seed, horizon=horizon, visible=visible,
             delay=delay, window_len=window_len, predict=kind == "maxweight",
         ):
-            if not isinstance(zis, list):  # the compiled stream yields arrays
-                zis, keys, eps = zis.tolist(), keys.tolist(), eps.tolist()
             for i, (row, zi, obs_key) in enumerate(zip(rows, zis, keys)):
                 t = t0 + i
                 z = (zi >> 1, zi & 1)

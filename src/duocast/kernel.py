@@ -9,11 +9,7 @@ engines read the same stream and differ only in how they decide and move:
 the packets engine in `harness` moves identified packets through `queuenet`.
 Their traces match slot for slot, which is tested.
 
-The two loops, `_observe` and `_chunk`, have one source.  It is compiled
-with numba when numba is installed (the ``jit`` extra) and runs as plain
-Python otherwise; setting the environment variable DUOCAST_NO_NUMBA=1
-selects the plain-Python fallback.  The source is written for speed on the
-fallback, using only constructs numba also compiles:
+The two loops, `_observe` and `_chunk`, are plain Python written for speed:
 
 - per-chunk state (the chain state, window code and fold count; the six
   queues, the totals and the record index) lives in locals.  It is loaded
@@ -21,14 +17,14 @@ fallback, using only constructs numba also compiles:
   conversion matters: a numpy scalar such as ``np.int64`` left in a local
   sends every mixed ``float * int`` through numpy's slow scalar path.
 - each slot reads its random row once (``row = rows[i]``) and each table
-  row once (``cdf = p_cdf[s]``), so no two-index array access is left in
-  the inner loop.
-- on the fallback, `slot_stream` hands the loops Python lists: the random
-  rows come from ``matrix.tolist()``, the tables and the belief are lists,
-  and ``zi``/``key``/``eps`` are fresh lists for each chunk.  Python reads a
+  row once (``cdf = p_cdf[s]``), so no two-index access is left in the
+  inner loop.
+- the loops read Python lists, not numpy arrays: the random rows come from
+  ``matrix.tolist()``, the tables and the belief are lists, and
+  ``zi``/``key``/``eps`` are fresh lists for each chunk.  Python reads a
   list element several times faster than a numpy element.  Lists of floats
-  take far more memory than arrays, so the fallback draws chunks of
-  FALLBACK_CHUNK_SLOTS slots, not CHUNK_SLOTS.
+  take far more memory than arrays, so the stream draws chunks of
+  CHUNK_SLOTS slots.
 
 The chunk length cannot change a trace: ``Generator.random`` fills the
 matrix row by row, so stacked small draws equal one large draw, and every
@@ -37,17 +33,16 @@ piece of state crosses chunk boundaries through the stored locals.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelModel, cond_erasure_visible, stationary_distribution
+from .policies import ACTION_SETS
 
 __all__ = [
     "RNG_COLUMNS",
     "CHUNK_SLOTS",
-    "FALLBACK_CHUNK_SLOTS",
     "SimCounts",
     "jit_enabled",
     "run_counts",
@@ -60,44 +55,20 @@ __all__ = [
 # receiver 1's links 12,13,14,24,32,34, and 11..16 those of receiver 2.
 RNG_COLUMNS = 17
 
-# Each max-weight action set by its highest action.
-_ACTION_SETS = {"A2": 2, "A3": 3, "A5": 5}
-
-CHUNK_SLOTS = 65536          # slots per chunk for the compiled loops
-FALLBACK_CHUNK_SLOTS = 1024  # slots per chunk for the plain-Python loops
-
-_DISABLED = os.environ.get("DUOCAST_NO_NUMBA", "") == "1"
-if not _DISABLED:
-    try:
-        from numba import njit as _njit
-    except ImportError:  # pragma: no cover - exercised via the env flag
-        _DISABLED = True
-if _DISABLED:
-    def _njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-
-# The chunk length `slot_stream` draws; the tests patch it.
-_STREAM_CHUNK = FALLBACK_CHUNK_SLOTS if _DISABLED else CHUNK_SLOTS
+# Slots per chunk of the stream, read when `slot_stream` starts; the tests
+# patch it.
+CHUNK_SLOTS = 1024
 
 
 def jit_enabled() -> bool:
-    return not _DISABLED
+    """False: the loops always run as plain Python.
+
+    Kept so that callers which stamp the backend of a run can still ask.
+    """
+
+    return False
 
 
-def _native(array: np.ndarray):
-    """An input of the loops as they read it fastest: nested lists on the fallback."""
-
-    return array.tolist() if _DISABLED else array
-
-
-@_njit(cache=True)
 def _observe(rows, t0, p_cdf, e_cdf, visible, delay, wlen, four_l,
              trans_t, emis_t, pd1_t, evecs, ring, belief, scratch,
              ostate, zis, keys, eps):
@@ -143,8 +114,8 @@ def _observe(rows, t0, p_cdf, e_cdf, visible, delay, wlen, four_l,
                     scratch[k] = v
                     total += v
                 if total <= 0.0:
-                    ostate[3] = 1
-                    return
+                    raise ValueError("feedback pair has probability zero "
+                                     "under the current belief")
                 for k in range(num_states):
                     col = trans_t[k]
                     acc = 0.0
@@ -189,8 +160,8 @@ def slot_stream(model: ChannelModel, *, seed: int, horizon: int, visible: bool,
     digit), or -1 until that many have arrived.  With ``predict`` (hidden
     model), the feedback is instead folded into a belief and ``eps`` holds
     each slot's predicted (eps1, eps2, eps12); otherwise ``eps`` is an empty
-    (0, 3) array.  Each chunk comes in fresh containers: numpy arrays when
-    the loops are compiled, nested Python lists on the fallback.
+    (0, 3) array.  Each chunk comes in fresh Python lists, CHUNK_SLOTS slots
+    long but for the last.
     """
 
     num_states = model.num_states
@@ -198,47 +169,37 @@ def slot_stream(model: ChannelModel, *, seed: int, horizon: int, visible: bool,
     pi = stationary_distribution(model)
     rng = np.random.default_rng(seed)
     s0 = min(int(np.searchsorted(np.cumsum(pi), rng.random())), num_states - 1)
-    p_cdf = _native(np.cumsum(model.transition, axis=1))
-    e_cdf = _native(np.cumsum(model.emission, axis=1))
+    p_cdf = np.cumsum(model.transition, axis=1).tolist()
+    e_cdf = np.cumsum(model.emission, axis=1).tolist()
     # Transposed, so that each inner sum runs along one row.
-    trans_t = _native(model.transition.T.copy())
-    emis_t = _native(model.emission.T.copy())
-    pd1_t = _native(np.linalg.matrix_power(model.transition, delay - 1).T.copy())
-    evecs = np.empty((3, num_states))
-    evecs[0] = model.emission[:, 2] + model.emission[:, 3]
-    evecs[1] = model.emission[:, 1] + model.emission[:, 3]
-    evecs[2] = model.emission[:, 3]
-    evecs = _native(evecs)
-    ring = _native(np.full(delay, s0 if visible else -1, dtype=np.int64))
-    belief = _native(pi.copy())
-    scratch = _native(np.empty(num_states))
-    ostate = np.array([s0, 0, 0, 0], dtype=np.int64)  # state, code, folds, error
+    trans_t = model.transition.T.tolist()
+    emis_t = model.emission.T.tolist()
+    pd1_t = np.linalg.matrix_power(model.transition, delay - 1).T.tolist()
+    emission = model.emission
+    evecs = [(emission[:, 2] + emission[:, 3]).tolist(),
+             (emission[:, 1] + emission[:, 3]).tolist(),
+             emission[:, 3].tolist()]
+    ring = [s0 if visible else -1] * delay
+    belief = pi.tolist()
+    scratch = [0.0] * num_states
+    ostate = [s0, 0, 0]  # state, code, folds
     no_eps = np.empty((0, 3))
-    step = _STREAM_CHUNK
+    step = CHUNK_SLOTS
 
     t0 = 0
     while t0 < horizon:
         m = min(step, horizon - t0)
-        rows = _native(rng.random((m, RNG_COLUMNS)))
-        if _DISABLED:
-            zis = [0] * m
-            keys = [0] * m
-            eps = [[0.0, 0.0, 0.0] for _ in range(m)] if fold else no_eps
-        else:
-            zis = np.empty(m, dtype=np.int64)
-            keys = np.empty(m, dtype=np.int64)
-            eps = np.empty((m, 3)) if fold else no_eps
+        rows = rng.random((m, RNG_COLUMNS)).tolist()
+        zis = [0] * m
+        keys = [0] * m
+        eps = [[0.0, 0.0, 0.0] for _ in range(m)] if fold else no_eps
         _observe(rows, t0, p_cdf, e_cdf, 1 if visible else 0, delay,
                  window_len, 4 ** window_len, trans_t, emis_t, pd1_t, evecs,
                  ring, belief, scratch, ostate, zis, keys, eps)
-        if ostate[3] != 0:
-            raise ValueError(
-                "feedback pair has probability zero under the current belief")
         yield t0, rows, zis, keys, eps
         t0 += m
 
 
-@_njit(cache=True)
 def _chunk(rows, t0, zis, keys, eps, mode, amax, action_cdf, ratios, eps_tab,
            rates, q, tot, stride, record, meta):
     predicted = len(eps) > 0
@@ -268,8 +229,7 @@ def _chunk(rows, t0, zis, keys, eps, mode, amax, action_cdf, ratios, eps_tab,
             if mode == 0:
                 cdf = action_cdf[key]
                 if not (cdf[5] >= 0.0):
-                    meta[1] = 1
-                    return
+                    raise ValueError("no action distribution for an observed key")
                 u = row[4]
                 while action < 5 and u >= cdf[action]:
                     action += 1
@@ -476,16 +436,16 @@ def run_counts(
         raise ValueError("arrival rates must lie in [0, 1]")
     if policy not in ("maxweight", "probabilistic"):
         raise ValueError(f"unknown policy {policy!r}")
-    if action_set not in _ACTION_SETS:
+    if action_set not in ACTION_SETS:
         raise ValueError(
-            f"action_set must be one of {', '.join(_ACTION_SETS)}, got {action_set!r}")
+            f"action_set must be one of {', '.join(ACTION_SETS)}, got {action_set!r}")
     if not _is_int(window_len) or window_len < 0:
         raise ValueError(
             f"window_len must be a non-negative integer, got {window_len!r}")
 
     num_states = model.num_states
     mode = 0 if policy == "probabilistic" else 1
-    amax = _ACTION_SETS[action_set]
+    amax = max(ACTION_SETS[action_set])
 
     if mode == 0:
         if action_table is None:
@@ -520,11 +480,11 @@ def run_counts(
     q = np.zeros((2, 3), dtype=np.int64)
     tot = np.zeros((2, 2), dtype=np.int64)
     record = np.zeros((horizon // stride, 10), dtype=np.int64)
-    meta = np.zeros(2, dtype=np.int64)  # records written, error
-    action_cdf = _native(action_cdf)
-    ratios = _native(ratios.ravel())  # receiver j's link l at 6*j + l
-    eps_tab = _native(eps_tab)
-    rates_arr = _native(np.array(rates, dtype=float))
+    meta = np.zeros(1, dtype=np.int64)  # records written
+    action_cdf = action_cdf.tolist()
+    ratios = ratios.ravel().tolist()  # receiver j's link l at 6*j + l
+    eps_tab = eps_tab.tolist()
+    rates = [float(rates[0]), float(rates[1])]
 
     for t0, rows, zis, keys, eps in slot_stream(
         model, seed=seed, horizon=horizon, visible=visible, delay=delay,
@@ -532,9 +492,7 @@ def run_counts(
     ):
         _chunk(rows, t0, zis, keys, eps,
                mode, amax, action_cdf, ratios, eps_tab,
-               rates_arr, q, tot, stride, record, meta)
-        if meta[1] != 0:
-            raise ValueError("no action distribution for an observed key")
+               rates, q, tot, stride, record, meta)
 
     stored = int(q.sum())
     if int(tot[:, 0].sum()) != stored + int(tot[:, 1].sum()):

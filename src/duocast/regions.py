@@ -29,6 +29,7 @@ from duocast.channel import (
     window_distribution,
 )
 from duocast.lp import LinearProgram, solve
+from duocast.queuenet import LINK_NAMES
 
 REGION_KINDS = (
     "visible",
@@ -43,7 +44,6 @@ REGION_KINDS = (
 # Action indices: 0 idle, 1/2 uncoded to receiver j, 3 coded retransmission,
 # 4 proactive mix of two fresh packets, 5 remedy for a stored mix.
 N_ACTIONS = 6
-LINKS = ("12", "13", "14", "24", "32", "34")
 
 _GEOM_TOL = 1e-9
 
@@ -237,11 +237,14 @@ def _prune_collinear(ordered):
     # Drop interior vertices that lie on the segment of their neighbours,
     # the first such vertex first.  A drop changes only the two triples
     # around it, so the scan resumes one vertex back, not from the start.
+    # The test is b's distance from the chord a-c, cross / |c - a|: the bare
+    # cross product scales with both edge lengths, so between close corners
+    # it would drop real ones.
     i = 1
     while i < len(kept) - 1:
         a, b, c = kept[i - 1][0], kept[i][0], kept[i + 1][0]
         cross = (b.r1 - a.r1) * (c.r2 - a.r2) - (b.r2 - a.r2) * (c.r1 - a.r1)
-        if abs(cross) < 1e-10:
+        if abs(cross) < 1e-12 * math.hypot(c.r1 - a.r1, c.r2 - a.r2):
             kept.pop(i)
             i = max(i - 1, 1)
         else:
@@ -673,7 +676,7 @@ def _flow_lp(caps: dict[str, float], objective: np.ndarray) -> LinearProgram:
         (np.array([1.0, 0, 0, -1.0, 1.0, 0]), "<=", 0.0),
         (np.array([0, 1.0, 0, 0, -1.0, -1.0]), "<=", 0.0),
     ]
-    bounds = [(0.0, max(caps[link], 0.0)) for link in LINKS]
+    bounds = [(0.0, max(caps[link], 0.0)) for link in LINK_NAMES]
     return LinearProgram(objective=objective, constraints=rows, bounds=bounds)
 
 
@@ -693,7 +696,7 @@ def flow_solve(caps: dict[str, float], rate: float) -> dict[str, float] | None:
     sol = solve(lp)
     if sol.status != "optimal":
         return None
-    return {link: float(max(v, 0.0)) for link, v in zip(LINKS, sol.witness)}
+    return {link: float(max(v, 0.0)) for link, v in zip(LINK_NAMES, sol.witness)}
 
 
 def redundancy_transform(
@@ -828,7 +831,7 @@ def synthesize_policy(
             )
         ratios[receiver] = {
             link: (flows[link] / caps[link] if caps[link] > 1e-15 else 0.0)
-            for link in LINKS
+            for link in LINK_NAMES
         }
     return dist, ratios
 

@@ -3,6 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
+from duocast import regions
+from duocast.channel import (
+    ChannelModel,
+    cond_erasure_visible,
+    ge_hidden,
+    ge_visible,
+    stationary_distribution,
+)
 from duocast.lp import LinearProgram, LpSolution, feasible, solve
 
 
@@ -145,6 +153,108 @@ class TestSolveAgainstOracle:
         assert sol.status == "optimal"
         for a, _, b in lp.constraints:
             assert a @ sol.witness <= b + 1e-9
+
+
+def scipy_reference(lp: LinearProgram) -> tuple[str, float | None]:
+    """Status and optimal value of ``lp`` from scipy's HiGHS."""
+    from scipy.optimize import linprog
+
+    rows = {rel: ([], []) for rel in ("<=", "=", ">=")}
+    for a, rel, b in lp.constraints:
+        rows[rel][0].append(np.asarray(a, dtype=float))
+        rows[rel][1].append(float(b))
+    a_ub = rows["<="][0] + [-a for a in rows[">="][0]]
+    b_ub = rows["<="][1] + [-b for b in rows[">="][1]]
+    res = linprog(
+        -np.asarray(lp.objective, dtype=float),
+        A_ub=np.array(a_ub) if a_ub else None,
+        b_ub=np.array(b_ub) if b_ub else None,
+        A_eq=np.array(rows["="][0]) if rows["="][0] else None,
+        b_eq=np.array(rows["="][1]) if rows["="][1] else None,
+        bounds=lp.bounds,
+        method="highs",
+    )
+    if res.status == 0:
+        return "optimal", -float(res.fun)
+    assert res.status == 2, res.message
+    return "infeasible", None
+
+
+def random_mixed_lp(rng: np.random.Generator, infeasible: bool) -> LinearProgram:
+    """A boxed LP with <=, = and >= rows, feasible unless asked otherwise."""
+    n = int(rng.integers(2, 9))
+    m = int(rng.integers(1, 7))
+    lo = rng.uniform(-1.0, 0.5, size=n)
+    hi = lo + rng.uniform(0.2, 2.0, size=n)
+    G = rng.normal(size=(m, n))
+    interior = rng.uniform(lo, hi)
+    rows = []
+    for i in range(m):
+        rel = ("<=", "=", ">=")[int(rng.integers(3))]
+        slack = {"<=": 1.0, "=": 0.0, ">=": -1.0}[rel] * rng.uniform(0.0, 1.0)
+        rows.append((G[i], rel, float(G[i] @ interior + slack)))
+    if infeasible:
+        # One row asks for more than its largest value over the box.
+        a = rng.normal(size=n)
+        top = float(np.sum(np.maximum(a * lo, a * hi)))
+        rows.insert(int(rng.integers(m + 1)),
+                    (a, ("=", ">=")[int(rng.integers(2))], top + rng.uniform(0.01, 0.5)))
+    return box_lp(rng.normal(size=n), rows, list(zip(lo, hi)))
+
+
+def region_lps(monkeypatch) -> list[LinearProgram]:
+    """The LPs regions solves: reactive support LPs and membership LPs."""
+    seen = []
+
+    def recording(lp):
+        seen.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(regions, "solve", recording)
+    rng = np.random.default_rng(2024)
+    cases = []
+    for model in [ge_visible(0.6, 0.1, 0.5, 0.2)] + [
+        ChannelModel(rng.dirichlet(np.full(n, 2.0), size=n),
+                     rng.dirichlet(np.full(4, 2.0), size=n))
+        for n in (2, 3, 4)
+    ]:
+        stats = {s: cond_erasure_visible(model, s) for s in range(model.num_states)}
+        cases.append(("visible", stats, stationary_distribution(model)))
+    noisy = ge_hidden(0.6, 0.1, 0.5, 0.2, 0.2, 0.866, 0.2, 0.8)
+    cases.append(("hidden_L", *regions.hidden_window_stats(noisy, 2)))
+    for kind, stats, weights in cases:
+        region = regions.region_reactive(stats, weights)
+        for vertex in region.boundary[:: max(1, len(region.boundary) // 3)]:
+            for scale in (0.6, 1.15):
+                point = regions.RatePoint(scale * vertex.r1, scale * vertex.r2)
+                for member_kind in (kind, "reactive", "uncoded"):
+                    regions.region_membership(member_kind, stats, weights, point)
+    return seen
+
+
+def assert_matches_scipy(lps) -> None:
+    statuses = set()
+    for lp in lps:
+        sol = solve(lp)
+        status, value = scipy_reference(lp)
+        assert sol.status == status
+        if status == "optimal":
+            assert sol.value == pytest.approx(value, abs=1e-7)
+        statuses.add(status)
+    assert statuses == {"optimal", "infeasible"}
+
+
+class TestSolveAgainstScipy:
+    def test_random_mixed_rows(self):
+        pytest.importorskip("scipy")
+        rng = np.random.default_rng(4321)
+        assert_matches_scipy(
+            random_mixed_lp(rng, infeasible=i % 3 == 0) for i in range(120)
+        )
+
+    def test_region_lps(self, monkeypatch):
+        pytest.importorskip("scipy")
+        assert_matches_scipy(region_lps(monkeypatch))
 
 
 class TestFeasible:

@@ -283,9 +283,28 @@ class TestHiddenRegion:
         for L in range(6):
             vertices_inside(ladder[L], ladder[L + 1])
             assert diagonal_rate(ladder[L]) <= diagonal_rate(ladder[L + 1])
-        # Vertex counts of the LP tracer on this channel.
+        # Vertex counts of the exact boundary on this channel.  L=4 has 225:
+        # two of its corners lie within 1e-8 of a neighbour, and the old
+        # collinearity test, which bounded the bare cross product, dropped
+        # them (223); test_pruning_keeps_every_corner checks the support.
         counts = [len(ladder[L].boundary) for L in (1, 2, 3, 4)]
-        assert counts == [5, 17, 59, 223]
+        assert counts == [5, 17, 59, 225]
+
+    @pytest.mark.parametrize("L", (4, 5))
+    def test_pruning_keeps_every_corner(self, ge_model, monkeypatch, L):
+        # Pruning may drop only points on a chord of their neighbours, so the
+        # pruned boundary has the support of every extreme point _trace found.
+        pruned = region_hidden_L(ge_model, L)
+        monkeypatch.setattr(regions, "_prune_collinear", lambda ordered: ordered)
+        found = region_hidden_L(ge_model, L)
+        assert len(found.boundary) >= len(pruned.boundary)
+        theta = np.linspace(0.0, math.pi / 2, 20001)
+        d1, d2 = np.cos(theta), np.sin(theta)
+
+        def support(region):
+            return np.max([d1 * p.r1 + d2 * p.r2 for p in region.boundary], axis=0)
+
+        np.testing.assert_allclose(support(pruned), support(found), rtol=0, atol=1e-12)
 
     def test_hidden_stays_inside_visible(self, ge_model, ladder):
         pi = stationary_distribution(ge_model)
