@@ -5,6 +5,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +33,7 @@ from .regions import (
     RateRegion,
     cut_values,
     flow_optimum,
+    iter_region_json,
     link_capacities,
     redundancy_transform,
     region_hidden_L,
@@ -39,7 +42,6 @@ from .regions import (
     region_minkowski,
     region_reactive,
     region_to_csv,
-    region_to_json,
     region_uncoded,
     region_visible,
 )
@@ -72,11 +74,14 @@ def _average_triple(model: ChannelModel) -> tuple[float, float, float]:
     )
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(pieces: Iterable[str], output: str | None) -> None:
+    """Write the pieces in order to ``output``, or to stdout without one."""
+
     if output:
-        Path(output).write_text(text)
+        with open(output, "w") as fh:
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def cmd_region(args: argparse.Namespace) -> int:
@@ -98,8 +103,10 @@ def cmd_region(args: argparse.Namespace) -> int:
             region = region_memoryless_fb(e1, e2, e12)
         else:
             region = region_memoryless_nofb(e1, e2)
-    text = region_to_json(region) if args.format == "json" else region_to_csv(region)
-    _emit(text, args.output)
+    if args.format == "json":
+        _emit(iter_region_json(region), args.output)
+    else:
+        _emit([region_to_csv(region)], args.output)
     return 0
 
 
@@ -189,7 +196,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = sweep(
         template, points, policies=_parse_policies(args.policies), workers=args.workers
     )
-    _emit(sweep_to_csv(rows), args.output)
+    _emit([sweep_to_csv(rows)], args.output)
     return 0
 
 
@@ -328,9 +335,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failures = 0
     for name, suite in _SUITES:
         rng = np.random.default_rng(args.seed)
+        start = time.perf_counter()
         ok, detail = suite(rng)
+        seconds = time.perf_counter() - start
         status = "PASS" if ok else "FAIL"
-        print(f"{name}: {status} ({detail})")
+        print(f"{name}: {status} ({detail}) in {seconds:.2f} s")
         failures += 0 if ok else 1
     total = len(_SUITES)
     print(f"verification: {total - failures}/{total} suites passed")

@@ -12,6 +12,7 @@ produces the identical trace under either engine.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -449,12 +450,50 @@ def _run_counts(scenario: Scenario, model: ChannelModel, stride: int) -> SimTrac
     )
 
 
+class _PredictedTriple:
+    """One hidden slot's predicted (eps1, eps2, eps12) from the slot stream.
+
+    `maxweight_decide` reads only these three fields, and the counts kernel
+    uses the same triple unvalidated, so no `ErasureStats` is built for it.
+    """
+
+    __slots__ = ("eps1", "eps2", "eps12")
+
+    def __init__(self, triple: Sequence[float]) -> None:
+        self.eps1, self.eps2, self.eps12 = triple
+
+
+# Erasure pattern (z1, z2) of each outcome index zi = 2*z1 + z2.
+_Z_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _route(bins: list[float], u: float, n_states: int) -> int:
+    """Subsystem of an arrival coin ``u``: ``searchsorted(bins, u, "right")``."""
+
+    return min(bisect_right(bins, u), n_states - 1)
+
+
+def _totals(nets: Sequence[QueueNetwork]) -> list[int]:
+    """q1, q2, q3 of receiver 1 and 2, arrivals and exits of each, summed."""
+
+    total = [0] * 10
+    for nn in nets:
+        (a1, a2, a3), (b1, b2, b3) = nn.queue_lengths()
+        row = (a1, a2, a3, b1, b2, b3, nn.arrivals[1], nn.arrivals[2],
+               nn.exit_counts[1], nn.exit_counts[2])
+        for k in range(10):
+            total[k] += row[k]
+    return total
+
+
 def _run_packets(scenario: Scenario, model: ChannelModel, stride: int) -> SimTrace:
     horizon, delay, visible = scenario.horizon, scenario.delay, scenario.visible
     n_states = model.num_states
     policy = scenario.policy
     kind = policy["kind"]
     action_set = policy.get("action_set", "A5")
+    maxweight = kind == "maxweight"
+    per_state = kind == "per_state"
     window_len = 0
     stats_tab: dict[int, ErasureStats] = {}
     dist_by_code: dict = {}
@@ -470,15 +509,16 @@ def _run_packets(scenario: Scenario, model: ChannelModel, stride: int) -> SimTra
         window_len = tables.window_len
 
     nets: dict[int, QueueNetwork]
-    if kind == "per_state":
+    if per_state:
         split = per_state_split(model, scenario.rates, delay)
-        bins1 = _arrival_bins(split.x, scenario.rates[0])
-        bins2 = _arrival_bins(split.y, scenario.rates[1])
+        bins1 = _arrival_bins(split.x, scenario.rates[0]).tolist()
+        bins2 = _arrival_bins(split.y, scenario.rates[1]).tolist()
         nets = {s: QueueNetwork() for s in range(n_states)}
     else:
-        bins1 = bins2 = np.zeros(0)
+        bins1 = bins2 = []
         nets = {0: QueueNetwork()}
     net = nets[0]
+    net_list = list(nets.values())
 
     n_records = horizon // stride
     record = np.zeros((n_records, 10), dtype=np.int64)
@@ -489,34 +529,31 @@ def _run_packets(scenario: Scenario, model: ChannelModel, stride: int) -> SimTra
     try:
         for t0, rows, zis, keys, eps in kernel.slot_stream(
             model, seed=scenario.seed, horizon=horizon, visible=visible,
-            delay=delay, window_len=window_len, predict=kind == "maxweight",
+            delay=delay, window_len=window_len, predict=maxweight,
         ):
             for i, (row, zi, obs_key) in enumerate(zip(rows, zis, keys)):
                 t = t0 + i
-                z = (zi >> 1, zi & 1)
+                z = _Z_PAIRS[zi]
                 serving = net
                 if obs_key < 0:
                     action, intents = 0, {}
-                elif kind == "maxweight":
-                    if visible:
-                        stats = stats_tab[obs_key]
-                    else:
-                        e1, e2, e12 = eps[i]
-                        stats = ErasureStats(
-                            e1, e2, e12, e1 - e12, e2 - e12, 1.0 - e1 - e2 + e12
-                        )
-                    decision = maxweight_decide(net, stats, action_set)
-                    action, intents = decision.action, decision.intents
-                elif kind == "probabilistic":
-                    decision = probabilistic_decide(
-                        dist_by_code, ratios, Observation(key=obs_key), _RowCursor(row, 4)
-                    )
-                    action, intents = decision.action, decision.intents
                 else:
-                    serving = nets[obs_key]
-                    decision = per_state_memoryless_decide(
-                        nets, stats_tab, Observation(key=obs_key)
-                    )
+                    if maxweight:
+                        decision = maxweight_decide(
+                            net,
+                            stats_tab[obs_key] if visible else _PredictedTriple(eps[i]),
+                            action_set,
+                        )
+                    elif per_state:
+                        serving = nets[obs_key]
+                        decision = per_state_memoryless_decide(
+                            nets, stats_tab, Observation(key=obs_key)
+                        )
+                    else:
+                        decision = probabilistic_decide(
+                            dist_by_code, ratios, Observation(key=obs_key),
+                            _RowCursor(row, 4),
+                        )
                     action, intents = decision.action, decision.intents
 
                 _, moves, slot_exits = apply_slot(serving, action, z, intents)
@@ -535,72 +572,33 @@ def _run_packets(scenario: Scenario, model: ChannelModel, stride: int) -> SimTra
                     )
 
                 if row[0] < r1:
-                    target = net
-                    if kind == "per_state":
-                        target = nets[
-                            min(
-                                int(np.searchsorted(bins1, row[0], side="right")),
-                                n_states - 1,
-                            )
-                        ]
+                    target = nets[_route(bins1, row[0], n_states)] if per_state else net
                     target.new_arrival(1)
                 if row[1] < r2:
-                    target = net
-                    if kind == "per_state":
-                        target = nets[
-                            min(
-                                int(np.searchsorted(bins2, row[1], side="right")),
-                                n_states - 1,
-                            )
-                        ]
+                    target = nets[_route(bins2, row[1], n_states)] if per_state else net
                     target.new_arrival(2)
 
                 if (t + 1) % stride == 0:
-                    for j in (1, 2):
-                        base = 3 * (j - 1)
-                        record[rec_idx, base] = sum(nn.q1_len(j) for nn in nets.values())
-                        record[rec_idx, base + 1] = sum(
-                            nn.q2_len(j) for nn in nets.values()
-                        )
-                        record[rec_idx, base + 2] = sum(
-                            nn.q3_len(j) for nn in nets.values()
-                        )
-                        record[rec_idx, 5 + j] = sum(
-                            nn.arrivals[j] for nn in nets.values()
-                        )
-                        record[rec_idx, 7 + j] = sum(
-                            nn.exit_counts[j] for nn in nets.values()
-                        )
+                    record[rec_idx] = _totals(net_list)
                     rec_idx += 1
     finally:
         if log_fh is not None:
             log_fh.close()
 
-    for nn in nets.values():
+    for nn in net_list:
         nn.check_invariants()
-    audit = all(audit_decodability(nn) for nn in nets.values())
+    audit = all(audit_decodability(nn) for nn in net_list)
 
-    final_queues = np.zeros((2, 3), dtype=np.int64)
-    arrivals = np.zeros(2, dtype=np.int64)
-    exits = np.zeros(2, dtype=np.int64)
-    for j in (1, 2):
-        final_queues[j - 1] = (
-            sum(nn.q1_len(j) for nn in nets.values()),
-            sum(nn.q2_len(j) for nn in nets.values()),
-            sum(nn.q3_len(j) for nn in nets.values()),
-        )
-        arrivals[j - 1] = sum(nn.arrivals[j] for nn in nets.values())
-        exits[j - 1] = sum(nn.exit_counts[j] for nn in nets.values())
-
+    total = np.array(_totals(net_list), dtype=np.int64)
     times = stride * np.arange(1, rec_idx + 1, dtype=np.int64)
     return SimTrace(
         horizon=horizon,
         stride=stride,
         times=times,
         record=record[:rec_idx],
-        final_queues=final_queues,
-        arrivals=arrivals,
-        exits=exits,
+        final_queues=total[:6].reshape(2, 3),
+        arrivals=total[6:8],
+        exits=total[8:10],
         audit_passed=audit,
     )
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Hashable, Mapping
 
 from .channel import ErasureStats
-from .queuenet import ACTION_LINKS, LINK_NAMES
+from .queuenet import ACTION_LINKS, ALLOWED_LINKS, LINK_NAMES
 
 __all__ = [
     "ACTION_SETS",
@@ -54,7 +54,7 @@ class PolicyDecision:
     intents: dict[tuple[int, str], int]
 
     def __post_init__(self) -> None:
-        allowed = set(ACTION_LINKS[self.action])
+        allowed = ALLOWED_LINKS[self.action]
         for key, value in self.intents.items():
             if value and key not in allowed:
                 raise ValueError(f"intent {key} invalid under action {self.action}")
@@ -67,39 +67,55 @@ def _queue_lengths(net) -> QueueLengths:
 
 
 def action_weights(queues: QueueLengths, stats: ErasureStats) -> list[float]:
-    """Expected backlog relief of each action, indexed 0..5."""
+    """Expected backlog relief of each action, indexed 0..5.
+
+    ``stats`` needs only ``eps1``, ``eps2`` and ``eps12``.  Each bracket
+    ``(a - b if a > b else 0)`` is the positive part of ``a - b``.
+    """
 
     (q11, q21, q31), (q12, q22, q32) = queues
     e1, e2, e12 = stats.eps1, stats.eps2, stats.eps12
-    pos = lambda v: v if v > 0 else 0
-    w1 = (1 - e1) * q11 + (e1 - e12) * pos(q11 - q21)
-    w2 = (1 - e2) * q12 + (e2 - e12) * pos(q12 - q22)
+    w1 = (1 - e1) * q11 + (e1 - e12) * (q11 - q21 if q11 > q21 else 0)
+    w2 = (1 - e2) * q12 + (e2 - e12) * (q12 - q22 if q12 > q22 else 0)
     w3 = (1 - e1) * q21 + (1 - e2) * q22
-    w4 = (1 - e12) * (pos(q11 - q31) + pos(q12 - q32))
+    w4 = (1 - e12) * (
+        (q11 - q31 if q11 > q31 else 0) + (q12 - q32 if q12 > q32 else 0)
+    )
     w5 = (
-        (e1 - e12) * pos(q31 - q21)
+        (e1 - e12) * (q31 - q21 if q31 > q21 else 0)
         + (1 - e1) * q31
-        + (e2 - e12) * pos(q32 - q22)
+        + (e2 - e12) * (q32 - q22 if q32 > q22 else 0)
         + (1 - e2) * q32
     )
     return [0.0, w1, w2, w3, w4, w5]
 
 
+# Positive differential backlog per link, as (from, to) indices into one
+# receiver's (q1, q2, q3); None stands for the empty q4.
+_LINK_TESTS: dict[str, tuple[int, int | None]] = {
+    "12": (0, 1),
+    "13": (0, 2),
+    "14": (0, None),
+    "24": (1, None),
+    "32": (2, 1),
+    "34": (2, None),
+}
+
+# One (key, receiver index, test) rule per link of each action.
+_INTENT_RULES: dict[int, tuple[tuple[tuple[int, str], int, tuple[int, int | None]], ...]] = {
+    action: tuple(((j, link), j - 1, _LINK_TESTS[link]) for j, link in links)
+    for action, links in ACTION_LINKS.items()
+}
+
+
 def link_intents(action: int, queues: QueueLengths) -> dict[tuple[int, str], int]:
     """Positive-differential-backlog activations for the action's links."""
 
-    rules = {
-        "12": lambda q: q[0] > q[1],
-        "13": lambda q: q[0] > q[2],
-        "14": lambda q: q[0] > 0,
-        "24": lambda q: q[1] > 0,
-        "32": lambda q: q[2] > q[1],
-        "34": lambda q: q[2] > 0,
-    }
-    return {
-        (j, link): int(rules[link](queues[j - 1]))
-        for j, link in ACTION_LINKS[action]
-    }
+    intents = {}
+    for key, i, (src, dst) in _INTENT_RULES[action]:
+        q = queues[i]
+        intents[key] = 1 if q[src] > (0 if dst is None else q[dst]) else 0
+    return intents
 
 
 def maxweight_decide(net, stats: ErasureStats, action_set: str = "A5") -> PolicyDecision:

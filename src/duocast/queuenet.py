@@ -12,10 +12,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 __all__ = [
     "LINK_NAMES",
     "ACTION_LINKS",
+    "ALLOWED_LINKS",
     "Packet",
     "RelayEntry",
     "DegEntry",
@@ -38,6 +41,11 @@ ACTION_LINKS: dict[int, tuple[tuple[int, str], ...]] = {
     3: ((1, "24"), (2, "24")),
     4: ((1, "13"), (2, "13")),
     5: ((1, "32"), (1, "34"), (2, "32"), (2, "34")),
+}
+
+# The same links as sets, for the per-slot intent checks.
+ALLOWED_LINKS: dict[int, frozenset[tuple[int, str]]] = {
+    action: frozenset(links) for action, links in ACTION_LINKS.items()
 }
 
 
@@ -140,9 +148,12 @@ class QueueNetwork:
         return len(self.q3_pairs) + len(self.q3_deg[j])
 
     def queue_lengths(self) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+        # Read once per slot by max-weight, so the lengths are read inline.
+        pairs = len(self.q3_pairs)
+        q1, q2, deg = self.q1, self.q2, self.q3_deg
         return (
-            (self.q1_len(1), self.q2_len(1), self.q3_len(1)),
-            (self.q1_len(2), self.q2_len(2), self.q3_len(2)),
+            (len(q1[1]), len(q2[1]), pairs + len(deg[1])),
+            (len(q1[2]), len(q2[2]), pairs + len(deg[2])),
         )
 
     def backlog(self) -> int:
@@ -185,11 +196,11 @@ class QueueNetwork:
                         raise AssertionError("q2 content unknown at other receiver")
 
 
-@dataclass
+@dataclass(slots=True)
 class SlotFlows:
     """Per-slot link indicators: admissible (C), intended (E), moved counts."""
 
-    capacities: dict[tuple[int, str], int]
+    capacities: Mapping[tuple[int, str], int]
     intents: dict[tuple[int, str], int]
     effective: dict[tuple[int, str], int] = field(default_factory=dict)
 
@@ -203,14 +214,7 @@ class SlotFlows:
         return self.effective.get((j, link), 0)
 
 
-def compute_capacities(action: int, z: tuple[int, int]) -> dict[tuple[int, str], int]:
-    """Which links the channel admits this slot, given action and erasures."""
-
-    if action not in range(6):
-        raise ValueError(f"unknown action {action}")
-    z1, z2 = z
-    if z1 not in (0, 1) or z2 not in (0, 1):
-        raise ValueError("erasure flags must be 0 or 1")
+def _capacity_formula(action: int, z1: int, z2: int) -> dict[tuple[int, str], int]:
     caps: dict[tuple[int, str], int] = {}
     for j, own, othr in ((1, z1, z2), (2, z2, z1)):
         caps[(j, "12")] = 1 if action == j and own == 1 and othr == 0 else 0
@@ -220,6 +224,31 @@ def compute_capacities(action: int, z: tuple[int, int]) -> dict[tuple[int, str],
         caps[(j, "32")] = 1 if action == 5 and own == 1 and othr == 0 else 0
         caps[(j, "34")] = 1 if action == 5 and own == 0 else 0
     return caps
+
+
+# The formula over all 6 x 4 (action, z) pairs, built once.  The views are
+# read-only, so a slot's SlotFlows can hold one without copying it.
+_CAPACITY_TABLE: dict[tuple[int, tuple[int, int]], Mapping[tuple[int, str], int]] = {
+    (action, (z1, z2)): MappingProxyType(_capacity_formula(action, z1, z2))
+    for action in range(6)
+    for z1 in (0, 1)
+    for z2 in (0, 1)
+}
+
+
+def _capacity_view(action: int, z: tuple[int, int]) -> Mapping[tuple[int, str], int]:
+    if action not in range(6):
+        raise ValueError(f"unknown action {action}")
+    z1, z2 = z
+    if z1 not in (0, 1) or z2 not in (0, 1):
+        raise ValueError("erasure flags must be 0 or 1")
+    return _CAPACITY_TABLE[(action, (int(z1), int(z2)))]
+
+
+def compute_capacities(action: int, z: tuple[int, int]) -> dict[tuple[int, str], int]:
+    """Which links the channel admits this slot, given action and erasures."""
+
+    return dict(_capacity_view(action, z))
 
 
 def _other(j: int) -> int:
@@ -243,13 +272,16 @@ _DEG_REMEDY: dict[tuple[frozenset[int], frozenset[int]], str] = {
 
 
 class _SlotContext:
-    def __init__(self, net: QueueNetwork, action: int, z: tuple[int, int],
+    __slots__ = ("net", "z", "caps", "intents", "flows", "moves", "exits")
+
+    def __init__(self, net: QueueNetwork, z: tuple[int, int],
+                 caps: Mapping[tuple[int, str], int],
                  intents: dict[tuple[int, str], int]) -> None:
         self.net = net
         self.z = z
-        self.caps = compute_capacities(action, z)
+        self.caps = caps
         self.intents = intents
-        self.flows = SlotFlows(capacities=self.caps, intents=intents)
+        self.flows = SlotFlows(capacities=caps, intents=intents)
         self.moves: list[dict[str, object]] = []
         self.exits: list[tuple[Packet, int]] = []
 
@@ -462,15 +494,19 @@ def apply_slot(
     """
 
     intents = dict(intents or {})
-    allowed = set(ACTION_LINKS.get(action, ()))
-    if action not in ACTION_LINKS:
+    allowed = ALLOWED_LINKS.get(action)
+    if allowed is None:
         raise ValueError(f"unknown action {action}")
     for key, value in intents.items():
         if value and key not in allowed:
             raise ValueError(f"link {key[1]} for receiver {key[0]} cannot be "
                              f"activated under action {action}")
+    caps = _capacity_view(action, z)
+    if action == 0:
+        # Idle: nothing is sent and nothing moves.
+        return SlotFlows(capacities=caps, intents=intents), [], []
 
-    ctx = _SlotContext(net, action, z, intents)
+    ctx = _SlotContext(net, z, caps, intents)
     if action in (1, 2):
         _apply_uncoded(ctx, action)
     elif action == 3:

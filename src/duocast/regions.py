@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -849,26 +849,36 @@ def region_to_csv(region: RateRegion) -> str:
     return "\n".join(lines) + "\n"
 
 
+def iter_region_json(region: RateRegion) -> Iterator[str]:
+    """Yield the region's JSON document in pieces.
+
+    Joined, the pieces are the document (kind, boundary, each vertex's
+    witness) as ``json.dumps(doc, indent=2, sort_keys=True)`` writes it.
+    ``"witnesses"`` sorts after ``"boundary"`` and ``"kind"``, so the head is
+    one piece and each witness follows as its own piece: a hidden_L region
+    at large L has thousands of witnesses over thousands of windows, far
+    too much text to hold at once.
+    """
+
+    head = json.dumps(
+        {"boundary": [[p.r1, p.r2] for p in region.boundary], "kind": region.kind},
+        indent=2,
+        sort_keys=True,
+    )
+    # A region has one witness per vertex, so the list is never empty.
+    yield head[:-2] + ',\n  "witnesses": ['
+    for k, wit in enumerate(region.witnesses):
+        doc = {
+            "parameters": {_key_to_str(key): list(v) for key, v in wit.parameters.items()}
+        }
+        if wit.shares:
+            doc["shares"] = {_key_to_str(key): list(v) for key, v in wit.shares.items()}
+        # A list item sits two levels deep, so each of its lines gets four
+        # more spaces; json.dumps escapes newlines inside strings.
+        text = json.dumps(doc, indent=2, sort_keys=True).replace("\n", "\n    ")
+        yield ("\n    " if k == 0 else ",\n    ") + text
+    yield "\n  ]\n}"
+
+
 def region_to_json(region: RateRegion) -> str:
-    doc = {
-        "kind": region.kind,
-        "boundary": [[p.r1, p.r2] for p in region.boundary],
-        "witnesses": [
-            {
-                "parameters": {
-                    _key_to_str(k): list(v) for k, v in wit.parameters.items()
-                },
-                **(
-                    {
-                        "shares": {
-                            _key_to_str(k): list(v) for k, v in wit.shares.items()
-                        }
-                    }
-                    if wit.shares
-                    else {}
-                ),
-            }
-            for wit in region.witnesses
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return "".join(iter_region_json(region))

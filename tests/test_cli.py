@@ -1,11 +1,14 @@
 """End-to-end checks of the command line entry points."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
+from duocast.channel import cond_erasure_visible, load_channel, stationary_distribution
 from duocast.cli import _parse_policies, main
+from duocast.regions import region_minkowski, region_to_json
 
 
 def write_channel(path) -> str:
@@ -74,6 +77,19 @@ class TestRegionCommand:
         doc = json.loads(out.read_text())
         assert doc["kind"] == "reactive"
         assert len(doc["boundary"]) >= 3
+
+    def test_json_file_and_stdout_match_region_to_json(self, tmp_path, capsys):
+        channel = write_channel(tmp_path / "ch.json")
+        out = tmp_path / "region.json"
+        args = ["region", "--channel", channel, "--kind", "minkowski", "--format", "json"]
+        assert main(args + ["-o", str(out)]) == 0
+        assert main(args) == 0
+        model = load_channel(json.loads((tmp_path / "ch.json").read_text()))
+        pi = stationary_distribution(model)
+        stats = {s: cond_erasure_visible(model, s) for s in range(model.num_states)}
+        expected = region_to_json(region_minkowski(stats, pi))
+        assert out.read_text() == expected
+        assert capsys.readouterr().out == expected
 
     def test_hidden_kind_uses_window(self, tmp_path, capsys):
         doc = {
@@ -244,3 +260,7 @@ class TestVerifyCommand:
         assert out.count("PASS") == 5
         assert "FAIL" not in out
         assert "5/5 suites passed" in out
+        # Each suite line ends with its wall time.
+        suite_lines = [line for line in out.splitlines() if ": PASS (" in line]
+        assert len(suite_lines) == 5
+        assert all(re.search(r"\) in \d+\.\d\d s$", line) for line in suite_lines)

@@ -12,6 +12,7 @@ from duocast.harness import (
     SimTrace,
     StabilityVerdict,
     _arrival_bins,
+    _route,
     per_state_split,
     run,
     stability_verdict,
@@ -325,6 +326,18 @@ class TestPerState:
         uniform = _arrival_bins(np.zeros(4), 0.4)
         np.testing.assert_allclose(uniform, [0.1, 0.2, 0.3, 0.4])
 
+    def test_bisect_routing_matches_searchsorted(self):
+        model = load_channel(ge_fig_channel())
+        n = model.num_states
+        split = per_state_split(model, (0.15, 0.15))
+        rng = np.random.default_rng(4)
+        for bins in (_arrival_bins(split.x, 0.15), _arrival_bins(np.zeros(n), 0.2)):
+            as_list = bins.tolist()
+            coins = np.concatenate([rng.random(10_000), bins, np.nextafter(bins, 0)])
+            for u in coins.tolist():
+                expected = min(int(np.searchsorted(bins, u, side="right")), n - 1)
+                assert _route(as_list, u, n) == expected
+
     def test_per_state_run_is_stable_inside(self):
         scenario = Scenario(
             channel=ge_fig_channel(),
@@ -363,6 +376,34 @@ class TestMovementLog:
         assert busy, "expected at least one transmission"
         sample = busy[0]
         assert set(sample) == {"t", "action", "z", "moves", "exits"}
+
+    @pytest.mark.parametrize(
+        "channel,visible,delay,policy,rates",
+        [
+            (ge_hmm_channel(), False, 2, {"kind": "maxweight", "action_set": "A5"}, (0.2, 0.2)),
+            (ge_fig_channel(), True, 1, {"kind": "per_state"}, (0.15, 0.15)),
+        ],
+    )
+    def test_log_is_a_pure_side_output(self, tmp_path, channel, visible, delay, policy,
+                                       rates):
+        base = Scenario(
+            channel=channel,
+            rates=rates,
+            horizon=3000,
+            seed=21,
+            visible=visible,
+            delay=delay,
+            policy=policy,
+            engine="packets",
+        )
+        path = tmp_path / "moves.jsonl"
+        logged = run(replace(base, movement_log=str(path)))
+        plain = run(base)
+        assert path.stat().st_size > 0
+        for name in ("times", "record", "final_queues", "arrivals", "exits"):
+            assert np.array_equal(getattr(logged, name), getattr(plain, name)), name
+        assert (logged.horizon, logged.stride) == (plain.horizon, plain.stride)
+        assert logged.audit_passed is plain.audit_passed is True
 
 
 class TestDelayMonotonicity:

@@ -87,6 +87,7 @@ class TestEngineEquivalence:
             (ge_hmm_channel(), False, 1, {"kind": "maxweight", "action_set": "A5"}, (0.20, 0.20)),
             (ge_hmm_channel(), False, 2, {"kind": "maxweight", "action_set": "A5"}, (0.18, 0.18)),
             (ge_hmm_channel(), False, 2, {"kind": "maxweight", "action_set": "A3"}, (0.18, 0.18)),
+            (ge_hmm_channel(), False, 3, {"kind": "maxweight", "action_set": "A5"}, (0.17, 0.17)),
         ],
     )
     def test_maxweight_counts_match_packets(self, channel, visible, delay, policy, rates):

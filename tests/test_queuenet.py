@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from duocast.queuenet import (
+    _CAPACITY_TABLE,
     ACTION_LINKS,
     DegEntry,
     Packet,
     QueueNetwork,
     ReceiverKnowledge,
+    SlotFlows,
     apply_slot,
     audit_decodability,
     compute_capacities,
@@ -79,6 +81,77 @@ class TestCapacities:
     def test_bad_action(self):
         with pytest.raises(ValueError):
             compute_capacities(6, (0, 0))
+
+
+def capacity_oracle(action, z1, z2):
+    """The admissibility rules of each link, one receiver at a time."""
+
+    caps = {}
+    for j, own, other in ((1, z1, z2), (2, z2, z1)):
+        uncoded = action == j
+        caps[(j, "12")] = int(uncoded and own == 1 and other == 0)
+        caps[(j, "13")] = int(action == 4 and (z1, z2) != (1, 1))
+        caps[(j, "14")] = int(uncoded and own == 0)
+        caps[(j, "24")] = int(action == 3 and own == 0)
+        caps[(j, "32")] = int(action == 5 and own == 1 and other == 0)
+        caps[(j, "34")] = int(action == 5 and own == 0)
+    return caps
+
+
+class TestCapacityTable:
+    PAIRS = [(a, (z1, z2)) for a in range(6) for z1 in (0, 1) for z2 in (0, 1)]
+
+    def test_table_matches_the_rules_on_all_24_pairs(self):
+        assert sorted(_CAPACITY_TABLE) == sorted(self.PAIRS)
+        for action, z in self.PAIRS:
+            expected = capacity_oracle(action, *z)
+            assert compute_capacities(action, z) == expected
+            assert dict(_CAPACITY_TABLE[(action, z)]) == expected
+
+    def test_returned_dict_is_not_shared(self):
+        first = compute_capacities(1, (0, 0))
+        first[(1, "14")] = 0
+        second = compute_capacities(1, (0, 0))
+        assert second is not first
+        assert second[(1, "14")] == 1
+
+    def test_slot_flows_cannot_change_the_table(self):
+        flows, _, _ = apply_slot(QueueNetwork(), 1, (0, 0), {})
+        with pytest.raises(TypeError):
+            flows.capacities[(1, "14")] = 0
+        assert compute_capacities(1, (0, 0))[(1, "14")] == 1
+
+    def test_z_as_list_and_as_bools(self):
+        net = QueueNetwork()
+        packet = net.new_arrival(1)
+        flows, _, exits = apply_slot(net, 1, [0, 1], uncoded_intents(1))
+        assert exits == [(packet, 1)]
+        assert flows.cap(1, "14") == 1
+        assert compute_capacities(5, (True, False)) == capacity_oracle(5, 1, 0)
+
+    @pytest.mark.parametrize(
+        "action,z,intents",
+        [
+            (6, (0, 0), {}),
+            (1, (2, 0), {}),
+            (0, (2, 0), {}),
+            (0, (0, 0), {(1, "14"): 1}),
+            (4, (0, 0), {(1, "34"): 1}),
+        ],
+    )
+    def test_apply_slot_rejects_bad_input(self, action, z, intents):
+        with pytest.raises(ValueError):
+            apply_slot(QueueNetwork(), action, z, intents)
+
+    def test_idle_slot_still_returns_flows(self):
+        net = QueueNetwork()
+        net.new_arrival(1)
+        flows, moves, exits = apply_slot(net, 0, (0, 0), {(1, "14"): 0})
+        assert isinstance(flows, SlotFlows)
+        assert (moves, exits) == ([], [])
+        assert flows.intents == {(1, "14"): 0}
+        assert sum(flows.capacities.values()) == 0
+        assert net.queue_lengths() == ((1, 0, 0), (0, 0, 0))
 
 
 class TestKnowledge:

@@ -44,7 +44,12 @@ from duocast import (
 )
 from duocast import regions
 from duocast.lp import solve
-from duocast.regions import _fraction_lp_builder, _stats_arrays
+from duocast.regions import (
+    _fraction_lp_builder,
+    _key_to_str,
+    _stats_arrays,
+    iter_region_json,
+)
 
 THREE_STATE_P = np.array(
     [[0.7, 0.2, 0.1], [0.2, 0.4, 0.4], [0.3, 0.01, 0.69]]
@@ -751,6 +756,43 @@ class TestSerialization:
         assert len(doc["boundary"]) == len(doc["witnesses"])
         for wit in doc["witnesses"]:
             assert set(wit["parameters"]) == {"0", "1"}
+
+    @staticmethod
+    def whole_document(region):
+        """The document as one json.dumps call over the whole dict."""
+
+        def keyed(mapping):
+            return {_key_to_str(k): list(v) for k, v in mapping.items()}
+
+        witnesses = []
+        for wit in region.witnesses:
+            item = {"parameters": keyed(wit.parameters)}
+            if wit.shares:
+                item["shares"] = keyed(wit.shares)
+            witnesses.append(item)
+        doc = {
+            "kind": region.kind,
+            "boundary": [[p.r1, p.r2] for p in region.boundary],
+            "witnesses": witnesses,
+        }
+        return json.dumps(doc, indent=2, sort_keys=True)
+
+    def test_json_streams_one_witness_per_piece(self):
+        model = ge_visible(0.6, 0.1, 0.5, 0.2)
+        pi = stationary_distribution(model)
+        stats = stats_for(model)
+        noisy = ge_hidden(0.6, 0.1, 0.5, 0.2, 0.2, 0.866, 0.2, 0.8)
+        cases = [
+            region_visible(stats, pi),
+            region_minkowski(stats, pi),  # witnesses with shares
+            region_hidden_L(noisy, 0),
+            region_hidden_L(noisy, 2),  # witnesses read from greedy fills
+            region_memoryless_nofb(0.6, 0.4),
+        ]
+        for region in cases:
+            pieces = list(iter_region_json(region))
+            assert len(pieces) == len(region.witnesses) + 2
+            assert "".join(pieces) == region_to_json(region) == self.whole_document(region)
 
     def test_json_window_keys_are_readable(self):
         model = ge_hidden(0.6, 0.1, 0.5, 0.2, 0.2, 0.866, 0.2, 0.8)
