@@ -2,13 +2,22 @@
 
 Two-phase revised simplex over bounded variables with Bland's anti-cycling
 rule.  Problems here are tiny (a handful of rows, up to a few thousand
-columns), so every iteration refactorizes the basis for numerical hygiene
-and determinism instead of maintaining an incremental inverse.
+columns), so every pivot refactorizes the basis for numerical hygiene and
+determinism instead of maintaining an incremental inverse.  A bound flip
+leaves the basis, and so the duals, unchanged: the next column of the same
+improving list enters without solving for the duals again.
+
+``solve(lp, seed=earlier)`` warm-starts from an optimal solution of an LP
+with the same constraints and bounds: it skips phase 1 and runs phase 2
+from that solution's basis, which stays primal feasible when only the
+objective changes.  Without a seed, ``solve`` runs both phases from the
+all-artificial basis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,10 +42,50 @@ class LinearProgram:
 
 
 @dataclass(frozen=True)
+class _StandardForm:
+    """An LP's objective, bounds and rows as arrays, validated once."""
+
+    c0: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    rows: np.ndarray
+    rhs: np.ndarray
+    slack_sign: np.ndarray  # +1 for <=, 0 for =, -1 for >=
+
+
+@dataclass(frozen=True)
+class _Basis:
+    """A final basis with the equality form it is a basis of.
+
+    A, b and ub are shared, read-only, by every solve warm-started from it.
+    """
+
+    form: _StandardForm
+    A: np.ndarray
+    b: np.ndarray
+    ub: np.ndarray
+    basis: tuple[int, ...]
+    at_upper: np.ndarray
+
+
+@dataclass(frozen=True)
 class LpSolution:
+    """Status, value and witness, plus the simplex's work as plain counts.
+
+    phase1_pivots and phase2_pivots count basis changes in each phase (the
+    swaps that drive zero artificials out of the basis are not counted);
+    bound_flips counts entering columns that ran to their opposite bound
+    without a basis change, over both phases.  A warm-started solve makes no
+    phase-1 pivot.
+    """
+
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: float
     witness: np.ndarray | None
+    phase1_pivots: int = 0
+    phase2_pivots: int = 0
+    bound_flips: int = 0
+    _basis: _Basis | None = field(default=None, repr=False, compare=False)
 
 
 class _Tableau:
@@ -49,11 +98,13 @@ class _Tableau:
         self.basis = basis
         self.at_upper = np.zeros(A.shape[1], dtype=bool)
 
-    def basic_values(self) -> np.ndarray:
+    def basic_values(self, B: np.ndarray | None = None) -> np.ndarray:
+        """Basic variables' values; B is A[:, basis] when the caller has it."""
         upper = self.at_upper.copy()
         upper[self.basis] = False
         z = self.b - self.A[:, upper] @ self.ub[upper]
-        B = self.A[:, self.basis]
+        if B is None:
+            B = self.A[:, self.basis]
         return np.linalg.solve(B, z) if self.basis else np.zeros(0)
 
     def duals(self, c: np.ndarray) -> np.ndarray:
@@ -69,15 +120,24 @@ class _Tableau:
         return z
 
 
-def _simplex_core(tab: _Tableau, c: np.ndarray) -> str:
-    """Optimize c.z over the tableau in place; returns 'optimal' or 'unbounded'."""
+def _simplex_core(tab: _Tableau, c: np.ndarray) -> tuple[str, int, int]:
+    """Optimize c.z over the tableau in place.
+
+    Returns the status ('optimal' or 'unbounded'), the pivots made and the
+    bound flips made.  The ratio test runs on Python floats, which round
+    exactly as numpy's float64 scalars do.
+    """
     n = tab.A.shape[1]
     is_basic = np.zeros(n, dtype=bool)
     is_basic[tab.basis] = True
+    fixed = tab.ub <= _PIVOT_TOL
+    ub = tab.ub.tolist()
+    pivots = flips = 0
     while True:
-        y = tab.duals(c)
+        basis = tab.basis
+        B = tab.A[:, basis]
+        y = np.linalg.solve(B.T, c[basis]) if basis else np.zeros(0)
         reduced = c - tab.A.T @ y
-        fixed = tab.ub <= _PIVOT_TOL
         improving = np.where(
             ~is_basic
             & ~fixed
@@ -86,56 +146,59 @@ def _simplex_core(tab: _Tableau, c: np.ndarray) -> str:
                 | (tab.at_upper & (reduced < -_RCOST_TOL))
             )
         )[0]
-        if improving.size == 0:
-            return "optimal"
-        j = int(improving[0])  # Bland: smallest index enters
-        sigma = -1.0 if tab.at_upper[j] else 1.0
-        w = (
-            np.linalg.solve(tab.A[:, tab.basis], tab.A[:, j])
-            if tab.basis
-            else np.zeros(0)
-        )
-        xb = tab.basic_values()
-        # x_j moves by sigma * t >= 0; basic variables move by -sigma * t * w.
-        best_t = tab.ub[j] if np.isfinite(tab.ub[j]) else np.inf
-        leave_row = -1
-        leave_to_upper = False
-        for i in range(len(tab.basis)):
-            delta = -sigma * w[i]
-            if delta < -_PIVOT_TOL:
-                t_i = max(xb[i], 0.0) / -delta
-                hits_upper = False
-            elif delta > _PIVOT_TOL and np.isfinite(tab.ub[tab.basis[i]]):
-                t_i = max(tab.ub[tab.basis[i]] - xb[i], 0.0) / delta
-                hits_upper = True
-            else:
+        ub_basic = [ub[k] for k in basis]
+        # Bland: the smallest improving index enters.  A flip changes
+        # neither the basis nor the reduced costs, and the flipped column
+        # stops improving, so the next candidate is the list's next entry.
+        for j in improving.tolist():
+            sigma = -1.0 if tab.at_upper[j] else 1.0
+            w = np.linalg.solve(B, tab.A[:, j]).tolist() if basis else []
+            xb = tab.basic_values(B).tolist()
+            # x_j moves by sigma * t >= 0; basic variables move by -sigma * t * w.
+            best_t = ub[j]
+            leave_row = -1
+            leave_to_upper = False
+            for i, (w_i, x_i, ub_i) in enumerate(zip(w, xb, ub_basic)):
+                delta = -sigma * w_i
+                if delta < -_PIVOT_TOL:
+                    t_i = max(x_i, 0.0) / -delta
+                    hits_upper = False
+                elif delta > _PIVOT_TOL and math.isfinite(ub_i):
+                    t_i = max(ub_i - x_i, 0.0) / delta
+                    hits_upper = True
+                else:
+                    continue
+                # Bland tie-break: strictly smaller t, or equal t with a smaller
+                # basic variable index.
+                if t_i < best_t - _PIVOT_TOL or (
+                    t_i < best_t + _PIVOT_TOL
+                    and leave_row >= 0
+                    and basis[i] < basis[leave_row]
+                ):
+                    best_t = t_i
+                    leave_row = i
+                    leave_to_upper = hits_upper
+            if not math.isfinite(best_t):
+                return "unbounded", pivots, flips
+            if leave_row < 0:
+                # Entering variable runs to its opposite bound: a pure flip.
+                tab.at_upper[j] = not tab.at_upper[j]
+                flips += 1
                 continue
-            # Bland tie-break: strictly smaller t, or equal t with a smaller
-            # basic variable index.
-            if t_i < best_t - _PIVOT_TOL or (
-                t_i < best_t + _PIVOT_TOL
-                and leave_row >= 0
-                and tab.basis[i] < tab.basis[leave_row]
-            ):
-                best_t = t_i
-                leave_row = i
-                leave_to_upper = hits_upper
-        if not np.isfinite(best_t):
-            return "unbounded"
-        if leave_row < 0:
-            # Entering variable runs to its opposite bound: a pure flip.
-            tab.at_upper[j] = not tab.at_upper[j]
-            continue
-        leaving = tab.basis[leave_row]
-        tab.basis[leave_row] = j
-        is_basic[leaving] = False
-        is_basic[j] = True
-        tab.at_upper[leaving] = leave_to_upper
-        tab.at_upper[j] = False
+            leaving = basis[leave_row]
+            basis[leave_row] = j
+            is_basic[leaving] = False
+            is_basic[j] = True
+            tab.at_upper[leaving] = leave_to_upper
+            tab.at_upper[j] = False
+            pivots += 1
+            break
+        else:
+            return "optimal", pivots, flips
 
 
-def _build_tableau(lp: LinearProgram) -> tuple[_Tableau, np.ndarray, np.ndarray, int]:
-    """Shift bounds to zero, add slacks and artificials, return phase-1 state."""
+def _standard_form(lp: LinearProgram) -> _StandardForm:
+    """Validate the LP and hold its data as arrays."""
     c0 = np.asarray(lp.objective, dtype=float)
     n = c0.size
     if len(lp.bounds) != n:
@@ -159,7 +222,14 @@ def _build_tableau(lp: LinearProgram) -> tuple[_Tableau, np.ndarray, np.ndarray,
         rows[i] = a
         rhs[i] = b
         slack_sign[i] = {"<=": 1.0, "=": 0.0, ">=": -1.0}[rel]
-    shifted_rhs = rhs - rows @ lo
+    return _StandardForm(c0, lo, hi, rows, rhs, slack_sign)
+
+
+def _build_tableau(form: _StandardForm) -> _Tableau:
+    """Shift bounds to zero, add slacks and artificials, return phase-1 state."""
+    rows, slack_sign = form.rows, form.slack_sign
+    m, n = rows.shape
+    shifted_rhs = form.rhs - rows @ form.lo
     slack_cols = np.flatnonzero(slack_sign)
     k = slack_cols.size
     A = np.zeros((m, n + k + m))
@@ -175,9 +245,8 @@ def _build_tableau(lp: LinearProgram) -> tuple[_Tableau, np.ndarray, np.ndarray,
     for i in np.flatnonzero(flip):
         A[i, n + k + i] = 1.0
     b_vec[flip] *= -1.0
-    ub = np.concatenate([hi - lo, np.full(k + m, np.inf)])
-    tab = _Tableau(A, b_vec, ub, [n + k + i for i in range(m)])
-    return tab, lo, c0, n
+    ub = np.concatenate([form.hi - form.lo, np.full(k + m, np.inf)])
+    return _Tableau(A, b_vec, ub, [n + k + i for i in range(m)])
 
 
 def _drive_out_artificials(tab: _Tableau, first_artificial: int) -> None:
@@ -207,47 +276,92 @@ def _drive_out_artificials(tab: _Tableau, first_artificial: int) -> None:
         tab.basis = [tab.basis[i] for i in np.flatnonzero(keep)]
 
 
-def _solve_phases(lp: LinearProgram) -> tuple[str, _Tableau | None, np.ndarray, np.ndarray, int]:
-    tab, lo, c0, n = _build_tableau(lp)
+def _phase1(form: _StandardForm) -> tuple[_Tableau | None, int, int]:
+    """A feasible basis with the artificials fixed at 0, or None if infeasible.
+
+    Also returns phase 1's pivots and bound flips.
+    """
+    tab = _build_tableau(form)
     total = tab.A.shape[1]
-    first_artificial = total - lp.dimensions()[1]
+    first_artificial = total - form.rows.shape[0]
     phase1_c = np.zeros(total)
     phase1_c[first_artificial:] = -1.0
-    status = _simplex_core(tab, phase1_c)
+    status, pivots, flips = _simplex_core(tab, phase1_c)
     if status != "optimal":
         raise ArithmeticError("phase 1 cannot be unbounded")
     infeasibility = -float(phase1_c @ tab.values())
     if infeasibility > _FEAS_TOL:
-        return "infeasible", None, lo, c0, n
+        return None, pivots, flips
     _drive_out_artificials(tab, first_artificial)
     tab.ub[first_artificial:] = 0.0
     tab.at_upper[first_artificial:] = False
-    phase2_c = np.zeros(total)
-    phase2_c[:n] = c0
-    status = _simplex_core(tab, phase2_c)
-    return status, tab, lo, c0, n
+    for array in (tab.A, tab.b, tab.ub):
+        array.flags.writeable = False  # shared by warm starts from now on
+    return tab, pivots, flips
 
 
-def _check_optimal(lp: LinearProgram, tab: _Tableau, c_full: np.ndarray, value: float, witness: np.ndarray) -> None:
-    """Primal feasibility, objective consistency, and strong duality."""
-    for a, rel, b in lp.constraints:
-        lhs = float(np.asarray(a, dtype=float) @ witness)
-        if rel == "<=" and lhs > b + _FEAS_TOL:
-            raise ArithmeticError("optimal witness violates a <= constraint")
-        if rel == ">=" and lhs < b - _FEAS_TOL:
-            raise ArithmeticError("optimal witness violates a >= constraint")
-        if rel == "=" and abs(lhs - b) > _FEAS_TOL:
-            raise ArithmeticError("optimal witness violates an = constraint")
-    for x_j, (lo_j, hi_j) in zip(witness, lp.bounds):
-        if x_j < lo_j - _FEAS_TOL or x_j > hi_j + _FEAS_TOL:
-            raise ArithmeticError("optimal witness violates a bound")
-    if abs(value - float(np.asarray(lp.objective, dtype=float) @ witness)) > _FEAS_TOL:
+def _first_difference(old: np.ndarray, new: np.ndarray) -> int:
+    """First index along axis 0 where two same-shape arrays differ."""
+    differs = (old != new).reshape(len(old), -1).any(axis=1)
+    return int(np.flatnonzero(differs)[0])
+
+
+def _warm_tableau(form: _StandardForm, seed: LpSolution) -> _Tableau:
+    """Phase-2 start at the seed's basis, after checking the seed fits the LP."""
+    start = seed._basis
+    if seed.status != "optimal" or start is None:
+        raise ValueError(
+            f"seed must be an optimal solution returned by solve, not {seed.status!r}"
+        )
+    old = start.form
+    if old.lo.size != form.lo.size:
+        raise ValueError(
+            f"bounds differ from the seed LP's: {old.lo.size} variables, not {form.lo.size}"
+        )
+    if old.rhs.size != form.rhs.size:
+        raise ValueError(
+            f"constraints differ from the seed LP's: {old.rhs.size} rows, not {form.rhs.size}"
+        )
+    for name, what, a, b in (
+        ("bounds", "lower bound of variable", old.lo, form.lo),
+        ("bounds", "upper bound of variable", old.hi, form.hi),
+        ("constraints", "coefficients of row", old.rows, form.rows),
+        ("constraints", "relation of row", old.slack_sign, form.slack_sign),
+        ("constraints", "right-hand side of row", old.rhs, form.rhs),
+    ):
+        if not np.array_equal(a, b):
+            raise ValueError(
+                f"{name} differ from the seed LP's: {what} {_first_difference(a, b)}"
+            )
+    tab = _Tableau(start.A, start.b, start.ub, list(start.basis))
+    tab.at_upper = start.at_upper.copy()
+    return tab
+
+
+def _check_optimal(
+    form: _StandardForm, tab: _Tableau, c_full: np.ndarray, value: float,
+    witness: np.ndarray, z: np.ndarray,
+) -> None:
+    """Primal feasibility, objective consistency, and strong duality.
+
+    z is the tableau's point, of which witness is the unshifted head.
+    """
+    residual = form.rows @ witness - form.rhs
+    # Positive where a row is violated: lhs - rhs for <=, rhs - lhs for >=.
+    excess = np.where(form.slack_sign == 0, np.abs(residual), residual * form.slack_sign)
+    bad = np.flatnonzero(excess > _FEAS_TOL)
+    if bad.size:
+        rel = RELATIONS[1 - int(form.slack_sign[bad[0]])]
+        raise ArithmeticError(f"optimal witness violates a {rel} constraint")
+    if ((witness < form.lo - _FEAS_TOL) | (witness > form.hi + _FEAS_TOL)).any():
+        raise ArithmeticError("optimal witness violates a bound")
+    if abs(value - float(form.c0 @ witness)) > _FEAS_TOL:
         raise ArithmeticError("objective value inconsistent with witness")
     y = tab.duals(c_full)
     reduced = c_full - tab.A.T @ y
     active_upper = tab.at_upper & (tab.ub > 0)
     dual_value = float(y @ tab.b + reduced[active_upper] @ tab.ub[active_upper])
-    shifted_value = float(c_full @ tab.values())
+    shifted_value = float(c_full @ z)
     if abs(dual_value - shifted_value) > _DUALITY_TOL:
         raise ArithmeticError(
             f"duality gap {abs(dual_value - shifted_value):.2e} exceeds tolerance"
@@ -261,23 +375,45 @@ def _check_optimal(lp: LinearProgram, tab: _Tableau, c_full: np.ndarray, value: 
         raise ArithmeticError("dual certificate is not feasible")
 
 
-def solve(lp: LinearProgram) -> LpSolution:
-    """Optimal basic solution, deterministic across runs."""
-    status, tab, lo, c0, n = _solve_phases(lp)
-    if status == "infeasible":
-        return LpSolution(status="infeasible", value=np.nan, witness=None)
-    if status == "unbounded":
-        return LpSolution(status="unbounded", value=np.inf, witness=None)
-    assert tab is not None
-    witness = lo + tab.values()[:n]
-    value = float(c0 @ witness)
+def solve(lp: LinearProgram, seed: LpSolution | None = None) -> LpSolution:
+    """Optimal basic solution, deterministic across runs.
+
+    seed is an optimal solution of an LP with the same constraints and
+    bounds (the objective may differ); phase 2 then starts from its basis.
+    A seed from another LP raises ValueError naming the field that differs.
+    """
+    form = _standard_form(lp)
+    if seed is None:
+        tab, phase1_pivots, phase1_flips = _phase1(form)
+        if tab is None:
+            return LpSolution(
+                status="infeasible", value=np.nan, witness=None,
+                phase1_pivots=phase1_pivots, bound_flips=phase1_flips,
+            )
+    else:
+        tab, phase1_pivots, phase1_flips = _warm_tableau(form, seed), 0, 0
+    n = form.c0.size
     c_full = np.zeros(tab.A.shape[1])
-    c_full[:n] = c0
-    _check_optimal(lp, tab, c_full, value, witness)
-    return LpSolution(status="optimal", value=value, witness=witness)
+    c_full[:n] = form.c0
+    status, phase2_pivots, phase2_flips = _simplex_core(tab, c_full)
+    counts = dict(
+        phase1_pivots=phase1_pivots,
+        phase2_pivots=phase2_pivots,
+        bound_flips=phase1_flips + phase2_flips,
+    )
+    if status == "unbounded":
+        return LpSolution(status="unbounded", value=np.inf, witness=None, **counts)
+    z = tab.values()
+    witness = form.lo + z[:n]
+    value = float(form.c0 @ witness)
+    _check_optimal(form, tab, c_full, value, witness, z)
+    basis = _Basis(form, tab.A, tab.b, tab.ub, tuple(tab.basis), tab.at_upper)
+    return LpSolution(
+        status="optimal", value=value, witness=witness, **counts, _basis=basis
+    )
 
 
 def feasible(lp: LinearProgram) -> bool:
     """Phase-1 feasibility, consistent with solve."""
-    status, _, _, _, _ = _solve_phases(lp)
-    return status != "infeasible"
+    tab, _, _ = _phase1(_standard_form(lp))
+    return tab is not None

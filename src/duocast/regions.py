@@ -5,12 +5,14 @@ explicit boundary polyline from (R1max, 0) to (0, R2max) with a witness per
 vertex.  One exact vertex tracer, `_trace`, turns a support oracle into that
 boundary.  Only the reactive region's oracle solves an LP over the
 per-conditioning transmit fractions (x_k, y_k): its x_k + y_k >= 1 couples
-the two receivers.  The visible and hidden_L LP separates into two
-fractional knapsacks, each solved by a greedy fill after one sort, and
-their oracle picks from the breakpoints of the two frontiers' lower
-envelope.  The uncoded and Minkowski regions are sums of per-key pieces,
-so their oracles add each piece's maximizer.  The memoryless regions are
-closed forms.  Membership and policy synthesis always solve the LP.
+the two receivers.  Its constraints do not depend on the direction, so
+each support solve warm-starts from the previous optimum.  The visible and
+hidden_L LP separates into two fractional knapsacks, each solved by a
+greedy fill after one sort, and their oracle picks from the breakpoints of
+the two frontiers' lower envelope.  The uncoded and Minkowski regions are
+sums of per-key pieces, so their oracles add each piece's maximizer.  The
+memoryless regions are closed forms.  Membership and policy synthesis
+always solve the LP cold.
 """
 
 from __future__ import annotations
@@ -428,14 +430,22 @@ def region_reactive(stats_by_state: dict, pi, directions=None) -> RateRegion:
     """Visible-state region restricted to reactive coding (x_s + y_s >= 1).
 
     x + y >= 1 couples x and y per state, so this region is traced from its
-    support LP.
+    support LP.  The LP is built once: only the objective changes between
+    directions, so each solve warm-starts phase 2 from the last optimum and
+    only the first runs phase 1.
     """
     keys, w, eps1, eps2, eps12 = _stats_arrays(stats_by_state, pi)
     K = len(keys)
     builder = _fraction_lp_builder(w, eps1, eps2, eps12, reactive=True, uncoded=False)
+    template = builder(np.zeros(2))
+    last = None
 
     def support(d1: float, d2: float):
-        sol = solve(builder(np.array([d1, d2])))
+        nonlocal last
+        objective = np.zeros(2 + 2 * K)
+        objective[0], objective[1] = d1, d2
+        lp = LinearProgram(objective, template.constraints, template.bounds)
+        sol = last = solve(lp, seed=last)
         if sol.status != "optimal":
             raise ArithmeticError(f"region support LP ended {sol.status}")
         r1, r2, *fractions = sol.witness

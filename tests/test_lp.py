@@ -1,4 +1,6 @@
 import itertools
+import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,14 +14,8 @@ from duocast.channel import (
     stationary_distribution,
 )
 from duocast.lp import LinearProgram, LpSolution, feasible, solve
-
-
-def box_lp(c, rows, bounds):
-    return LinearProgram(
-        objective=np.asarray(c, dtype=float),
-        constraints=[(np.asarray(a, dtype=float), rel, float(b)) for a, rel, b in rows],
-        bounds=[(float(lo), float(hi)) for lo, hi in bounds],
-    )
+import lp_corpus
+from lp_corpus import box_lp, random_mixed_lp
 
 
 def vertex_enumeration_oracle(lp: LinearProgram) -> float:
@@ -180,35 +176,14 @@ def scipy_reference(lp: LinearProgram) -> tuple[str, float | None]:
     return "infeasible", None
 
 
-def random_mixed_lp(rng: np.random.Generator, infeasible: bool) -> LinearProgram:
-    """A boxed LP with <=, = and >= rows, feasible unless asked otherwise."""
-    n = int(rng.integers(2, 9))
-    m = int(rng.integers(1, 7))
-    lo = rng.uniform(-1.0, 0.5, size=n)
-    hi = lo + rng.uniform(0.2, 2.0, size=n)
-    G = rng.normal(size=(m, n))
-    interior = rng.uniform(lo, hi)
-    rows = []
-    for i in range(m):
-        rel = ("<=", "=", ">=")[int(rng.integers(3))]
-        slack = {"<=": 1.0, "=": 0.0, ">=": -1.0}[rel] * rng.uniform(0.0, 1.0)
-        rows.append((G[i], rel, float(G[i] @ interior + slack)))
-    if infeasible:
-        # One row asks for more than its largest value over the box.
-        a = rng.normal(size=n)
-        top = float(np.sum(np.maximum(a * lo, a * hi)))
-        rows.insert(int(rng.integers(m + 1)),
-                    (a, ("=", ">=")[int(rng.integers(2))], top + rng.uniform(0.01, 0.5)))
-    return box_lp(rng.normal(size=n), rows, list(zip(lo, hi)))
-
-
-def region_lps(monkeypatch) -> list[LinearProgram]:
-    """The LPs regions solves: reactive support LPs and membership LPs."""
+def region_lps(monkeypatch) -> list[tuple[LinearProgram, LpSolution | None]]:
+    """The LPs regions solves, each with its seed: warm-started reactive
+    support LPs and cold membership LPs."""
     seen = []
 
-    def recording(lp):
-        seen.append(lp)
-        return solve(lp)
+    def recording(lp, seed=None):
+        seen.append((lp, seed))
+        return solve(lp, seed=seed)
 
     monkeypatch.setattr(regions, "solve", recording)
     rng = np.random.default_rng(2024)
@@ -232,10 +207,11 @@ def region_lps(monkeypatch) -> list[LinearProgram]:
     return seen
 
 
-def assert_matches_scipy(lps) -> None:
+def assert_matches_scipy(pairs) -> None:
+    """solve(lp, seed=seed) against HiGHS for each (lp, seed) pair."""
     statuses = set()
-    for lp in lps:
-        sol = solve(lp)
+    for lp, seed in pairs:
+        sol = solve(lp, seed=seed)
         status, value = scipy_reference(lp)
         assert sol.status == status
         if status == "optimal":
@@ -249,12 +225,25 @@ class TestSolveAgainstScipy:
         pytest.importorskip("scipy")
         rng = np.random.default_rng(4321)
         assert_matches_scipy(
-            random_mixed_lp(rng, infeasible=i % 3 == 0) for i in range(120)
+            (random_mixed_lp(rng, infeasible=i % 3 == 0), None) for i in range(120)
         )
 
     def test_region_lps(self, monkeypatch):
         pytest.importorskip("scipy")
-        assert_matches_scipy(region_lps(monkeypatch))
+        pairs = region_lps(monkeypatch)
+        assert sum(seed is not None for _, seed in pairs) > 50
+        assert_matches_scipy(pairs)
+
+    def test_seeded_random_rows(self):
+        pytest.importorskip("scipy")
+        rng = np.random.default_rng(2718)
+        pairs = [(box_lp([0.0], [([1.0], ">=", 2.0)], [(0, 1)]), None)]
+        for _ in range(30):
+            lp = random_mixed_lp(rng, infeasible=False)
+            seed = solve(lp)
+            for c in rng.normal(size=(4, len(lp.bounds))):
+                pairs.append((replace(lp, objective=c), seed))
+        assert_matches_scipy(pairs)
 
 
 class TestFeasible:
@@ -306,3 +295,137 @@ class TestDeterminism:
     def test_solution_type(self):
         sol = solve(box_lp([1.0], [], [(0, 1)]))
         assert isinstance(sol, LpSolution)
+
+
+def sparse_objectives(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """Random objectives, about half their entries zero, so that many optima
+    are degenerate or tie along a face."""
+    return rng.normal(size=(count, n)) * (rng.random((count, n)) < 0.5)
+
+
+class TestWarmStart:
+    """solve(lp, seed=...) against a cold solve of the same LP."""
+
+    def test_seeded_matches_cold_on_random_lps(self):
+        rng = np.random.default_rng(8080)
+        for _ in range(80):
+            lp = random_mixed_lp(rng, infeasible=False)
+            seed = solve(lp)
+            assert seed.status == "optimal"
+            n = len(lp.bounds)
+            for c in np.vstack([rng.normal(size=(8, n)), sparse_objectives(rng, n, 8)]):
+                other = replace(lp, objective=c)
+                cold = solve(other)
+                # solve checks the warm optimum's certificate (primal
+                # feasibility, objective consistency, dual feasibility and
+                # a zero duality gap) before it returns.
+                warm = solve(other, seed=seed)
+                assert warm.status == cold.status == "optimal"
+                assert abs(warm.value - cold.value) <= 1e-9
+                assert warm.phase1_pivots == 0
+                seed = warm  # chain seeds as the region tracer does
+
+    def test_seed_from_a_redundant_row_lp(self):
+        # Phase 1 drops the redundant equality; the seed carries the reduced
+        # system, and the warm start must still see the original rows.
+        lp = box_lp(
+            [1.0, 1.0],
+            [([1.0, 1.0], "=", 1.0), ([2.0, 2.0], "=", 2.0)],
+            [(0, 1), (0, 1)],
+        )
+        seed = solve(lp)
+        warm = solve(replace(lp, objective=np.array([1.0, -1.0])), seed=seed)
+        assert warm.value == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(warm.witness, [1.0, 0.0], atol=1e-12)
+
+
+class TestSeedValidation:
+    ROWS = [([1.0, 1.0], "<=", 1.0), ([1.0, -1.0], ">=", -0.5)]
+    BOUNDS = [(0, 1), (0, 1)]
+
+    @pytest.fixture()
+    def seed(self):
+        return solve(box_lp([1.0, 2.0], self.ROWS, self.BOUNDS))
+
+    @pytest.mark.parametrize(
+        "rows, bounds, message",
+        [
+            (ROWS, [(0, 1), (0, 2)], "bounds differ .*upper bound of variable 1"),
+            (ROWS, [(-1, 1), (0, 1)], "bounds differ .*lower bound of variable 0"),
+            ([([1.0, 1.0, 0.0], "<=", 1.0), ([1.0, -1.0, 0.0], ">=", -0.5)],
+             [(0, 1)] * 3, "bounds differ .*2 variables, not 3"),
+            (ROWS[:1], BOUNDS, "constraints differ .*2 rows, not 1"),
+            ([ROWS[0], ([1.0, -2.0], ">=", -0.5)], BOUNDS,
+             "constraints differ .*coefficients of row 1"),
+            ([ROWS[0], ([1.0, -1.0], "<=", -0.5)], BOUNDS,
+             "constraints differ .*relation of row 1"),
+            ([([1.0, 1.0], "<=", 0.9), ROWS[1]], BOUNDS,
+             "constraints differ .*right-hand side of row 0"),
+        ],
+    )
+    def test_seed_from_another_lp_names_the_field(self, seed, rows, bounds, message):
+        lp = box_lp(np.ones(len(bounds)), rows, bounds)
+        with pytest.raises(ValueError, match=message):
+            solve(lp, seed=seed)
+
+    def test_seed_must_be_optimal(self):
+        lp = box_lp([1.0], [([1.0], ">=", 2.0)], [(0, 1)])
+        with pytest.raises(ValueError, match="optimal solution.*'infeasible'"):
+            solve(lp, seed=solve(lp))
+
+    def test_same_lp_with_a_new_objective_is_accepted(self, seed):
+        sol = solve(box_lp([-1.0, 1.0], self.ROWS, self.BOUNDS), seed=seed)
+        assert sol.status == "optimal"
+
+
+# Pivots and flips of the cold solve of TestTelemetry's fixed LP.  They
+# change only if the pivot sequence changes, which would also break the
+# corpus of TestColdPathCorpus.
+PINNED_COUNTS = (22, 38, 9)
+
+
+class TestTelemetry:
+    def test_counts_on_a_fixed_lp(self):
+        # The twenty-variable instance of TestSolveAgainstOracle.
+        rng = np.random.default_rng(99)
+        n = 20
+        G = rng.normal(size=(6, n))
+        h = G @ rng.uniform(0.1, 0.9, size=n) + 0.25
+        lp = box_lp(
+            rng.normal(size=n), [(G[i], "<=", h[i]) for i in range(6)], [(0.0, 1.0)] * n
+        )
+        sol = solve(lp)
+        counts = (sol.phase1_pivots, sol.phase2_pivots, sol.bound_flips)
+        assert counts == PINNED_COUNTS
+        assert all(type(c) is int for c in counts)
+
+    def test_seeded_solve_skips_phase_one(self):
+        rows = [([1.0, 1.0, 1.0], ">=", 1.2), ([1.0, -1.0, 0.0], "=", 0.1)]
+        lp = box_lp([1.0, 0.0, -1.0], rows, [(0, 1)] * 3)
+        cold = solve(lp)
+        assert cold.phase1_pivots > 0
+        warm = solve(replace(lp, objective=np.array([-1.0, 0.5, 1.0])), seed=cold)
+        assert warm.phase1_pivots == 0
+        assert warm.status == "optimal"
+
+
+class TestColdPathCorpus:
+    """solve(lp) without a seed reproduces the recorded corpus bit for bit."""
+
+    def test_cold_solves_reproduce_the_recorded_corpus(self):
+        doc = json.loads(lp_corpus.CORPUS_PATH.read_text())
+        groups = lp_corpus.corpus()
+        assert set(groups) == set(doc["groups"])
+        # Float bits are LAPACK's: elsewhere only status and value are held.
+        bitwise = doc["environment"] == lp_corpus.environment()
+        for name, lps in groups.items():
+            expected = doc["groups"][name]
+            assert len(lps) == len(expected), name
+            for i, (lp, want) in enumerate(zip(lps, expected)):
+                sol = solve(lp)
+                if bitwise:
+                    assert lp_corpus.entry(lp, sol) == want, (name, i)
+                else:
+                    assert sol.status == want[1], (name, i)
+                    if sol.status == "optimal":
+                        assert abs(sol.value - float.fromhex(want[2])) <= 1e-9, (name, i)

@@ -378,12 +378,10 @@ class TestTracerAgainstLp:
                 assert abs(gap) < 1e-9, label
 
     def test_closed_forms_match_the_lp_traced_boundary(self, cases):
-        # The LP is the oracle: the same tracer over direct LP solves must
-        # give the closed form's vertices.
+        # Cold per-direction LP solves are the oracle: the same tracer over
+        # them must give the closed forms' vertices and those of the
+        # warm-started reactive trace.
         for label, kind, stats, weights, region in cases:
-            if kind == "reactive":
-                continue
-
             def support(d1, d2):
                 sol = lp_solution(kind, stats, weights, (d1, d2))
                 point = RatePoint(max(sol.witness[0], 0.0), max(sol.witness[1], 0.0))
@@ -391,13 +389,11 @@ class TestTracerAgainstLp:
 
             traced = regions._trace(kind, support)
             assert len(traced.boundary) == len(region.boundary), label
-            assert hausdorff_distance(traced, region) <= 1e-9, label
-            assert abs(diagonal_rate(traced) - diagonal_rate(region)) <= 1e-9, label
+            assert hausdorff_distance(traced, region) <= 1e-12, label
+            assert abs(diagonal_rate(traced) - diagonal_rate(region)) <= 1e-12, label
 
     def test_closed_form_witnesses_support_their_vertices(self, cases):
         for label, kind, stats, weights, region in cases:
-            if kind == "reactive":
-                continue
             for vertex, witness in zip(region.boundary, region.witnesses):
                 assert set(witness.parameters) == set(stats), label
                 for x, y in witness.parameters.values():
@@ -408,9 +404,9 @@ class TestTracerAgainstLp:
     def count_solves(monkeypatch) -> list:
         calls = []
 
-        def counted(lp):
-            calls.append(1)
-            return solve(lp)
+        def counted(lp, seed=None):
+            calls.append(seed is None)
+            return solve(lp, seed=seed)
 
         monkeypatch.setattr("duocast.regions.solve", counted)
         return calls
@@ -420,6 +416,7 @@ class TestTracerAgainstLp:
         model = ge_visible(0.6, 0.1, 0.5, 0.2)
         region = region_reactive(stats_for(model), stationary_distribution(model))
         assert len(calls) <= 2 * len(region.boundary) + 1
+        assert calls.count(True) == 1  # only the first solve starts cold
 
     def test_closed_forms_solve_no_lp(self, monkeypatch):
         calls = self.count_solves(monkeypatch)
