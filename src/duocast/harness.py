@@ -91,16 +91,12 @@ class Scenario:
         self.rates = (float(self.rates[0]), float(self.rates[1]))
         if not (0 <= self.rates[0] <= 1 and 0 <= self.rates[1] <= 1):
             raise ValueError("arrival rates must lie in [0, 1]")
-        self.horizon = int(self.horizon)
-        if self.horizon < 1:
-            raise ValueError("horizon must be positive")
-        self.delay = int(self.delay)
-        if self.delay < 1:
-            raise ValueError("delay must be at least 1")
+        self.horizon = kernel.positive_int("horizon", self.horizon)
+        self.delay = kernel.positive_int("delay", self.delay)
+        if self.stride is not None:
+            self.stride = kernel.positive_int("stride", self.stride)
         if self.engine not in _ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}")
-        if self.stride is not None and int(self.stride) < 1:
-            raise ValueError("stride must be positive")
         kind = self.policy.get("kind")
         if kind not in _POLICY_KINDS:
             raise ValueError(f"unknown policy kind {kind!r}")
@@ -402,43 +398,28 @@ class _RowCursor:
         return value
 
 
-def _effective_stride(scenario: Scenario) -> int:
-    if scenario.stride is not None:
-        return int(scenario.stride)
-    return max(1, scenario.horizon // 512)
-
-
 def _run_counts(scenario: Scenario, model: ChannelModel, stride: int) -> SimTrace:
     kind = scenario.policy["kind"]
     if kind == "per_state":
         raise ValueError("per_state policy needs the packets engine")
     if kind == "probabilistic":
         tables = _probabilistic_tables(scenario, model)
-        counts = kernel.run_counts(
-            model,
-            rates=scenario.rates,
-            horizon=scenario.horizon,
-            seed=scenario.seed,
-            visible=scenario.visible,
-            delay=scenario.delay,
-            policy="probabilistic",
-            action_table=tables.action_table,
-            ratio_table=tables.ratio_table,
-            window_len=tables.window_len,
-            stride=stride,
-        )
+        policy_args = dict(action_table=tables.action_table,
+                           ratio_table=tables.ratio_table,
+                           window_len=tables.window_len)
     else:
-        counts = kernel.run_counts(
-            model,
-            rates=scenario.rates,
-            horizon=scenario.horizon,
-            seed=scenario.seed,
-            visible=scenario.visible,
-            delay=scenario.delay,
-            policy="maxweight",
-            action_set=scenario.policy.get("action_set", "A5"),
-            stride=stride,
-        )
+        policy_args = dict(action_set=scenario.policy.get("action_set", "A5"))
+    counts = kernel.run_counts(
+        model,
+        rates=scenario.rates,
+        horizon=scenario.horizon,
+        seed=scenario.seed,
+        visible=scenario.visible,
+        delay=scenario.delay,
+        policy=kind,
+        stride=stride,
+        **policy_args,
+    )
     return SimTrace(
         horizon=counts.horizon,
         stride=counts.stride,
@@ -607,7 +588,7 @@ def run(scenario: Scenario) -> SimTrace:
     """Execute a scenario with its configured engine and verify conservation."""
 
     model = scenario.model()
-    stride = _effective_stride(scenario)
+    stride = kernel.record_stride(scenario.horizon, scenario.stride)
     if scenario.engine == "counts":
         trace = _run_counts(scenario, model, stride)
     else:

@@ -9,13 +9,15 @@ engines read the same stream and differ only in how they decide and move:
 the packets engine in `harness` moves identified packets through `queuenet`.
 Their traces match slot for slot, which is tested.
 
-The two loops, `_observe` and `_chunk`, are plain Python written for speed:
+The two loops, the slot loop of `slot_stream` and the counts loop `_count`,
+are plain Python written for speed:
 
-- per-chunk state (the chain state, window code and fold count; the six
-  queues, the totals and the record index) lives in locals.  It is loaded
-  with ``int()``/``float()`` at chunk entry and stored back at exit.  The
-  conversion matters: a numpy scalar such as ``np.int64`` left in a local
-  sends every mixed ``float * int`` through numpy's slow scalar path.
+- each loop keeps its state in locals for the whole run, from the first
+  slot to the last: the chain state, ring position, window code, fold count
+  and belief in the stream; the six queues, the four totals, the record
+  index and the slots left to the next record in the counts loop.  Every local is a Python int
+  or float: a numpy scalar such as ``np.int64`` in a local sends every mixed
+  ``float * int`` through numpy's slow scalar path.
 - each slot reads its random row once (``row = rows[i]``) and each table
   row once (``cdf = p_cdf[s]``), so no two-index access is left in the
   inner loop.
@@ -27,8 +29,8 @@ The two loops, `_observe` and `_chunk`, are plain Python written for speed:
   CHUNK_SLOTS slots.
 
 The chunk length cannot change a trace: ``Generator.random`` fills the
-matrix row by row, so stacked small draws equal one large draw, and every
-piece of state crosses chunk boundaries through the stored locals.
+matrix row by row, so stacked small draws equal one large draw, and no loop
+keeps any state per chunk.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ __all__ = [
     "CHUNK_SLOTS",
     "SimCounts",
     "jit_enabled",
+    "positive_int",
+    "record_stride",
     "run_counts",
     "slot_stream",
 ]
@@ -55,97 +59,30 @@ __all__ = [
 # receiver 1's links 12,13,14,24,32,34, and 11..16 those of receiver 2.
 RNG_COLUMNS = 17
 
-# Slots per chunk of the stream, read when `slot_stream` starts; the tests
-# patch it.
+# Slots per chunk of the stream, read for each chunk; the tests patch it.
 CHUNK_SLOTS = 1024
 
 
 def jit_enabled() -> bool:
-    """False: the loops always run as plain Python.
-
-    Kept so that callers which stamp the backend of a run can still ask.
-    """
+    """False: the loops always run as plain Python (for backend stamps)."""
 
     return False
 
 
-def _observe(rows, t0, p_cdf, e_cdf, visible, delay, wlen, four_l,
-             trans_t, emis_t, pd1_t, evecs, ring, belief, scratch,
-             ostate, zis, keys, eps):
-    num_states = len(p_cdf)
-    last = num_states - 1
-    fold = len(eps) > 0
-    ev1 = evecs[0]
-    ev2 = evecs[1]
-    ev12 = evecs[2]
-    s = int(ostate[0])
-    code = int(ostate[1])
-    folds = int(ostate[2])
-    pos = t0 % delay
-    for i in range(len(zis)):
-        row = rows[i]
-        # Channel: advance the state, then emit an erasure pair from it.
-        u = row[2]
-        cdf = p_cdf[s]
-        ns = 0
-        while ns < last and u >= cdf[ns]:
-            ns += 1
-        s = ns
-        u = row[3]
-        cdf = e_cdf[s]
-        zi = 0
-        while zi < 3 and u >= cdf[zi]:
-            zi += 1
-        zis[i] = zi
+def positive_int(name: str, value) -> int:
+    """``value`` as an int; a ValueError naming ``name`` unless an int >= 1."""
 
-        # Feedback delay: the slot sees what the channel did `delay` slots ago.
-        old = ring[pos]
-        ring[pos] = s if visible == 1 else zi
-        pos = pos + 1 if pos + 1 < delay else 0
-        if visible == 1:
-            keys[i] = old
-            continue
-        if old >= 0:
-            if fold:
-                col = emis_t[old]
-                total = 0.0
-                for k in range(num_states):
-                    v = belief[k] * col[k]
-                    scratch[k] = v
-                    total += v
-                if total <= 0.0:
-                    raise ValueError("feedback pair has probability zero "
-                                     "under the current belief")
-                for k in range(num_states):
-                    col = trans_t[k]
-                    acc = 0.0
-                    for k2 in range(num_states):
-                        acc += scratch[k2] * col[k2]
-                    belief[k] = acc / total
-            else:
-                code = (code * 4 + old) % four_l
-            folds += 1
-        keys[i] = code if folds >= wlen else -1
-        if fold:
-            # Erasure statistics of the current slot given the belief.
-            e1 = 0.0
-            e2 = 0.0
-            e12 = 0.0
-            for k in range(num_states):
-                col = pd1_t[k]
-                acc = 0.0
-                for k2 in range(num_states):
-                    acc += belief[k2] * col[k2]
-                e1 += acc * ev1[k]
-                e2 += acc * ev2[k]
-                e12 += acc * ev12[k]
-            out = eps[i]
-            out[0] = e1
-            out[1] = e2
-            out[2] = e12
-    ostate[0] = s
-    ostate[1] = code
-    ostate[2] = folds
+    if not _is_int(value) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def record_stride(horizon: int, stride: int | None) -> int:
+    """Slots between recorded rows: ``stride``, or about 512 rows per run."""
+
+    if stride is None:
+        return max(1, horizon // 512)
+    return positive_int("stride", stride)
 
 
 def slot_stream(model: ChannelModel, *, seed: int, horizon: int, visible: bool,
@@ -164,214 +101,249 @@ def slot_stream(model: ChannelModel, *, seed: int, horizon: int, visible: bool,
     long but for the last.
     """
 
+    horizon = positive_int("horizon", horizon)
+    delay = positive_int("delay", delay)
     num_states = model.num_states
+    last = num_states - 1
     fold = predict and not visible
     pi = stationary_distribution(model)
     rng = np.random.default_rng(seed)
-    s0 = min(int(np.searchsorted(np.cumsum(pi), rng.random())), num_states - 1)
+    s = min(int(np.searchsorted(np.cumsum(pi), rng.random())), last)
     p_cdf = np.cumsum(model.transition, axis=1).tolist()
     e_cdf = np.cumsum(model.emission, axis=1).tolist()
     # Transposed, so that each inner sum runs along one row.
     trans_t = model.transition.T.tolist()
     emis_t = model.emission.T.tolist()
     pd1_t = np.linalg.matrix_power(model.transition, delay - 1).T.tolist()
-    emission = model.emission
-    evecs = [(emission[:, 2] + emission[:, 3]).tolist(),
-             (emission[:, 1] + emission[:, 3]).tolist(),
-             emission[:, 3].tolist()]
-    ring = [s0 if visible else -1] * delay
+    ev1 = (model.emission[:, 2] + model.emission[:, 3]).tolist()
+    ev2 = (model.emission[:, 1] + model.emission[:, 3]).tolist()
+    ev12 = model.emission[:, 3].tolist()
+    four_l = 4 ** window_len
+    ring = [s if visible else -1] * delay
     belief = pi.tolist()
     scratch = [0.0] * num_states
-    ostate = [s0, 0, 0]  # state, code, folds
+    pos = code = folds = 0  # ring position, window code, pairs folded
     no_eps = np.empty((0, 3))
-    step = CHUNK_SLOTS
 
     t0 = 0
     while t0 < horizon:
-        m = min(step, horizon - t0)
+        m = min(CHUNK_SLOTS, horizon - t0)
         rows = rng.random((m, RNG_COLUMNS)).tolist()
         zis = [0] * m
         keys = [0] * m
         eps = [[0.0, 0.0, 0.0] for _ in range(m)] if fold else no_eps
-        _observe(rows, t0, p_cdf, e_cdf, 1 if visible else 0, delay,
-                 window_len, 4 ** window_len, trans_t, emis_t, pd1_t, evecs,
-                 ring, belief, scratch, ostate, zis, keys, eps)
+        for i in range(m):
+            row = rows[i]
+            # Channel: advance the state, then emit an erasure pair from it.
+            u = row[2]
+            cdf = p_cdf[s]
+            ns = 0
+            while ns < last and u >= cdf[ns]:
+                ns += 1
+            s = ns
+            u = row[3]
+            cdf = e_cdf[s]
+            zi = 0
+            while zi < 3 and u >= cdf[zi]:
+                zi += 1
+            zis[i] = zi
+
+            # Feedback delay: the slot sees the channel of `delay` slots ago.
+            old = ring[pos]
+            ring[pos] = s if visible else zi
+            pos = pos + 1 if pos + 1 < delay else 0
+            if visible:
+                keys[i] = old
+                continue
+            if old >= 0:
+                if fold:
+                    col = emis_t[old]
+                    total = 0.0
+                    for k in range(num_states):
+                        v = belief[k] * col[k]
+                        scratch[k] = v
+                        total += v
+                    if total <= 0.0:
+                        raise ValueError("feedback pair has probability zero "
+                                         "under the current belief")
+                    for k in range(num_states):
+                        col = trans_t[k]
+                        acc = 0.0
+                        for k2 in range(num_states):
+                            acc += scratch[k2] * col[k2]
+                        belief[k] = acc / total
+                else:
+                    code = (code * 4 + old) % four_l
+                folds += 1
+            keys[i] = code if folds >= window_len else -1
+            if fold:
+                # Erasure statistics of the current slot given the belief.
+                e1 = 0.0
+                e2 = 0.0
+                e12 = 0.0
+                for k in range(num_states):
+                    col = pd1_t[k]
+                    acc = 0.0
+                    for k2 in range(num_states):
+                        acc += belief[k2] * col[k2]
+                    e1 += acc * ev1[k]
+                    e2 += acc * ev2[k]
+                    e12 += acc * ev12[k]
+                out = eps[i]
+                out[0] = e1
+                out[1] = e2
+                out[2] = e12
         yield t0, rows, zis, keys, eps
         t0 += m
 
 
-def _chunk(rows, t0, zis, keys, eps, mode, amax, action_cdf, ratios, eps_tab,
-           rates, q, tot, stride, record, meta):
-    predicted = len(eps) > 0
-    r1 = float(rates[0])
-    r2 = float(rates[1])
-    # Queues q1, q2, q3 of receiver 1 (a) and receiver 2 (b), arrivals and
-    # exits, as Python scalars for the chunk; see the module docstring.
-    a1 = int(q[0, 0])
-    a2 = int(q[0, 1])
-    a3 = int(q[0, 2])
-    b1 = int(q[1, 0])
-    b2 = int(q[1, 1])
-    b3 = int(q[1, 2])
-    in1 = int(tot[0, 0])
-    in2 = int(tot[1, 0])
-    out1 = int(tot[0, 1])
-    out2 = int(tot[1, 1])
-    idx = int(meta[0])
-    left = stride - t0 % stride  # slots up to and including the next record
-    for i in range(len(zis)):
-        row = rows[i]
-        key = keys[i]
+def _count(stream, amax, action_cdf, ratios, eps_tab, rates, stride, record):
+    """Run the counts loop over ``stream``; return the end state and rows filled.
 
-        # Decide.
-        action = 0
-        if key >= 0:
-            if mode == 0:
-                cdf = action_cdf[key]
-                if not (cdf[5] >= 0.0):
-                    raise ValueError("no action distribution for an observed key")
-                u = row[4]
-                while action < 5 and u >= cdf[action]:
-                    action += 1
-            else:
-                if predicted:
-                    e = eps[i]
+    ``action_cdf`` is None under max-weight, which reads each slot's
+    erasure statistics from ``eps_tab`` by key, or from the stream when
+    ``eps_tab`` is None too.  Every ``stride``-th slot fills the next row
+    of ``record``; the end state is laid out as a row.
+    """
+
+    maxweight = action_cdf is None
+    r1, r2 = rates
+    # Queues q1, q2, q3 of receiver 1 (a) and receiver 2 (b), arrivals, exits.
+    a1 = a2 = a3 = b1 = b2 = b3 = 0
+    in1 = in2 = out1 = out2 = 0
+    idx = 0
+    left = stride  # slots up to and including the next record
+    for _, rows, zis, keys, eps in stream:
+        for i in range(len(zis)):
+            row = rows[i]
+            key = keys[i]
+
+            # Decide.
+            action = 0
+            if key >= 0:
+                if not maxweight:
+                    cdf = action_cdf[key]
+                    if not (cdf[5] >= 0.0):
+                        raise ValueError("no action distribution for an observed key")
+                    u = row[4]
+                    while action < 5 and u >= cdf[action]:
+                        action += 1
                 else:
-                    e = eps_tab[key]
-                e1 = e[0]
-                e2 = e[1]
-                e12 = e[2]
-                d1 = a1 - a2 if a1 > a2 else 0
-                d2 = b1 - b2 if b1 > b2 else 0
-                w1 = (1.0 - e1) * a1 + (e1 - e12) * d1
-                w2 = (1.0 - e2) * b1 + (e2 - e12) * d2
-                w3 = (1.0 - e1) * a2 + (1.0 - e2) * b2
-                d1 = a1 - a3 if a1 > a3 else 0
-                d2 = b1 - b3 if b1 > b3 else 0
-                w4 = (1.0 - e12) * (d1 + d2)
-                d1 = a3 - a2 if a3 > a2 else 0
-                d2 = b3 - b2 if b3 > b2 else 0
-                w5 = ((e1 - e12) * d1 + (1.0 - e1) * a3
-                      + (e2 - e12) * d2 + (1.0 - e2) * b3)
-                best = 0.0
-                if w1 > best:
-                    best = w1
-                    action = 1
-                if w2 > best:
-                    best = w2
-                    action = 2
-                if amax >= 3 and w3 > best:
-                    best = w3
-                    action = 3
-                if amax >= 5:
-                    if w4 > best:
-                        best = w4
-                        action = 4
-                    if w5 > best:
-                        best = w5
-                        action = 5
+                    e = eps[i] if eps_tab is None else eps_tab[key]
+                    e1 = e[0]
+                    e2 = e[1]
+                    e12 = e[2]
+                    d1 = a1 - a2 if a1 > a2 else 0
+                    d2 = b1 - b2 if b1 > b2 else 0
+                    w1 = (1.0 - e1) * a1 + (e1 - e12) * d1
+                    w2 = (1.0 - e2) * b1 + (e2 - e12) * d2
+                    w3 = (1.0 - e1) * a2 + (1.0 - e2) * b2
+                    d1 = a1 - a3 if a1 > a3 else 0
+                    d2 = b1 - b3 if b1 > b3 else 0
+                    w4 = (1.0 - e12) * (d1 + d2)
+                    d1 = a3 - a2 if a3 > a2 else 0
+                    d2 = b3 - b2 if b3 > b2 else 0
+                    w5 = ((e1 - e12) * d1 + (1.0 - e1) * a3
+                          + (e2 - e12) * d2 + (1.0 - e2) * b3)
+                    best = 0.0
+                    if w1 > best:
+                        best = w1
+                        action = 1
+                    if w2 > best:
+                        best = w2
+                        action = 2
+                    if amax >= 3 and w3 > best:
+                        best = w3
+                        action = 3
+                    if amax >= 5:
+                        if w4 > best:
+                            best = w4
+                            action = 4
+                        if w5 > best:
+                            best = w5
+                            action = 5
 
-        # Move counts along the activated admissible links.  A link's intent
-        # is read only when the move needs it: under the probabilistic policy
-        # it is the coin in column 5 + 6*j + l (receiver j, link
-        # 12,13,14,24,32,34 = l 0..5) against ratios[6*j + l]; under
-        # max-weight it is the backpressure test on the pre-move queues.
-        if action != 0:
-            zi = zis[i]
-            z1 = zi >> 1
-            z2 = zi & 1
-            if action == 1:
-                if a1 > 0:
-                    if z1 == 0:
-                        if mode == 1 or row[7] < ratios[2]:
+            # Move counts along the activated admissible links.  A link's
+            # intent is read only when the move needs it: under the
+            # probabilistic policy it is the coin in column 5 + 6*j + l
+            # (receiver j, link 12,13,14,24,32,34 = l 0..5) against
+            # ratios[6*j + l]; under max-weight it is the backpressure test on
+            # the pre-move queues.
+            if action != 0:
+                zi = zis[i]
+                z1 = zi >> 1
+                z2 = zi & 1
+                if action == 1:
+                    if a1 > 0:
+                        if z1 == 0:
+                            if maxweight or row[7] < ratios[2]:
+                                a1 -= 1
+                                out1 += 1
+                        elif z2 == 0 and (a1 > a2 if maxweight
+                                          else row[5] < ratios[0]):
                             a1 -= 1
-                            out1 += 1
-                    elif z2 == 0 and ((row[5] < ratios[0]) if mode == 0
-                                      else a1 > a2):
-                        a1 -= 1
-                        a2 += 1
-            elif action == 2:
-                if b1 > 0:
-                    if z2 == 0:
-                        if mode == 1 or row[13] < ratios[8]:
+                            a2 += 1
+                elif action == 2:
+                    if b1 > 0:
+                        if z2 == 0:
+                            if maxweight or row[13] < ratios[8]:
+                                b1 -= 1
+                                out2 += 1
+                        elif z1 == 0 and (b1 > b2 if maxweight
+                                          else row[11] < ratios[6]):
                             b1 -= 1
-                            out2 += 1
-                    elif z1 == 0 and ((row[11] < ratios[6]) if mode == 0
-                                      else b1 > b2):
-                        b1 -= 1
-                        b2 += 1
-            elif action == 3:
-                if z1 == 0 and a2 > 0 and (mode == 1 or row[8] < ratios[3]):
-                    a2 -= 1
-                    out1 += 1
-                if z2 == 0 and b2 > 0 and (mode == 1 or row[14] < ratios[9]):
-                    b2 -= 1
-                    out2 += 1
-            elif action == 4:
-                if z1 == 0 or z2 == 0:
-                    if a1 > 0 and ((row[6] < ratios[1]) if mode == 0
-                                   else a1 > a3):
-                        a1 -= 1
-                        a3 += 1
-                    if b1 > 0 and ((row[12] < ratios[7]) if mode == 0
-                                   else b1 > b3):
-                        b1 -= 1
-                        b3 += 1
-            else:
-                if a3 > 0:
-                    if z1 == 0:
-                        if mode == 1 or row[10] < ratios[5]:
+                            b2 += 1
+                elif action == 3:
+                    if z1 == 0 and a2 > 0 and (maxweight or row[8] < ratios[3]):
+                        a2 -= 1
+                        out1 += 1
+                    if z2 == 0 and b2 > 0 and (maxweight or row[14] < ratios[9]):
+                        b2 -= 1
+                        out2 += 1
+                elif action == 4:
+                    if z1 == 0 or z2 == 0:
+                        if a1 > 0 and (a1 > a3 if maxweight
+                                       else row[6] < ratios[1]):
+                            a1 -= 1
+                            a3 += 1
+                        if b1 > 0 and (b1 > b3 if maxweight
+                                       else row[12] < ratios[7]):
+                            b1 -= 1
+                            b3 += 1
+                else:
+                    if a3 > 0:
+                        if z1 == 0:
+                            if maxweight or row[10] < ratios[5]:
+                                a3 -= 1
+                                out1 += 1
+                        elif z2 == 0 and (a3 > a2 if maxweight
+                                          else row[9] < ratios[4]):
                             a3 -= 1
-                            out1 += 1
-                    elif z2 == 0 and ((row[9] < ratios[4]) if mode == 0
-                                      else a3 > a2):
-                        a3 -= 1
-                        a2 += 1
-                if b3 > 0:
-                    if z2 == 0:
-                        if mode == 1 or row[16] < ratios[11]:
+                            a2 += 1
+                    if b3 > 0:
+                        if z2 == 0:
+                            if maxweight or row[16] < ratios[11]:
+                                b3 -= 1
+                                out2 += 1
+                        elif z1 == 0 and (b3 > b2 if maxweight
+                                          else row[15] < ratios[10]):
                             b3 -= 1
-                            out2 += 1
-                    elif z1 == 0 and ((row[15] < ratios[10]) if mode == 0
-                                      else b3 > b2):
-                        b3 -= 1
-                        b2 += 1
+                            b2 += 1
 
-        # Arrivals join at the end of the slot.
-        if row[0] < r1:
-            a1 += 1
-            in1 += 1
-        if row[1] < r2:
-            b1 += 1
-            in2 += 1
+            # Arrivals join at the end of the slot.
+            if row[0] < r1:
+                a1 += 1
+                in1 += 1
+            if row[1] < r2:
+                b1 += 1
+                in2 += 1
 
-        left -= 1
-        if left == 0:
-            left = stride
-            rec = record[idx]
-            rec[0] = a1
-            rec[1] = a2
-            rec[2] = a3
-            rec[3] = b1
-            rec[4] = b2
-            rec[5] = b3
-            rec[6] = in1
-            rec[7] = in2
-            rec[8] = out1
-            rec[9] = out2
-            idx += 1
-    q[0, 0] = a1
-    q[0, 1] = a2
-    q[0, 2] = a3
-    q[1, 0] = b1
-    q[1, 1] = b2
-    q[1, 2] = b3
-    tot[0, 0] = in1
-    tot[1, 0] = in2
-    tot[0, 1] = out1
-    tot[1, 1] = out2
-    meta[0] = idx
-
+            left -= 1
+            if left == 0:
+                left = stride
+                record[idx] = (a1, a2, a3, b1, b2, b3, in1, in2, out1, out2)
+                idx += 1
+    return (a1, a2, a3, b1, b2, b3, in1, in2, out1, out2), idx
 
 
 def _is_int(value) -> bool:
@@ -427,11 +399,8 @@ def run_counts(
     ``window_len`` feedback pairs, oldest pair in the highest digit.
     """
 
-    if not _is_int(horizon) or horizon < 1:
-        raise ValueError(f"horizon must be a positive integer, got {horizon!r}")
-    horizon = int(horizon)
-    if delay < 1:
-        raise ValueError("delay must be at least 1")
+    horizon = positive_int("horizon", horizon)
+    delay = positive_int("delay", delay)
     if not (0 <= rates[0] <= 1 and 0 <= rates[1] <= 1):
         raise ValueError("arrival rates must lie in [0, 1]")
     if policy not in ("maxweight", "probabilistic"):
@@ -442,69 +411,50 @@ def run_counts(
     if not _is_int(window_len) or window_len < 0:
         raise ValueError(
             f"window_len must be a non-negative integer, got {window_len!r}")
+    stride = record_stride(horizon, stride)
 
     num_states = model.num_states
-    mode = 0 if policy == "probabilistic" else 1
-    amax = max(ACTION_SETS[action_set])
-
-    if mode == 0:
+    maxweight = policy == "maxweight"
+    action_cdf = ratios = eps_tab = None
+    if maxweight:
+        window_len = 0  # max-weight decides on the belief, never a window
+        if visible:
+            stats = [cond_erasure_visible(model, s, delay) for s in range(num_states)]
+            eps_tab = [[st.eps1, st.eps2, st.eps12] for st in stats]
+    else:
         if action_table is None:
             raise ValueError("probabilistic policy needs an action table")
         table = np.asarray(action_table, dtype=float)
         if table.ndim != 2 or table.shape[1] != 6:
             raise ValueError("action table must have six columns")
-        action_cdf = np.cumsum(table, axis=1)
-        ratios = np.zeros((2, 6)) if ratio_table is None else \
+        keys = num_states if visible else 4 ** int(window_len)  # observation keys
+        if len(table) < keys:
+            raise ValueError(f"action_table needs {keys} rows, one per observation "
+                             f"key, got {len(table)}")
+        action_cdf = np.cumsum(table, axis=1).tolist()
+        ratio_arr = np.zeros((2, 6)) if ratio_table is None else \
             np.asarray(ratio_table, dtype=float)
-        if ratios.shape != (2, 6):
+        if ratio_arr.shape != (2, 6):
             raise ValueError("ratio table must be 2x6")
-    else:
-        action_cdf = np.full((1, 6), np.nan)
-        ratios = np.zeros((2, 6))
-        window_len = 0  # max-weight decides on the belief, never a window
+        ratios = ratio_arr.ravel().tolist()  # receiver j's link l at 6*j + l
 
-    if visible and mode == 1:
-        eps_tab = np.empty((num_states, 3))
-        for s in range(num_states):
-            st = cond_erasure_visible(model, s, delay)
-            eps_tab[s] = (st.eps1, st.eps2, st.eps12)
-    else:
-        eps_tab = np.zeros((1, 3))
-
-    if stride is None:
-        stride = max(1, horizon // 512)
-    if stride < 1:
-        raise ValueError("stride must be positive")
-    stride = int(stride)
-
-    q = np.zeros((2, 3), dtype=np.int64)
-    tot = np.zeros((2, 2), dtype=np.int64)
     record = np.zeros((horizon // stride, 10), dtype=np.int64)
-    meta = np.zeros(1, dtype=np.int64)  # records written
-    action_cdf = action_cdf.tolist()
-    ratios = ratios.ravel().tolist()  # receiver j's link l at 6*j + l
-    eps_tab = eps_tab.tolist()
-    rates = [float(rates[0]), float(rates[1])]
+    stream = slot_stream(model, seed=seed, horizon=horizon, visible=visible,
+                         delay=delay, window_len=int(window_len), predict=maxweight)
+    end, rows = _count(
+        stream, max(ACTION_SETS[action_set]), action_cdf, ratios, eps_tab,
+        (float(rates[0]), float(rates[1])), stride, record)
+    end = np.array(end, dtype=np.int64)
 
-    for t0, rows, zis, keys, eps in slot_stream(
-        model, seed=seed, horizon=horizon, visible=visible, delay=delay,
-        window_len=int(window_len), predict=mode == 1,
-    ):
-        _chunk(rows, t0, zis, keys, eps,
-               mode, amax, action_cdf, ratios, eps_tab,
-               rates, q, tot, stride, record, meta)
-
-    stored = int(q.sum())
-    if int(tot[:, 0].sum()) != stored + int(tot[:, 1].sum()):
+    if int(end[6:8].sum()) != int(end[:6].sum()) + int(end[8:].sum()):
         raise AssertionError("conservation violated in counts kernel")
 
-    times = stride * np.arange(1, meta[0] + 1, dtype=np.int64)
     return SimCounts(
         horizon=horizon,
         stride=stride,
-        queues=q,
-        arrivals=tot[:, 0].copy(),
-        exits=tot[:, 1].copy(),
-        record_times=times,
-        record=record[: int(meta[0])].copy(),
+        queues=end[:6].reshape(2, 3),
+        arrivals=end[6:8],
+        exits=end[8:],
+        record_times=stride * np.arange(1, rows + 1, dtype=np.int64),
+        record=record[:rows].copy(),
     )

@@ -112,6 +112,11 @@ class TestScenario:
             {"delay": 0},
             {"engine": "magic"},
             {"stride": 0},
+            {"horizon": 10.7},
+            {"horizon": 100.0},
+            {"delay": 1.5},
+            {"delay": 2.0},
+            {"stride": 2.5},
             {"policy": {"kind": "greedy"}},
             {"policy": {"kind": "maxweight", "action_set": "A7"}},
             {"policy": {"kind": "per_state"}},

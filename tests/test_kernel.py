@@ -1,5 +1,6 @@
 """Counts kernel vs reference packet engine, plus kernel edge cases."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,8 @@ from duocast import kernel
 from duocast.harness import Scenario, _probabilistic_tables, _window_code, run
 from duocast.kernel import SimCounts, jit_enabled, run_counts, slot_stream
 from duocast.regions import diagonal_rate, region_hidden_L
+import lp_corpus
+import trace_corpus
 
 
 def alternating_channel() -> dict:
@@ -284,6 +287,49 @@ class TestKernelValidation:
         with pytest.raises(ValueError, match="horizon"):
             run_counts(self.model, rates=(0.1, 0.1), horizon=10.5, seed=0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("delay", 1.5),
+        ("delay", 2.0),
+        ("stride", 2.5),
+        ("stride", 2.0),
+    ])
+    def test_non_integer_field_names_the_field(self, field, value):
+        kwargs = dict(rates=(0.1, 0.1), horizon=10, seed=0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            run_counts(self.model, **kwargs)
+
+    @pytest.mark.parametrize("field,value", [
+        ("horizon", 10.5),
+        ("horizon", 0),
+        ("delay", 1.5),
+        ("delay", 0),
+    ])
+    def test_slot_stream_names_a_bad_field(self, field, value):
+        kwargs = dict(seed=0, horizon=10, visible=True, delay=1)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            list(slot_stream(self.model, **kwargs))
+
+    @pytest.mark.parametrize("visible,window_len,rows,needed", [
+        (True, 0, 1, 4),     # the bursty channel has four states
+        (False, 2, 4, 16),   # two feedback pairs have 16 window codes
+    ])
+    def test_short_action_table_names_the_field(self, visible, window_len, rows,
+                                                needed):
+        model = load_channel(ge_fig_channel() if visible else ge_hmm_channel())
+        with pytest.raises(ValueError, match=f"action_table needs {needed} rows"):
+            run_counts(
+                model,
+                rates=(0.1, 0.1),
+                horizon=100,
+                seed=0,
+                visible=visible,
+                policy="probabilistic",
+                action_table=np.full((rows, 6), 1 / 6),
+                window_len=window_len,
+            )
+
 
 def _stream_arrays(model, horizon, seed, **kwargs):
     """The whole stream as arrays."""
@@ -440,3 +486,22 @@ class TestChunkInvariance:
         for other in runs[1:]:
             assert_traces_identical(other, runs[0])
             assert other.audit_passed is True
+
+
+class TestTraceCorpus:
+    """Both engines reproduce the recorded corpus of traces bit for bit."""
+
+    def test_runs_reproduce_the_recorded_corpus(self):
+        doc = json.loads(trace_corpus.CORPUS_PATH.read_text())
+        groups = trace_corpus.corpus()
+        assert {g: set(runs) for g, runs in groups.items()} == {
+            g: set(entries) for g, entries in doc["groups"].items()}
+        # Float bits are LAPACK's: elsewhere each run must only complete.
+        bitwise = doc["environment"] == lp_corpus.environment()
+        for group, runs in groups.items():
+            for name, scenario in runs.items():
+                trace = run(scenario)
+                trace.check_conservation()
+                if bitwise:
+                    assert trace_corpus.entry(trace) == doc["groups"][group][name], \
+                        (group, name)
