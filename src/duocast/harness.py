@@ -512,7 +512,9 @@ def _run_packets(scenario: Scenario, model: ChannelModel, stride: int) -> SimTra
             model, seed=scenario.seed, horizon=horizon, visible=visible,
             delay=delay, window_len=window_len, predict=maxweight,
         ):
-            for i, (row, zi, obs_key) in enumerate(zip(rows, zis, keys)):
+            eps = eps.tolist()
+            for i, (row, zi, obs_key) in enumerate(
+                    zip(rows.tolist(), zis.tolist(), keys.tolist())):
                 t = t0 + i
                 z = _Z_PAIRS[zi]
                 serving = net

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import platform
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +162,21 @@ def entry(lp: LinearProgram, sol: LpSolution) -> list[str]:
 
 def environment() -> dict[str, str]:
     return {"numpy": np.__version__, "machine": platform.machine()}
+
+
+def compares_bits(recorded: dict[str, str]) -> bool:
+    """Whether a corpus ``recorded`` in that environment can be compared bitwise.
+
+    Float bits are LAPACK's, so elsewhere a corpus test checks less; it then
+    warns, naming both environments, so the fallback shows in the report.
+    """
+
+    here = environment()
+    if recorded == here:
+        return True
+    warnings.warn(f"corpus recorded on {recorded}, running on {here}: "
+                  "float bits are not compared", stacklevel=2)
+    return False
 
 
 def main() -> None:

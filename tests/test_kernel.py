@@ -304,6 +304,10 @@ class TestKernelValidation:
         ("horizon", 0),
         ("delay", 1.5),
         ("delay", 0),
+        ("window_len", -1),
+        ("window_len", 1.5),
+        ("window_len", 2.0),
+        ("window_len", kernel.MAX_WINDOW + 1),
     ])
     def test_slot_stream_names_a_bad_field(self, field, value):
         kwargs = dict(seed=0, horizon=10, visible=True, delay=1)
@@ -340,6 +344,17 @@ def _stream_arrays(model, horizon, seed, **kwargs):
     return [np.concatenate(parts) for parts in zip(*chunks)]
 
 
+def _inverse_cdf(probs, u):
+    """The first index whose running sum exceeds ``u``, else the last index."""
+
+    total = 0.0
+    for k, p in enumerate(probs.tolist()):
+        total += p
+        if u < total:
+            return k
+    return len(probs) - 1
+
+
 def _reference_path(model, matrix, seed):
     """Initial state, then each slot's state and outcome by inverse CDF."""
 
@@ -348,13 +363,22 @@ def _reference_path(model, matrix, seed):
     u0 = np.random.default_rng(seed).random()
     state = s0 = min(int(np.searchsorted(np.cumsum(pi), u0)), n - 1)
     states, outcomes = [], []
-    for u_state, u_emit in matrix[:, 2:4]:
-        cdf = np.cumsum(model.transition[state])
-        state = min(int(np.searchsorted(cdf, u_state, side="right")), n - 1)
-        cdf = np.cumsum(model.emission[state])
-        outcomes.append(min(int(np.searchsorted(cdf, u_emit, side="right")), 3))
+    for u_state, u_emit in matrix[:, 2:4].tolist():
+        state = _inverse_cdf(model.transition[state], u_state)
+        outcomes.append(_inverse_cdf(model.emission[state], u_emit))
         states.append(state)
     return s0, np.array(states), np.array(outcomes)
+
+
+def zero_rows_channel() -> dict:
+    """Three states whose transition and emission rows hold zeros mid-row."""
+
+    return {
+        "states": 3,
+        "transition": [[0.5, 0.0, 0.5], [0.0, 0.3, 0.7], [0.4, 0.6, 0.0]],
+        "emission": [[0.5, 0.0, 0.0, 0.5], [0.0, 0.4, 0.0, 0.6],
+                     [0.25, 0.0, 0.75, 0.0]],
+    }
 
 
 class TestSlotStreamOracle:
@@ -372,6 +396,32 @@ class TestSlotStreamOracle:
             assert np.all(keys[:delay] == s0)
             assert np.array_equal(keys[delay:], states[:-delay])
             assert eps.shape == (0, 3)
+
+    # One state, and chains whose rows hold zeros: repeated cdf entries are
+    # where a vectorized draw and a scalar scan could part.
+    @pytest.mark.parametrize("doc", [memoryless_channel(), alternating_channel(),
+                                     zero_rows_channel()],
+                             ids=["memoryless", "alternating", "zero_rows"])
+    def test_draws_match_the_scalar_inverse_cdf(self, doc, monkeypatch):
+        model = load_channel(doc)
+        monkeypatch.setattr(kernel, "CHUNK_SLOTS", 700)
+        horizon = 2500  # four chunks, the last one short
+        for visible, delay, window_len in ((True, 1, 0), (True, 3, 0),
+                                           (False, 2, 2)):
+            matrix, zis, keys, _ = _stream_arrays(
+                model, horizon, 4, visible=visible, delay=delay,
+                window_len=window_len,
+            )
+            s0, states, outcomes = _reference_path(model, matrix, 4)
+            assert np.array_equal(zis, outcomes)
+            if visible:
+                assert np.all(keys[:delay] == s0)
+                assert np.array_equal(keys[delay:], states[:-delay])
+            else:
+                lag = delay + window_len - 1  # slots before the first full window
+                assert np.all(keys[:lag] == -1)
+                codes = 4 * outcomes[: horizon - lag] + outcomes[1 : horizon - lag + 1]
+                assert np.array_equal(keys[lag:], codes)
 
     def test_window_keys_code_the_last_pairs(self):
         model = load_channel(ge_hmm_channel())
@@ -496,8 +546,8 @@ class TestTraceCorpus:
         groups = trace_corpus.corpus()
         assert {g: set(runs) for g, runs in groups.items()} == {
             g: set(entries) for g, entries in doc["groups"].items()}
-        # Float bits are LAPACK's: elsewhere each run must only complete.
-        bitwise = doc["environment"] == lp_corpus.environment()
+        # Elsewhere each run must only complete.
+        bitwise = lp_corpus.compares_bits(doc["environment"])
         for group, runs in groups.items():
             for name, scenario in runs.items():
                 trace = run(scenario)

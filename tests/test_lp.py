@@ -412,12 +412,18 @@ class TestTelemetry:
 class TestColdPathCorpus:
     """solve(lp) without a seed reproduces the recorded corpus bit for bit."""
 
+    def test_another_environment_warns_and_names_both(self):
+        other = {"numpy": "1.0.0", "machine": "vax"}
+        with pytest.warns(UserWarning, match="1.0.0.*vax.*not compared"):
+            assert lp_corpus.compares_bits(other) is False
+        assert lp_corpus.compares_bits(lp_corpus.environment()) is True
+
     def test_cold_solves_reproduce_the_recorded_corpus(self):
         doc = json.loads(lp_corpus.CORPUS_PATH.read_text())
         groups = lp_corpus.corpus()
         assert set(groups) == set(doc["groups"])
-        # Float bits are LAPACK's: elsewhere only status and value are held.
-        bitwise = doc["environment"] == lp_corpus.environment()
+        # Elsewhere only status and value are held.
+        bitwise = lp_corpus.compares_bits(doc["environment"])
         for name, lps in groups.items():
             expected = doc["groups"][name]
             assert len(lps) == len(expected), name
