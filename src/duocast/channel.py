@@ -17,7 +17,9 @@ import numpy as np
 OUTCOMES: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 _ROW_SUM_TOL = 1e-12
-_MAX_WINDOW_LEN = 8
+
+# The longest feedback window tabulated; L pairs make 4**L windows.
+MAX_WINDOW_LEN = 8
 
 
 def _outcome_index(z: tuple[int, int]) -> int:
@@ -239,14 +241,14 @@ def cond_erasure_hidden(
 
 
 def window_distribution(
-    model: ChannelModel, window_len: int, max_len: int = _MAX_WINDOW_LEN
+    model: ChannelModel, window_len: int
 ) -> dict[tuple[tuple[int, int], ...], float]:
     """Stationary probability of every feedback window of the given length."""
     if window_len < 0:
         raise ValueError("window length must be nonnegative")
-    if window_len > max_len:
+    if window_len > MAX_WINDOW_LEN:
         raise ValueError(
-            f"window length {window_len} exceeds the configured maximum {max_len}"
+            f"window length {window_len} exceeds the maximum {MAX_WINDOW_LEN}"
         )
     # alpha[w, s] = P(window w so far, next state = s); one forward step per level.
     alpha = stationary_distribution(model)[np.newaxis, :]

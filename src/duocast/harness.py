@@ -6,7 +6,8 @@ tracks queue lengths only, and a reference packets engine (`queuenet` +
 `policies`) that moves identified packets and supports the decodability
 audit.  Both read `kernel.slot_stream`, which simulates the channel and what
 the transmitter observes; each engine only decides and moves, so a scenario
-produces the identical trace under either engine.
+produces the identical trace under either engine.  Both return a
+`kernel.SimTrace`, re-exported here.
 """
 
 from __future__ import annotations
@@ -22,16 +23,17 @@ import numpy as np
 
 from . import kernel
 from .channel import (
+    MAX_WINDOW_LEN,
+    OUTCOMES,
     ChannelModel,
-    ErasureStats,
     cond_erasure_visible,
     load_channel,
     stationary_distribution,
 )
+from .kernel import SimTrace
 from .lp import LinearProgram, solve
 from .policies import (
     ACTION_SETS,
-    Observation,
     maxweight_decide,
     per_state_memoryless_decide,
     probabilistic_decide,
@@ -66,6 +68,19 @@ def _default_policy() -> dict:
     return {"kind": "maxweight", "action_set": "A5"}
 
 
+def _rate_pair(name: str, value) -> tuple[float, float]:
+    """``value`` as two floats in [0, 1]; a ValueError naming ``name`` otherwise."""
+
+    if not (isinstance(value, (list, tuple, np.ndarray)) and len(value) == 2
+            and all(isinstance(v, (int, float, np.integer, np.floating))
+                    and not isinstance(v, bool) for v in value)):
+        raise ValueError(f"{name} must be a pair of numbers [r1, r2], got {value!r}")
+    r1, r2 = float(value[0]), float(value[1])
+    if not (0 <= r1 <= 1 and 0 <= r2 <= 1):
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+    return r1, r2
+
+
 @dataclass
 class Scenario:
     """One reproducible simulation setup.
@@ -88,9 +103,13 @@ class Scenario:
     movement_log: str | None = None
 
     def __post_init__(self) -> None:
-        self.rates = (float(self.rates[0]), float(self.rates[1]))
-        if not (0 <= self.rates[0] <= 1 and 0 <= self.rates[1] <= 1):
-            raise ValueError("arrival rates must lie in [0, 1]")
+        self.rates = _rate_pair("rates", self.rates)
+        if not kernel.is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        self.seed = int(self.seed)
+        if not isinstance(self.visible, (bool, np.bool_)):
+            raise ValueError(f"visible must be true or false, got {self.visible!r}")
+        self.visible = bool(self.visible)
         self.horizon = kernel.positive_int("horizon", self.horizon)
         self.delay = kernel.positive_int("delay", self.delay)
         if self.stride is not None:
@@ -101,9 +120,17 @@ class Scenario:
         if kind not in _POLICY_KINDS:
             raise ValueError(f"unknown policy kind {kind!r}")
         if kind == "maxweight":
-            if self.policy.get("action_set", "A5") not in ACTION_SETS:
-                raise ValueError("action_set must be A2, A3, or A5")
+            action_set = self.policy.get("action_set", "A5")
+            if action_set not in ACTION_SETS:
+                raise ValueError(f"policy.action_set must be A2, A3, or A5, "
+                                 f"got {action_set!r}")
         elif kind == "probabilistic":
+            if "target" in self.policy:
+                _rate_pair("policy.target", self.policy["target"])
+            window_len = self.policy.get("window_len", 1)
+            if not kernel.is_int(window_len) or not 0 <= window_len <= MAX_WINDOW_LEN:
+                raise ValueError(f"policy.window_len must be an integer from 0 to "
+                                 f"{MAX_WINDOW_LEN}, got {window_len!r}")
             if not self.visible and self.delay != 1:
                 raise ValueError(
                     "probabilistic policy on a hidden model requires delay 1"
@@ -125,7 +152,6 @@ class Scenario:
             else source
         )
         doc.update({k: v for k, v in overrides.items() if v is not None})
-        doc["rates"] = tuple(doc["rates"])
         return cls(**doc)
 
     def to_json(self) -> str:
@@ -144,59 +170,6 @@ class Scenario:
         if self.movement_log is not None:
             doc["movement_log"] = self.movement_log
         return json.dumps(doc, indent=2)
-
-
-@dataclass
-class SimTrace:
-    """Recorded queue history of one run.
-
-    ``record`` rows: q1/q2/q3 for receiver 1, q1/q2/q3 for receiver 2,
-    cumulative arrivals (both receivers), cumulative exits (both),
-    sampled every ``stride`` slots after arrivals join.
-    """
-
-    horizon: int
-    stride: int
-    times: np.ndarray
-    record: np.ndarray
-    final_queues: np.ndarray
-    arrivals: np.ndarray
-    exits: np.ndarray
-    audit_passed: bool | None = None
-
-    @property
-    def backlog(self) -> np.ndarray:
-        return self.record[:, :6].sum(axis=1)
-
-    @property
-    def cumulative_exits(self) -> np.ndarray:
-        return self.record[:, 8:10]
-
-    def delivered_rate(self, j: int) -> float:
-        return float(self.exits[j - 1]) / self.horizon
-
-    def check_conservation(self) -> None:
-        backlog = self.backlog
-        inflow = self.record[:, 6] + self.record[:, 7]
-        outflow = self.record[:, 8] + self.record[:, 9]
-        if not np.array_equal(inflow, backlog + outflow):
-            raise AssertionError("arrivals != backlog + exits at a recorded slot")
-        if int(self.arrivals.sum()) != int(self.final_queues.sum()) + int(
-            self.exits.sum()
-        ):
-            raise AssertionError("final conservation identity violated")
-        if (np.diff(self.record[:, 6:10], axis=0) < 0).any():
-            raise AssertionError("cumulative counters must be nondecreasing")
-
-    def to_csv(self) -> str:
-        header = (
-            "t,q1_rx1,q2_rx1,q3_rx1,q1_rx2,q2_rx2,q3_rx2,"
-            "arrivals_rx1,arrivals_rx2,exits_rx1,exits_rx2"
-        )
-        lines = [header]
-        for t, row in zip(self.times, self.record):
-            lines.append(f"{int(t)}," + ",".join(str(int(v)) for v in row))
-        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -383,71 +356,6 @@ def _arrival_bins(shares: np.ndarray, rate: float) -> np.ndarray:
 # -- engines -------------------------------------------------------------------
 
 
-class _RowCursor:
-    """Serves one slot's policy randomness positionally: action, then coins."""
-
-    __slots__ = ("row", "pos")
-
-    def __init__(self, row: Sequence[float], pos: int) -> None:
-        self.row = row
-        self.pos = pos
-
-    def random(self) -> float:
-        value = float(self.row[self.pos])
-        self.pos += 1
-        return value
-
-
-def _run_counts(scenario: Scenario, model: ChannelModel, stride: int) -> SimTrace:
-    kind = scenario.policy["kind"]
-    if kind == "per_state":
-        raise ValueError("per_state policy needs the packets engine")
-    if kind == "probabilistic":
-        tables = _probabilistic_tables(scenario, model)
-        policy_args = dict(action_table=tables.action_table,
-                           ratio_table=tables.ratio_table,
-                           window_len=tables.window_len)
-    else:
-        policy_args = dict(action_set=scenario.policy.get("action_set", "A5"))
-    counts = kernel.run_counts(
-        model,
-        rates=scenario.rates,
-        horizon=scenario.horizon,
-        seed=scenario.seed,
-        visible=scenario.visible,
-        delay=scenario.delay,
-        policy=kind,
-        stride=stride,
-        **policy_args,
-    )
-    return SimTrace(
-        horizon=counts.horizon,
-        stride=counts.stride,
-        times=counts.record_times,
-        record=counts.record,
-        final_queues=counts.queues,
-        arrivals=counts.arrivals,
-        exits=counts.exits,
-    )
-
-
-class _PredictedTriple:
-    """One hidden slot's predicted (eps1, eps2, eps12) from the slot stream.
-
-    `maxweight_decide` reads only these three fields, and the counts kernel
-    uses the same triple unvalidated, so no `ErasureStats` is built for it.
-    """
-
-    __slots__ = ("eps1", "eps2", "eps12")
-
-    def __init__(self, triple: Sequence[float]) -> None:
-        self.eps1, self.eps2, self.eps12 = triple
-
-
-# Erasure pattern (z1, z2) of each outcome index zi = 2*z1 + z2.
-_Z_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
 def _route(bins: list[float], u: float, n_states: int) -> int:
     """Subsystem of an arrival coin ``u``: ``searchsorted(bins, u, "right")``."""
 
@@ -475,19 +383,8 @@ def _run_packets(scenario: Scenario, model: ChannelModel, stride: int) -> SimTra
     action_set = policy.get("action_set", "A5")
     maxweight = kind == "maxweight"
     per_state = kind == "per_state"
-    window_len = 0
-    stats_tab: dict[int, ErasureStats] = {}
-    dist_by_code: dict = {}
-    ratios: dict = {}
-    if visible and kind in ("maxweight", "per_state"):
-        stats_tab = {
-            s: cond_erasure_visible(model, s, delay) for s in range(n_states)
-        }
-    if kind == "probabilistic":
-        tables = _probabilistic_tables(scenario, model)
-        dist_by_code = tables.dist_by_code
-        ratios = tables.ratios
-        window_len = tables.window_len
+    probabilistic = kind == "probabilistic"
+    tables = _probabilistic_tables(scenario, model) if probabilistic else None
 
     nets: dict[int, QueueNetwork]
     if per_state:
@@ -510,33 +407,26 @@ def _run_packets(scenario: Scenario, model: ChannelModel, stride: int) -> SimTra
     try:
         for t0, rows, zis, keys, eps in kernel.slot_stream(
             model, seed=scenario.seed, horizon=horizon, visible=visible,
-            delay=delay, window_len=window_len, predict=maxweight,
+            delay=delay, window_len=tables.window_len if probabilistic else 0,
+            predict=not probabilistic,
         ):
             eps = eps.tolist()
             for i, (row, zi, obs_key) in enumerate(
                     zip(rows.tolist(), zis.tolist(), keys.tolist())):
                 t = t0 + i
-                z = _Z_PAIRS[zi]
+                z = OUTCOMES[zi]
                 serving = net
                 if obs_key < 0:
                     action, intents = 0, {}
                 else:
                     if maxweight:
-                        decision = maxweight_decide(
-                            net,
-                            stats_tab[obs_key] if visible else _PredictedTriple(eps[i]),
-                            action_set,
-                        )
+                        decision = maxweight_decide(net, eps[i], action_set)
                     elif per_state:
                         serving = nets[obs_key]
-                        decision = per_state_memoryless_decide(
-                            nets, stats_tab, Observation(key=obs_key)
-                        )
+                        decision = per_state_memoryless_decide(nets, obs_key, eps[i])
                     else:
                         decision = probabilistic_decide(
-                            dist_by_code, ratios, Observation(key=obs_key),
-                            _RowCursor(row, 4),
-                        )
+                            tables.dist_by_code, tables.ratios, obs_key, row[4:])
                     action, intents = decision.action, decision.intents
 
                 _, moves, slot_exits = apply_slot(serving, action, z, intents)
@@ -572,18 +462,8 @@ def _run_packets(scenario: Scenario, model: ChannelModel, stride: int) -> SimTra
         nn.check_invariants()
     audit = all(audit_decodability(nn) for nn in net_list)
 
-    total = np.array(_totals(net_list), dtype=np.int64)
-    times = stride * np.arange(1, rec_idx + 1, dtype=np.int64)
-    return SimTrace(
-        horizon=horizon,
-        stride=stride,
-        times=times,
-        record=record[:rec_idx],
-        final_queues=total[:6].reshape(2, 3),
-        arrivals=total[6:8],
-        exits=total[8:10],
-        audit_passed=audit,
-    )
+    return SimTrace.from_rows(horizon, stride, record[:rec_idx], _totals(net_list),
+                              audit_passed=audit)
 
 
 def run(scenario: Scenario) -> SimTrace:
@@ -591,10 +471,28 @@ def run(scenario: Scenario) -> SimTrace:
 
     model = scenario.model()
     stride = kernel.record_stride(scenario.horizon, scenario.stride)
-    if scenario.engine == "counts":
-        trace = _run_counts(scenario, model, stride)
-    else:
+    if scenario.engine == "packets":
         trace = _run_packets(scenario, model, stride)
+    else:
+        kind = scenario.policy["kind"]
+        if kind == "probabilistic":
+            tables = _probabilistic_tables(scenario, model)
+            policy_args = dict(action_table=tables.action_table,
+                               ratio_table=tables.ratio_table,
+                               window_len=tables.window_len)
+        else:
+            policy_args = dict(action_set=scenario.policy.get("action_set", "A5"))
+        trace = kernel.run_counts(
+            model,
+            rates=scenario.rates,
+            horizon=scenario.horizon,
+            seed=scenario.seed,
+            visible=scenario.visible,
+            delay=scenario.delay,
+            policy=kind,
+            stride=stride,
+            **policy_args,
+        )
     trace.check_conservation()
     if trace.audit_passed is False:
         raise AssertionError("a delivered packet was not decodable")

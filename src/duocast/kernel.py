@@ -1,13 +1,15 @@
-"""The slot stream both engines consume, and the counts-level kernel.
+"""The slot stream both engines consume, the counts-level kernel, and `SimTrace`.
 
 `slot_stream` is the one place that simulates what a slot shows the
 transmitter.  It draws the initial state and the per-slot random matrix,
-advances the channel, delays the feedback, and folds the delayed feedback
-into a belief or a window code.  None of this depends on the queues, so both
-engines read the same stream and differ only in how they decide and move:
-`run_counts` below tracks queue lengths only, for long stability runs, and
-the packets engine in `harness` moves identified packets through `queuenet`.
-Their traces match slot for slot, which is tested.
+advances the channel, delays the feedback, folds the delayed feedback into a
+belief or a window code, and gives max-weight its erasure triple for every
+slot.  None of this depends on the queues, so both engines read the same
+stream and differ only in how they decide and move: `run_counts` below
+tracks queue lengths only, for long stability runs, and the packets engine
+in `harness` moves identified packets through `queuenet`.  Both return a
+`SimTrace`, built by `SimTrace.from_rows`, and their traces match slot for
+slot, which is tested.
 
 Both the stream and the counts loop `_count` work a chunk of CHUNK_SLOTS
 slots at a time.  Whatever does not depend on the queues is done per chunk
@@ -23,10 +25,12 @@ loop, so every step is exact:
   from the previous chunk's last states followed by this chunk's; a window
   code is built digit by digit from shifted slices of the delayed
   outcomes, in int64 (hence at most MAX_WINDOW pairs);
-- the predicted (eps1, eps2, eps12) of a hidden slot, from the belief that
-  the Python fold stores for each slot: elementwise products and sums, each
-  starting at 0.0 and adding its terms in index order, as a per-slot loop
-  does (no `@` or `.sum`, whose summation order differs);
+- max-weight's (eps1, eps2, eps12): for a visible slot the row of its key
+  in the per-state `cond_erasure_visible` table; for a hidden slot the
+  prediction from the belief that the Python fold stores for each slot:
+  elementwise products and sums, each starting at 0.0 and adding its terms
+  in index order, as a per-slot loop does (no `@` or `.sum`, whose
+  summation order differs);
 - in the counts loop, the arrival bits; under max-weight the five factors
   of each slot's weights (1 - eps1, eps1 - eps12, ...), one subtraction
   each; under the probabilistic policy each slot's action (the leading run
@@ -62,7 +66,8 @@ __all__ = [
     "RNG_COLUMNS",
     "CHUNK_SLOTS",
     "MAX_WINDOW",
-    "SimCounts",
+    "SimTrace",
+    "is_int",
     "jit_enabled",
     "positive_int",
     "record_stride",
@@ -95,7 +100,7 @@ def jit_enabled() -> bool:
 def positive_int(name: str, value) -> int:
     """``value`` as an int; a ValueError naming ``name`` unless an int >= 1."""
 
-    if not _is_int(value) or value < 1:
+    if not is_int(value) or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
     return int(value)
 
@@ -117,12 +122,14 @@ def slot_stream(model: ChannelModel, *, seed: int, horizon: int, visible: bool,
     that slot: the state ``delay`` slots back for a visible model (the
     initial state before then); for a hidden one the base-4 code of the
     last ``window_len`` delayed feedback pairs (oldest pair in the highest
-    digit), or -1 until that many have arrived.  With ``predict`` (hidden
-    model), the feedback is instead folded into a belief, the key is 0 (or
-    -1 until ``window_len`` pairs have arrived) and ``eps`` holds each
-    slot's predicted (eps1, eps2, eps12); otherwise ``eps`` is an empty
-    (0, 3) array.  All four are numpy arrays, CHUNK_SLOTS slots long but
-    for the last chunk.
+    digit), or -1 until that many have arrived.  With ``predict``, ``eps``
+    holds each slot's (eps1, eps2, eps12), the triple max-weight weighs:
+    for a visible model the ``cond_erasure_visible(model, key, delay)`` row
+    of the slot's key; for a hidden one the feedback is instead folded into
+    a belief, the key is 0 (or -1 until ``window_len`` pairs have arrived)
+    and the triple is predicted from the belief.  Without ``predict``,
+    ``eps`` is an empty (0, 3) array.  All four are numpy arrays,
+    CHUNK_SLOTS slots long but for the last chunk.
     """
 
     horizon = positive_int("horizon", horizon)
@@ -153,6 +160,9 @@ def slot_stream(model: ChannelModel, *, seed: int, horizon: int, visible: bool,
                    dtype=np.int64)
     belief = pi.tolist()
     no_eps = np.empty((0, 3))
+    if visible and predict:
+        stats = [cond_erasure_visible(model, k, delay) for k in range(num_states)]
+        eps_tab = np.array([(st.eps1, st.eps2, st.eps12) for st in stats])
 
     t0 = 0
     while t0 < horizon:
@@ -181,6 +191,8 @@ def slot_stream(model: ChannelModel, *, seed: int, horizon: int, visible: bool,
         eps = no_eps
         if visible:
             keys = ext[:m]
+            if predict:
+                eps = eps_tab[keys]
         elif window_len:
             # ext[i + span - 1] is the pair fed back at slot i and ext[i] the
             # oldest pair of its window, which is full once that is >= 0.
@@ -243,15 +255,14 @@ def _predict(pairs, belief, emis_t, trans_t, pd1, ev):
     return eps.T
 
 
-def _count(stream, amax, action_cdf, ratios, eps_tab, rates, stride, record):
+def _count(stream, amax, action_cdf, ratios, rates, stride, record):
     """Run the counts loop over ``stream``; return the end state and rows filled.
 
     ``action_cdf`` (an array, one cdf row per observation key) is None under
-    max-weight, which reads each slot's erasure statistics from the (states,
-    3) array ``eps_tab`` by key, or from the stream when ``eps_tab`` is None
-    too.  ``ratios`` holds the 12 link activation probabilities.  Each chunk
-    first does in numpy what does not depend on the queues; the slot loop
-    then decides and moves.  Every ``stride``-th slot fills the next row of
+    max-weight, which reads each slot's (eps1, eps2, eps12) from the stream's
+    ``eps``, visible or hidden alike.  ``ratios`` holds the 12 link
+    activation probabilities.  Each chunk first does in numpy what does not
+    depend on the queues; the slot loop then decides and moves.  Every ``stride``-th slot fills the next row of
     ``record``; the end state is laid out as a row.
     """
 
@@ -259,7 +270,6 @@ def _count(stream, amax, action_cdf, ratios, eps_tab, rates, stride, record):
     r1, r2 = rates
     if maxweight:
         actions = coins = repeat(0)
-        term_tab = None if eps_tab is None else _weight_terms(eps_tab)
     else:
         weights = repeat(None)
         # A row whose last cdf entry is not >= 0 (NaN) has no distribution.
@@ -282,8 +292,7 @@ def _count(stream, amax, action_cdf, ratios, eps_tab, rates, stride, record):
         if maxweight:
             # Max-weight always observes: a visible key is a state, and the
             # hidden belief waits for no window.
-            weights = (_weight_terms(eps) if term_tab is None
-                       else term_tab[keys]).tolist()
+            weights = _weight_terms(eps).tolist()
         else:
             seen = keys >= 0
             if missing[keys[seen]].any():
@@ -414,39 +423,82 @@ def _weight_terms(eps: np.ndarray) -> np.ndarray:
 def _window_len(value) -> int:
     """``value`` as an int; a ValueError naming window_len unless 0..MAX_WINDOW."""
 
-    if not _is_int(value) or not 0 <= value <= MAX_WINDOW:
+    if not is_int(value) or not 0 <= value <= MAX_WINDOW:
         raise ValueError(f"window_len must be an integer from 0 to {MAX_WINDOW}, "
                          f"got {value!r}")
     return int(value)
 
 
-def _is_int(value) -> bool:
+def is_int(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not."""
+
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass
-class SimCounts:
-    """Result of a counts-level run.
+class SimTrace:
+    """Recorded queue history of one run, from either engine.
 
-    ``record`` has one row per recorded slot with columns q1/q2/q3 for
-    receiver 1, q1/q2/q3 for receiver 2, cumulative arrivals (both
-    receivers), cumulative exits (both receivers).
+    ``record`` rows: q1/q2/q3 for receiver 1, q1/q2/q3 for receiver 2,
+    cumulative arrivals (both receivers), cumulative exits (both),
+    sampled every ``stride`` slots after arrivals join.
     """
 
     horizon: int
     stride: int
-    queues: np.ndarray          # (2, 3) final queue lengths
-    arrivals: np.ndarray        # (2,)
-    exits: np.ndarray           # (2,)
-    record_times: np.ndarray
-    record: np.ndarray          # (len(record_times), 10)
+    times: np.ndarray
+    record: np.ndarray
+    final_queues: np.ndarray
+    arrivals: np.ndarray
+    exits: np.ndarray
+    audit_passed: bool | None = None
+
+    @classmethod
+    def from_rows(cls, horizon: int, stride: int, record: np.ndarray, end,
+                  audit_passed: bool | None = None) -> "SimTrace":
+        """The trace of a run's ``record`` rows and its end row, laid out alike."""
+
+        end = np.array(end, dtype=np.int64)
+        return cls(
+            horizon=horizon,
+            stride=stride,
+            times=stride * np.arange(1, len(record) + 1, dtype=np.int64),
+            record=record,
+            final_queues=end[:6].reshape(2, 3),
+            arrivals=end[6:8],
+            exits=end[8:],
+            audit_passed=audit_passed,
+        )
 
     @property
-    def backlog(self) -> int:
-        return int(self.queues.sum())
+    def backlog(self) -> np.ndarray:
+        return self.record[:, :6].sum(axis=1)
 
-    def throughput(self, j: int) -> float:
+    def delivered_rate(self, j: int) -> float:
         return float(self.exits[j - 1]) / self.horizon
+
+    def check_conservation(self) -> None:
+        backlog = self.backlog
+        inflow = self.record[:, 6] + self.record[:, 7]
+        outflow = self.record[:, 8] + self.record[:, 9]
+        if not np.array_equal(inflow, backlog + outflow):
+            raise AssertionError("arrivals != backlog + exits at a recorded slot")
+        if int(self.arrivals.sum()) != int(self.final_queues.sum()) + int(
+            self.exits.sum()
+        ):
+            raise AssertionError("final conservation identity violated")
+        if (np.diff(self.record[:, 6:10], axis=0) < 0).any():
+            raise AssertionError("cumulative counters must be nondecreasing")
+
+    def to_csv(self) -> str:
+        header = (
+            "t,q1_rx1,q2_rx1,q3_rx1,q1_rx2,q2_rx2,q3_rx2,"
+            "arrivals_rx1,arrivals_rx2,exits_rx1,exits_rx2"
+        )
+        lines = [header]
+        for t, row in zip(self.times, self.record):
+            lines.append(f"{int(t)}," + ",".join(str(int(v)) for v in row))
+        return "\n".join(lines) + "\n"
 
 
 def run_counts(
@@ -463,7 +515,7 @@ def run_counts(
     ratio_table: np.ndarray | None = None,
     window_len: int = 0,
     stride: int | None = None,
-) -> SimCounts:
+) -> SimTrace:
     """Simulate the queue counts of a coding scheme over `horizon` slots.
 
     ``policy`` is "maxweight" (with ``action_set``) or "probabilistic" (with
@@ -487,12 +539,9 @@ def run_counts(
 
     num_states = model.num_states
     maxweight = policy == "maxweight"
-    action_cdf = ratios = eps_tab = None
+    action_cdf = ratios = None
     if maxweight:
         window_len = 0  # max-weight decides on the belief, never a window
-        if visible:
-            stats = [cond_erasure_visible(model, s, delay) for s in range(num_states)]
-            eps_tab = np.array([[st.eps1, st.eps2, st.eps12] for st in stats])
     else:
         if action_table is None:
             raise ValueError("probabilistic policy needs an action table")
@@ -514,19 +563,9 @@ def run_counts(
     stream = slot_stream(model, seed=seed, horizon=horizon, visible=visible,
                          delay=delay, window_len=window_len, predict=maxweight)
     end, rows = _count(
-        stream, max(ACTION_SETS[action_set]), action_cdf, ratios, eps_tab,
+        stream, max(ACTION_SETS[action_set]), action_cdf, ratios,
         (float(rates[0]), float(rates[1])), stride, record)
-    end = np.array(end, dtype=np.int64)
-
-    if int(end[6:8].sum()) != int(end[:6].sum()) + int(end[8:].sum()):
+    if sum(end[6:8]) != sum(end[:6]) + sum(end[8:]):
         raise AssertionError("conservation violated in counts kernel")
+    return SimTrace.from_rows(horizon, stride, record[:rows], end)
 
-    return SimCounts(
-        horizon=horizon,
-        stride=stride,
-        queues=end[:6].reshape(2, 3),
-        arrivals=end[6:8],
-        exits=end[8:],
-        record_times=stride * np.arange(1, rows + 1, dtype=np.int64),
-        record=record[:rows].copy(),
-    )

@@ -6,19 +6,21 @@ precomputed conditional distribution and activates links by Bernoulli coins
 scores each action by its expected backlog relief and never needs the rate
 targets.  A per-state dispatcher combines independent reactive sub-policies,
 one per observable channel state.
+
+The policies take plain per-slot values, as the slot stream yields them: the
+observation key, the (eps1, eps2, eps12) triple max-weight weighs, and the
+slot's uniform draws for the probabilistic policy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Mapping
+from typing import Hashable, Mapping, Sequence
 
-from .channel import ErasureStats
 from .queuenet import ACTION_LINKS, ALLOWED_LINKS, LINK_NAMES
 
 __all__ = [
     "ACTION_SETS",
-    "Observation",
     "PolicyDecision",
     "action_weights",
     "link_intents",
@@ -34,18 +36,12 @@ ACTION_SETS: dict[str, tuple[int, ...]] = {
 }
 
 QueueLengths = tuple[tuple[int, int, int], tuple[int, int, int]]
+ErasureTriple = Sequence[float]  # (eps1, eps2, eps12)
 
-
-@dataclass(frozen=True)
-class Observation:
-    """What the transmitter can see when it decides.
-
-    ``key`` indexes the action distribution: the (possibly delayed) channel
-    state for a visible model, the recent feedback window for a hidden one,
-    or None when decisions are unconditional.
-    """
-
-    key: Hashable | None = None
+# Position of each link's coin in a slot's draws: after the action draw,
+# receiver 1's links 12, 13, 14, 24, 32, 34, then receiver 2's.
+_COIN_POS = {(j, link): 1 + 6 * (j - 1) + l
+             for j in (1, 2) for l, link in enumerate(LINK_NAMES)}
 
 
 @dataclass(frozen=True)
@@ -60,21 +56,15 @@ class PolicyDecision:
                 raise ValueError(f"intent {key} invalid under action {self.action}")
 
 
-def _queue_lengths(net) -> QueueLengths:
-    if hasattr(net, "queue_lengths"):
-        return net.queue_lengths()
-    return net
-
-
-def action_weights(queues: QueueLengths, stats: ErasureStats) -> list[float]:
+def action_weights(queues: QueueLengths, eps: ErasureTriple) -> list[float]:
     """Expected backlog relief of each action, indexed 0..5.
 
-    ``stats`` needs only ``eps1``, ``eps2`` and ``eps12``.  Each bracket
+    ``eps`` is the slot's (eps1, eps2, eps12).  Each bracket
     ``(a - b if a > b else 0)`` is the positive part of ``a - b``.
     """
 
     (q11, q21, q31), (q12, q22, q32) = queues
-    e1, e2, e12 = stats.eps1, stats.eps2, stats.eps12
+    e1, e2, e12 = eps
     w1 = (1 - e1) * q11 + (e1 - e12) * (q11 - q21 if q11 > q21 else 0)
     w2 = (1 - e2) * q12 + (e2 - e12) * (q12 - q22 if q12 > q22 else 0)
     w3 = (1 - e1) * q21 + (1 - e2) * q22
@@ -118,11 +108,11 @@ def link_intents(action: int, queues: QueueLengths) -> dict[tuple[int, str], int
     return intents
 
 
-def maxweight_decide(net, stats: ErasureStats, action_set: str = "A5") -> PolicyDecision:
+def maxweight_decide(net, eps: ErasureTriple, action_set: str = "A5") -> PolicyDecision:
     """Pick the action with the largest Table-style weight; idle on all zero."""
 
-    queues = _queue_lengths(net)
-    weights = action_weights(queues, stats)
+    queues = net.queue_lengths() if hasattr(net, "queue_lengths") else net
+    weights = action_weights(queues, eps)
     action = 0
     best = 0.0
     for a in ACTION_SETS[action_set]:
@@ -132,21 +122,22 @@ def maxweight_decide(net, stats: ErasureStats, action_set: str = "A5") -> Policy
     return PolicyDecision(action, link_intents(action, queues))
 
 
-def probabilistic_decide(dist, ratios: Mapping[int, Mapping[str, float]],
-                         obs: Observation, rng) -> PolicyDecision:
-    """Draw an action from dist(.|obs.key) and link activations from ratios.
+def probabilistic_decide(dist: Mapping, ratios: Mapping[int, Mapping[str, float]],
+                         key: Hashable, draws: Sequence[float]) -> PolicyDecision:
+    """Draw an action from dist[key] and link activations from ratios.
 
-    Queue lengths are never consulted.  The draw order is fixed (one action
-    coin, then twelve link coins) so that a run consumes randomness the same
-    way regardless of which action comes up.
+    Queue lengths are never consulted.  ``draws`` are the slot's 13 uniforms
+    in the stream's layout (`kernel.RNG_COLUMNS` from column 4): the action
+    draw, then one coin per link, receiver 1's links 12, 13, 14, 24, 32, 34
+    and then receiver 2's.  Each is read by its position, so a slot uses
+    the same draws whichever action comes up.
     """
 
-    probs = dist.probs if hasattr(dist, "probs") else dist
     try:
-        row = probs[obs.key]
+        row = dist[key]
     except KeyError:
-        raise ValueError(f"no action distribution for observation {obs.key!r}")
-    u = rng.random()
+        raise ValueError(f"no action distribution for observation {key!r}")
+    u = draws[0]
     action = 5
     acc = 0.0
     for a, p in enumerate(row):
@@ -154,17 +145,15 @@ def probabilistic_decide(dist, ratios: Mapping[int, Mapping[str, float]],
         if u < acc:
             action = a
             break
-    coins = {}
-    for j in (1, 2):
-        for link in LINK_NAMES:
-            ratio = ratios.get(j, {}).get(link, 0.0)
-            coins[(j, link)] = int(rng.random() < ratio)
-    intents = {key: coins[key] for key in ACTION_LINKS[action]}
+    intents = {
+        (j, link): int(draws[_COIN_POS[j, link]] < ratios.get(j, {}).get(link, 0.0))
+        for j, link in ACTION_LINKS[action]
+    }
     return PolicyDecision(action, intents)
 
 
-def per_state_memoryless_decide(subsystems: Mapping, stats_by_state: Mapping,
-                                obs: Observation) -> PolicyDecision:
-    """Dispatch to the reactive sub-policy owning the observed state."""
+def per_state_memoryless_decide(subsystems: Mapping, key: Hashable,
+                                eps: ErasureTriple) -> PolicyDecision:
+    """Dispatch to the reactive sub-policy of state ``key``, whose triple is ``eps``."""
 
-    return maxweight_decide(subsystems[obs.key], stats_by_state[obs.key], "A3")
+    return maxweight_decide(subsystems[key], eps, "A3")

@@ -12,7 +12,6 @@ import numpy as np
 from test_regions import (
     THREE_STATE_E,
     THREE_STATE_P,
-    alternating_model,
     preconditioned_instance,
     random_dist,
     random_model,
@@ -21,6 +20,7 @@ from test_regions import (
     vertices_inside,
 )
 
+from channel_docs import alternating, alternating_model, bursty
 from duocast.channel import (
     ChannelModel,
     cond_erasure_visible,
@@ -51,23 +51,6 @@ from duocast.regions import (
     region_uncoded,
     region_visible,
 )
-
-BURSTY_CHANNEL = {
-    "gilbert_elliot": {
-        "kind": "visible",
-        "eps1": 0.6,
-        "g1": 0.1,
-        "eps2": 0.5,
-        "g2": 0.2,
-    }
-}
-ALT_CHANNEL = {
-    "states": 2,
-    "transition": [[0.0, 1.0], [1.0, 0.0]],
-    "emission": [[1.0, 0.0, 0.0, 0.0], [0.0, 0.5, 0.5, 0.0]],
-    "allow_periodic": True,
-}
-
 
 def _mw_verdict(channel, rates, action_set, horizon, seed):
     scenario = Scenario(
@@ -196,10 +179,10 @@ def test_07_stability_frontier_on_the_two_user_bursty_channel():
     Under two minutes total."""
     t0 = time.perf_counter()
     n = 2_000_000
-    assert _mw_verdict(BURSTY_CHANNEL, (0.31, 0.335), "A5", n, seed=0).stable
-    assert _mw_verdict(BURSTY_CHANNEL, (0.31, 0.35), "A5", n, seed=0).stable
-    assert not _mw_verdict(BURSTY_CHANNEL, (0.31, 0.36), "A5", n, seed=0).stable
-    assert not _mw_verdict(BURSTY_CHANNEL, (0.31, 0.355), "A3", n, seed=0).stable
+    assert _mw_verdict(bursty(), (0.31, 0.335), "A5", n, seed=0).stable
+    assert _mw_verdict(bursty(), (0.31, 0.35), "A5", n, seed=0).stable
+    assert not _mw_verdict(bursty(), (0.31, 0.36), "A5", n, seed=0).stable
+    assert not _mw_verdict(bursty(), (0.31, 0.355), "A3", n, seed=0).stable
     assert time.perf_counter() - t0 < 120.0
 
 
@@ -208,9 +191,9 @@ def test_08_alternating_chain_near_the_half_rate_point():
     while the reactive-only and uncoded sets diverge at no less than 0.01
     packets per slot."""
     n = 1_000_000
-    assert _mw_verdict(ALT_CHANNEL, (0.499, 0.499), "A5", n, seed=3).stable
-    reactive = _mw_verdict(ALT_CHANNEL, (0.499, 0.499), "A3", n, seed=3)
-    uncoded = _mw_verdict(ALT_CHANNEL, (0.499, 0.499), "A2", n, seed=3)
+    assert _mw_verdict(alternating(), (0.499, 0.499), "A5", n, seed=3).stable
+    reactive = _mw_verdict(alternating(), (0.499, 0.499), "A3", n, seed=3)
+    uncoded = _mw_verdict(alternating(), (0.499, 0.499), "A2", n, seed=3)
     assert not reactive.stable and reactive.tail_slope >= 0.01
     assert not uncoded.stable and uncoded.tail_slope >= 0.01
 
@@ -318,7 +301,7 @@ def test_12_probabilistic_policy_delivers_its_target():
     vertex = min(interior, key=lambda p: abs(p.r1 - p.r2))
     target = (0.95 * vertex.r1, 0.95 * vertex.r2)
     scenario = Scenario(
-        channel=BURSTY_CHANNEL,
+        channel=bursty(),
         rates=target,
         horizon=5_000_000,
         seed=2,

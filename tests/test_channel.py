@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from channel_docs import alternating_model, bursty, noisy
 from duocast.channel import (
     Belief,
     ChannelModel,
@@ -30,13 +31,6 @@ THREE_STATE_E = np.array(
 
 def three_state_model() -> ChannelModel:
     return ChannelModel(THREE_STATE_P, THREE_STATE_E)
-
-
-def alternating_model() -> ChannelModel:
-    # Two-state periodic chain: a clean slot always follows a half-lossy one.
-    P = np.array([[0.0, 1.0], [1.0, 0.0]])
-    E = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.5, 0.5, 0.0]])
-    return ChannelModel(P, E, allow_periodic=True)
 
 
 def random_model(rng: np.random.Generator, n: int = 3) -> ChannelModel:
@@ -441,35 +435,13 @@ class TestLoadChannel:
         np.testing.assert_allclose(model2.emission, THREE_STATE_E)
 
     def test_gilbert_elliot_visible(self):
-        doc = {
-            "gilbert_elliot": {
-                "kind": "visible",
-                "eps1": 0.6,
-                "g1": 0.1,
-                "eps2": 0.5,
-                "g2": 0.2,
-            }
-        }
-        model = load_channel(doc)
+        model = load_channel(bursty())
         np.testing.assert_allclose(
             model.transition, ge_visible(0.6, 0.1, 0.5, 0.2).transition
         )
 
     def test_gilbert_elliot_hidden(self):
-        doc = {
-            "gilbert_elliot": {
-                "kind": "hidden",
-                "eps1": 0.6,
-                "g1": 0.1,
-                "eps2": 0.5,
-                "g2": 0.2,
-                "eps1_good": 0.2,
-                "eps1_bad": 0.866,
-                "eps2_good": 0.2,
-                "eps2_bad": 0.8,
-            }
-        }
-        model = load_channel(doc)
+        model = load_channel(noisy())
         assert (model.emission > 0).all()
 
     def test_allow_periodic_flag(self):

@@ -6,36 +6,20 @@ import re
 import numpy as np
 import pytest
 
+from channel_docs import bursty, noisy
 from duocast.channel import cond_erasure_visible, load_channel, stationary_distribution
 from duocast.cli import _parse_policies, main
 from duocast.regions import region_minkowski, region_to_json
 
 
 def write_channel(path) -> str:
-    doc = {
-        "gilbert_elliot": {
-            "kind": "visible",
-            "eps1": 0.6,
-            "g1": 0.1,
-            "eps2": 0.5,
-            "g2": 0.2,
-        }
-    }
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(bursty()))
     return str(path)
 
 
 def write_scenario(path, **overrides) -> str:
     doc = {
-        "channel": {
-            "gilbert_elliot": {
-                "kind": "visible",
-                "eps1": 0.6,
-                "g1": 0.1,
-                "eps2": 0.5,
-                "g2": 0.2,
-            }
-        },
+        "channel": bursty(),
         "rates": [0.2, 0.2],
         "horizon": 120_000,
         "seed": 5,
@@ -92,21 +76,8 @@ class TestRegionCommand:
         assert capsys.readouterr().out == expected
 
     def test_hidden_kind_uses_window(self, tmp_path, capsys):
-        doc = {
-            "gilbert_elliot": {
-                "kind": "hidden",
-                "eps1": 0.6,
-                "g1": 0.1,
-                "eps2": 0.5,
-                "g2": 0.2,
-                "eps1_good": 0.2,
-                "eps1_bad": 0.866,
-                "eps2_good": 0.2,
-                "eps2_bad": 0.8,
-            }
-        }
         path = tmp_path / "hmm.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(noisy()))
         rc = main(
             [
                 "region",

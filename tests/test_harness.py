@@ -1,12 +1,14 @@
 """Scenario plumbing, stability calls, sweeps, and per-state dispatch."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from duocast.channel import ge_visible, load_channel, prediction_gap
+from channel_docs import alternating, bursty, noisy
+from duocast.channel import MAX_WINDOW_LEN, load_channel, prediction_gap
 from duocast.harness import (
     Scenario,
     SimTrace,
@@ -34,18 +36,6 @@ def fair_channel() -> dict:
     return {"states": 1, "transition": [[1.0]], "emission": [[0.25, 0.25, 0.25, 0.25]]}
 
 
-def ge_fig_channel() -> dict:
-    return {
-        "gilbert_elliot": {
-            "kind": "visible",
-            "eps1": 0.6,
-            "g1": 0.1,
-            "eps2": 0.5,
-            "g2": 0.2,
-        }
-    }
-
-
 def ge_delay_channel() -> dict:
     return {
         "gilbert_elliot": {
@@ -54,22 +44,6 @@ def ge_delay_channel() -> dict:
             "g1": 0.1,
             "eps2": 0.5,
             "g2": 0.1,
-        }
-    }
-
-
-def ge_hmm_channel() -> dict:
-    return {
-        "gilbert_elliot": {
-            "kind": "hidden",
-            "eps1": 0.6,
-            "g1": 0.1,
-            "eps2": 0.5,
-            "g2": 0.2,
-            "eps1_good": 0.2,
-            "eps1_bad": 0.866,
-            "eps2_good": 0.2,
-            "eps2_bad": 0.8,
         }
     }
 
@@ -122,12 +96,34 @@ class TestScenario:
             {"policy": {"kind": "per_state"}},
             {"policy": {"kind": "per_state"}, "engine": "packets", "visible": False},
             {"policy": {"kind": "probabilistic"}, "visible": False, "delay": 2},
+            {"rates": (0.1, 0.1, 0.1)},
+            {"rates": 0.1},
+            {"rates": ("0.1", 0.1)},
+            {"rates": (True, 0.1)},
+            {"visible": "no"},
+            {"visible": 1},
+            {"seed": -1},
+            {"seed": 1.5},
+            {"seed": True},
+            *[
+                {"policy": {"kind": "probabilistic", "window_len": value}, "visible": False}
+                for value in (1.5, "2", True, -1, MAX_WINDOW_LEN + 1)
+            ],
+            {"policy": {"kind": "probabilistic", "target": [0.1]}},
+            {"policy": {"kind": "probabilistic", "target": 0.1}},
+            {"policy": {"kind": "probabilistic", "target": [0.1, 0.1, 0.1]}},
+            {"policy": {"kind": "probabilistic", "target": [0.1, 1.5]}},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
         base = dict(channel=fair_channel(), rates=(0.1, 0.1), horizon=100)
         base.update(kwargs)
-        with pytest.raises(ValueError):
+        # The message names the first field given, and a policy's fields
+        # other than its kind as policy.<field>.
+        field = next(iter(kwargs))
+        if field == "policy":
+            field += "".join(f".{key}" for key in kwargs["policy"] if key != "kind")
+        with pytest.raises(ValueError, match=re.escape(field)):
             Scenario(**base)
 
     def test_probabilistic_target_outside_region(self):
@@ -186,7 +182,7 @@ class TestRunBasics:
     def test_counts_and_packets_deterministic(self):
         for engine in ("counts", "packets"):
             scenario = Scenario(
-                channel=ge_fig_channel(),
+                channel=bursty(),
                 rates=(0.3, 0.3),
                 horizon=4000,
                 seed=17,
@@ -311,14 +307,14 @@ class TestSweep:
 
 class TestPerState:
     def test_split_interior_margin_positive(self):
-        model = load_channel(ge_fig_channel())
+        model = load_channel(bursty())
         split = per_state_split(model, (0.15, 0.15))
         assert split.margin > 0
         assert split.x.sum() == pytest.approx(0.15 + split.margin, abs=1e-9)
         assert split.y.sum() == pytest.approx(0.15 + split.margin, abs=1e-9)
 
     def test_split_shrinks_with_load(self):
-        model = load_channel(ge_fig_channel())
+        model = load_channel(bursty())
         low = per_state_split(model, (0.10, 0.10))
         high = per_state_split(model, (0.22, 0.22))
         assert high.margin < low.margin
@@ -332,7 +328,7 @@ class TestPerState:
         np.testing.assert_allclose(uniform, [0.1, 0.2, 0.3, 0.4])
 
     def test_bisect_routing_matches_searchsorted(self):
-        model = load_channel(ge_fig_channel())
+        model = load_channel(bursty())
         n = model.num_states
         split = per_state_split(model, (0.15, 0.15))
         rng = np.random.default_rng(4)
@@ -345,7 +341,7 @@ class TestPerState:
 
     def test_per_state_run_is_stable_inside(self):
         scenario = Scenario(
-            channel=ge_fig_channel(),
+            channel=bursty(),
             rates=(0.15, 0.15),
             horizon=100_000,
             seed=12,
@@ -364,7 +360,7 @@ class TestMovementLog:
     def test_log_lines_match_trace(self, tmp_path):
         path = tmp_path / "moves.jsonl"
         scenario = Scenario(
-            channel=ge_fig_channel(),
+            channel=bursty(),
             rates=(0.3, 0.3),
             horizon=500,
             seed=6,
@@ -385,8 +381,8 @@ class TestMovementLog:
     @pytest.mark.parametrize(
         "channel,visible,delay,policy,rates",
         [
-            (ge_hmm_channel(), False, 2, {"kind": "maxweight", "action_set": "A5"}, (0.2, 0.2)),
-            (ge_fig_channel(), True, 1, {"kind": "per_state"}, (0.15, 0.15)),
+            (noisy(), False, 2, {"kind": "maxweight", "action_set": "A5"}, (0.2, 0.2)),
+            (bursty(), True, 1, {"kind": "per_state"}, (0.15, 0.15)),
         ],
     )
     def test_log_is_a_pure_side_output(self, tmp_path, channel, visible, delay, policy,
@@ -440,29 +436,22 @@ class TestDelayMonotonicity:
 
 class TestPredictionGap:
     def test_gap_small_for_forgetful_chain(self):
-        model = load_channel(ge_hmm_channel())
+        model = load_channel(noisy())
         gap = prediction_gap(model, window_len=6, horizon=3000, seed=4)
         assert 0.0 <= gap < 0.05
 
     def test_longer_window_no_worse(self):
-        model = load_channel(ge_hmm_channel())
+        model = load_channel(noisy())
         short = prediction_gap(model, window_len=1, horizon=2000, seed=4)
         long = prediction_gap(model, window_len=8, horizon=2000, seed=4)
         assert long <= short + 1e-9
 
     def test_requires_positive_emissions(self):
-        model = load_channel(
-            {
-                "states": 2,
-                "transition": [[0.0, 1.0], [1.0, 0.0]],
-                "emission": [[1.0, 0.0, 0.0, 0.0], [0.0, 0.5, 0.5, 0.0]],
-                "allow_periodic": True,
-            }
-        )
+        model = load_channel(alternating())
         with pytest.raises(ValueError, match="positive"):
             prediction_gap(model, window_len=2, horizon=100, seed=0)
 
     def test_bad_args(self):
-        model = load_channel(ge_hmm_channel())
+        model = load_channel(noisy())
         with pytest.raises(ValueError):
             prediction_gap(model, window_len=0, horizon=100, seed=0)

@@ -11,6 +11,7 @@ from duocast.channel import (
     Belief,
     belief_update,
     cond_erasure_hidden,
+    cond_erasure_visible,
     ge_visible,
     load_channel,
     memoryless,
@@ -18,55 +19,11 @@ from duocast.channel import (
 )
 from duocast import kernel
 from duocast.harness import Scenario, _probabilistic_tables, _window_code, run
-from duocast.kernel import SimCounts, jit_enabled, run_counts, slot_stream
+from duocast.kernel import SimTrace, jit_enabled, run_counts, slot_stream
 from duocast.regions import diagonal_rate, region_hidden_L
+from channel_docs import alternating, bursty, memoryless_chain, noisy
 import lp_corpus
 import trace_corpus
-
-
-def alternating_channel() -> dict:
-    return {
-        "states": 2,
-        "transition": [[0.0, 1.0], [1.0, 0.0]],
-        "emission": [[1.0, 0.0, 0.0, 0.0], [0.0, 0.5, 0.5, 0.0]],
-        "allow_periodic": True,
-    }
-
-
-def ge_fig_channel() -> dict:
-    return {
-        "gilbert_elliot": {
-            "kind": "visible",
-            "eps1": 0.6,
-            "g1": 0.1,
-            "eps2": 0.5,
-            "g2": 0.2,
-        }
-    }
-
-
-def ge_hmm_channel() -> dict:
-    return {
-        "gilbert_elliot": {
-            "kind": "hidden",
-            "eps1": 0.6,
-            "g1": 0.1,
-            "eps2": 0.5,
-            "g2": 0.2,
-            "eps1_good": 0.2,
-            "eps1_bad": 0.866,
-            "eps2_good": 0.2,
-            "eps2_bad": 0.8,
-        }
-    }
-
-
-def memoryless_channel() -> dict:
-    return {
-        "states": 1,
-        "transition": [[1.0]],
-        "emission": [[0.35, 0.2, 0.25, 0.2]],
-    }
 
 
 def assert_traces_identical(a, b):
@@ -83,14 +40,14 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize(
         "channel,visible,delay,policy,rates",
         [
-            (ge_fig_channel(), True, 1, {"kind": "maxweight", "action_set": "A5"}, (0.28, 0.30)),
-            (ge_fig_channel(), True, 3, {"kind": "maxweight", "action_set": "A5"}, (0.25, 0.28)),
-            (alternating_channel(), True, 1, {"kind": "maxweight", "action_set": "A3"}, (0.30, 0.30)),
-            (memoryless_channel(), True, 1, {"kind": "maxweight", "action_set": "A2"}, (0.25, 0.25)),
-            (ge_hmm_channel(), False, 1, {"kind": "maxweight", "action_set": "A5"}, (0.20, 0.20)),
-            (ge_hmm_channel(), False, 2, {"kind": "maxweight", "action_set": "A5"}, (0.18, 0.18)),
-            (ge_hmm_channel(), False, 2, {"kind": "maxweight", "action_set": "A3"}, (0.18, 0.18)),
-            (ge_hmm_channel(), False, 3, {"kind": "maxweight", "action_set": "A5"}, (0.17, 0.17)),
+            (bursty(), True, 1, {"kind": "maxweight", "action_set": "A5"}, (0.28, 0.30)),
+            (bursty(), True, 3, {"kind": "maxweight", "action_set": "A5"}, (0.25, 0.28)),
+            (alternating(), True, 1, {"kind": "maxweight", "action_set": "A3"}, (0.30, 0.30)),
+            (memoryless_chain(), True, 1, {"kind": "maxweight", "action_set": "A2"}, (0.25, 0.25)),
+            (noisy(), False, 1, {"kind": "maxweight", "action_set": "A5"}, (0.20, 0.20)),
+            (noisy(), False, 2, {"kind": "maxweight", "action_set": "A5"}, (0.18, 0.18)),
+            (noisy(), False, 2, {"kind": "maxweight", "action_set": "A3"}, (0.18, 0.18)),
+            (noisy(), False, 3, {"kind": "maxweight", "action_set": "A5"}, (0.17, 0.17)),
         ],
     )
     def test_maxweight_counts_match_packets(self, channel, visible, delay, policy, rates):
@@ -112,7 +69,7 @@ class TestEngineEquivalence:
 
     def test_probabilistic_visible_matches(self):
         scenario = Scenario(
-            channel=ge_fig_channel(),
+            channel=bursty(),
             rates=(0.25, 0.25),
             horizon=2000,
             seed=7,
@@ -126,7 +83,7 @@ class TestEngineEquivalence:
 
     def test_probabilistic_visible_delay_three_matches(self):
         scenario = Scenario(
-            channel=ge_fig_channel(),
+            channel=bursty(),
             rates=(0.2, 0.2),
             horizon=2000,
             seed=7,
@@ -140,10 +97,10 @@ class TestEngineEquivalence:
         assert_traces_identical(counts, packets)
 
     def test_probabilistic_hidden_window_matches(self):
-        model = load_channel(ge_hmm_channel())
+        model = load_channel(noisy())
         r = 0.85 * diagonal_rate(region_hidden_L(model, 2))
         scenario = Scenario(
-            channel=ge_hmm_channel(),
+            channel=noisy(),
             rates=(r, r),
             horizon=3000,
             seed=13,
@@ -159,7 +116,7 @@ class TestEngineEquivalence:
     def test_multiple_seeds_still_agree(self):
         for seed in (0, 1, 2):
             base = Scenario(
-                channel=ge_fig_channel(),
+                channel=bursty(),
                 rates=(0.31, 0.33),
                 horizon=1500,
                 seed=seed,
@@ -181,15 +138,26 @@ class TestKernelBasics:
         a = run_counts(model, rates=(0.3, 0.3), horizon=5000, seed=4, stride=10)
         b = run_counts(model, rates=(0.3, 0.3), horizon=5000, seed=4, stride=10)
         assert np.array_equal(a.record, b.record)
-        assert np.array_equal(a.queues, b.queues)
+        assert np.array_equal(a.final_queues, b.final_queues)
 
     def test_conservation_and_throughput(self):
         model = ge_visible(0.6, 0.1, 0.5, 0.2)
         out = run_counts(model, rates=(0.2, 0.2), horizon=20000, seed=11)
-        assert isinstance(out, SimCounts)
-        assert out.arrivals.sum() == out.exits.sum() + out.queues.sum()
-        assert abs(out.throughput(1) - 0.2) < 0.02
-        assert abs(out.throughput(2) - 0.2) < 0.02
+        assert isinstance(out, SimTrace)
+        assert out.arrivals.sum() == out.exits.sum() + out.final_queues.sum()
+        assert abs(out.delivered_rate(1) - 0.2) < 0.02
+        assert abs(out.delivered_rate(2) - 0.2) < 0.02
+
+    @pytest.mark.parametrize(
+        "name", ("visible_mw", "hidden_mw", "prob_visible", "prob_hidden")
+    )
+    def test_returns_a_conserving_sim_trace(self, name):
+        case = _counts_case(name, 1)
+        out = run_counts(case.pop("model"), horizon=3000, seed=2, stride=7, **case)
+        assert isinstance(out, SimTrace)
+        assert out.audit_passed is None
+        assert len(out.times) == len(out.record) == 3000 // 7
+        out.check_conservation()
 
     def test_zero_rates_idle(self):
         model = memoryless(np.array([0.25, 0.25, 0.25, 0.25]))
@@ -208,7 +176,7 @@ class TestKernelBasics:
     def test_record_stride(self):
         model = memoryless(np.array([0.7, 0.1, 0.1, 0.1]))
         out = run_counts(model, rates=(0.1, 0.1), horizon=1000, seed=5, stride=100)
-        assert list(out.record_times) == [100 * k for k in range(1, 11)]
+        assert list(out.times) == [100 * k for k in range(1, 11)]
         assert out.record.shape == (10, 10)
 
 
@@ -321,7 +289,7 @@ class TestKernelValidation:
     ])
     def test_short_action_table_names_the_field(self, visible, window_len, rows,
                                                 needed):
-        model = load_channel(ge_fig_channel() if visible else ge_hmm_channel())
+        model = load_channel(bursty() if visible else noisy())
         with pytest.raises(ValueError, match=f"action_table needs {needed} rows"):
             run_counts(
                 model,
@@ -385,7 +353,7 @@ class TestSlotStreamOracle:
     """The stream's observations against independent references."""
 
     def test_visible_keys_are_the_delayed_states(self):
-        model = load_channel(ge_fig_channel())
+        model = load_channel(bursty())
         horizon = 65836  # 64 chunks of 1024 slots and 300 more
         for delay in (1, 3):
             matrix, zis, keys, eps = _stream_arrays(
@@ -397,9 +365,25 @@ class TestSlotStreamOracle:
             assert np.array_equal(keys[delay:], states[:-delay])
             assert eps.shape == (0, 3)
 
+    def test_visible_triples_are_the_per_state_rows(self):
+        model = load_channel(bursty())
+        horizon = 2500  # two full chunks of 1024 slots and a part
+        for delay in (1, 2, 3):
+            _, _, keys, eps = _stream_arrays(model, horizon, 6, visible=True,
+                                             delay=delay, predict=True)
+            stats = [cond_erasure_visible(model, s, delay)
+                     for s in range(model.num_states)]
+            expected = [(stats[k].eps1, stats[k].eps2, stats[k].eps12)
+                        for k in keys.tolist()]
+            assert np.array_equal(eps, np.array(expected))
+            _, _, plain_keys, no_eps = _stream_arrays(model, horizon, 6, visible=True,
+                                                      delay=delay)
+            assert np.array_equal(plain_keys, keys)
+            assert no_eps.shape == (0, 3)
+
     # One state, and chains whose rows hold zeros: repeated cdf entries are
     # where a vectorized draw and a scalar scan could part.
-    @pytest.mark.parametrize("doc", [memoryless_channel(), alternating_channel(),
+    @pytest.mark.parametrize("doc", [memoryless_chain(), alternating(),
                                      zero_rows_channel()],
                              ids=["memoryless", "alternating", "zero_rows"])
     def test_draws_match_the_scalar_inverse_cdf(self, doc, monkeypatch):
@@ -424,7 +408,7 @@ class TestSlotStreamOracle:
                 assert np.array_equal(keys[lag:], codes)
 
     def test_window_keys_code_the_last_pairs(self):
-        model = load_channel(ge_hmm_channel())
+        model = load_channel(noisy())
         for delay, window_len in ((1, 2), (2, 3)):
             matrix, zis, keys, _ = _stream_arrays(
                 model, 3000, 5, visible=False, delay=delay, window_len=window_len
@@ -441,7 +425,7 @@ class TestSlotStreamOracle:
                     assert key == _window_code(window)
 
     def test_predicted_stats_follow_belief_update(self):
-        model = load_channel(ge_hmm_channel())
+        model = load_channel(noisy())
         for delay in (1, 2):
             matrix, zis, _, eps = _stream_arrays(
                 model, 1500, 3, visible=False, delay=delay, predict=True
@@ -476,12 +460,12 @@ def _counts_case(name, delay):
     """run_counts keyword arguments for one kernel path at ``delay``."""
 
     if name == "visible_mw":
-        return dict(model=load_channel(ge_fig_channel()), rates=(0.28, 0.3))
+        return dict(model=load_channel(bursty()), rates=(0.28, 0.3))
     if name == "hidden_mw":
-        return dict(model=load_channel(ge_hmm_channel()), rates=(0.18, 0.18),
+        return dict(model=load_channel(noisy()), rates=(0.18, 0.18),
                     visible=False)
     visible = name == "prob_visible"
-    doc = ge_fig_channel() if visible else ge_hmm_channel()
+    doc = bursty() if visible else noisy()
     policy = {"kind": "probabilistic", "target": [0.2, 0.2]}
     if not visible:
         # The window tables do not depend on the delay; hidden scenarios only
@@ -515,14 +499,14 @@ class TestChunkInvariance:
         assert first.exits.sum() > 0
         for other in runs[1:]:
             assert np.array_equal(other.record, first.record)
-            assert np.array_equal(other.record_times, first.record_times)
-            assert np.array_equal(other.queues, first.queues)
+            assert np.array_equal(other.times, first.times)
+            assert np.array_equal(other.final_queues, first.final_queues)
             assert np.array_equal(other.arrivals, first.arrivals)
             assert np.array_equal(other.exits, first.exits)
 
     def test_packets_trace_equal_for_every_chunk_length(self, monkeypatch):
         scenario = Scenario(
-            channel=ge_hmm_channel(),
+            channel=noisy(),
             rates=(0.18, 0.18),
             horizon=1500,
             seed=5,

@@ -5,10 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duocast.channel import ErasureStats
 from duocast.policies import (
     ACTION_SETS,
-    Observation,
     PolicyDecision,
     action_weights,
     link_intents,
@@ -16,30 +14,14 @@ from duocast.policies import (
     per_state_memoryless_decide,
     probabilistic_decide,
 )
-from duocast.queuenet import QueueNetwork
+from duocast.queuenet import LINK_NAMES, QueueNetwork
 
 
 def triple(e1, e2, e12):
-    return ErasureStats(
-        eps1=e1,
-        eps2=e2,
-        eps12=e12,
-        eps1_not2=e1 - e12,
-        eps_not1_2=e2 - e12,
-        eps_not1_not2=1 - e1 - e2 + e12,
-    )
+    """An (eps1, eps2, eps12) triple, checked as `ErasureStats` would be."""
 
-
-class ScriptedRng:
-    def __init__(self, values):
-        self.values = list(values)
-        self.calls = 0
-
-    def random(self):
-        self.calls += 1
-        if self.values:
-            return self.values.pop(0)
-        return 0.5
+    assert 0 <= e12 <= min(e1, e2) and e1 + e2 - e12 <= 1
+    return (e1, e2, e12)
 
 
 class TestMaxWeight:
@@ -140,20 +122,27 @@ class TestProbabilistic:
                   2: {l: 1.0 for l in ("12", "13", "14", "24", "32", "34")}}
         rng = np.random.default_rng(3)
         for _ in range(20):
-            decision = probabilistic_decide(dist, ratios, Observation(key=0), rng)
+            decision = probabilistic_decide(dist, ratios, 0, rng.random(13).tolist())
             assert decision.action == 1
             assert decision.intents == {(1, "14"): 1, (1, "12"): 1}
 
     def test_missing_key_errors(self):
         with pytest.raises(ValueError):
-            probabilistic_decide({0: [1, 0, 0, 0, 0, 0]}, {}, Observation(key=7),
-                                 np.random.default_rng(0))
+            probabilistic_decide({0: [1, 0, 0, 0, 0, 0]}, {}, 7, [0.5] * 13)
 
     def test_consumes_thirteen_draws_regardless_of_action(self):
-        for row in ([1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1]):
-            rng = ScriptedRng([])
-            probabilistic_decide({0: row}, {}, Observation(key=0), rng)
-            assert rng.calls == 13
+        # Each link's coin has its own column of the slot's 13 draws, so the
+        # action that comes up moves no coin.
+        coins = [0.05 * k for k in range(1, 13)]
+        ratios = {j: {link: 0.33 for link in LINK_NAMES} for j in (1, 2)}
+        for action in range(1, 6):
+            row = [0.0] * 6
+            row[action] = 1.0
+            decision = probabilistic_decide({0: row}, ratios, 0, [0.5] + coins)
+            assert decision.action == action
+            for (j, link), intent in decision.intents.items():
+                coin = coins[6 * (j - 1) + LINK_NAMES.index(link)]
+                assert intent == int(coin < 0.33)
 
     def test_coin_order_is_fixed(self):
         # Action coin first, then receiver-1 links 12,13,14,24,32,34, then
@@ -161,9 +150,7 @@ class TestProbabilistic:
         values = [0.99] + [0.9] * 12
         values[1 + 6 + 4] = 0.1
         ratios = {2: {"32": 0.5}}
-        rng = ScriptedRng(list(values))
-        decision = probabilistic_decide({0: [0, 0, 0, 0, 0, 1]}, ratios,
-                                        Observation(key=0), rng)
+        decision = probabilistic_decide({0: [0, 0, 0, 0, 0, 1]}, ratios, 0, values)
         assert decision.action == 5
         assert decision.intents == {
             (1, "32"): 0, (1, "34"): 0, (2, "32"): 1, (2, "34"): 0,
@@ -175,9 +162,9 @@ class TestProbabilistic:
         rng = np.random.default_rng(12345)
         n = 200_000
         counts = np.zeros(6)
-        obs = Observation(key=0)
         for _ in range(n):
-            counts[probabilistic_decide(dist, {}, obs, rng).action] += 1
+            draws = rng.random(13).tolist()
+            counts[probabilistic_decide(dist, {}, 0, draws).action] += 1
         for a, p in enumerate(row):
             sigma = np.sqrt(p * (1 - p) / n)
             assert abs(counts[a] / n - p) < 3 * sigma + 1e-12
@@ -188,7 +175,7 @@ class TestProbabilistic:
         rng = np.random.default_rng(99)
         n = 100_000
         hits = sum(
-            probabilistic_decide(dist, ratios, Observation(key=0), rng).intents[(1, "14")]
+            probabilistic_decide(dist, ratios, 0, rng.random(13).tolist()).intents[(1, "14")]
             for _ in range(n)
         )
         sigma = np.sqrt(0.3 * 0.7 / n)
@@ -196,9 +183,8 @@ class TestProbabilistic:
 
     def test_row_shorter_probability_mass_falls_to_last_action(self):
         # Guard against drifting cumulative sums: mass exactly 1 picks within.
-        rng = ScriptedRng([0.999999] + [0.5] * 12)
-        decision = probabilistic_decide({0: [0.5, 0.5, 0, 0, 0, 0]}, {},
-                                        Observation(key=0), rng)
+        decision = probabilistic_decide({0: [0.5, 0.5, 0, 0, 0, 0]}, {}, 0,
+                                        [0.999999] + [0.5] * 12)
         assert decision.action == 1
 
 
@@ -209,9 +195,9 @@ class TestPerState:
             1: ((6, 0, 0), (0, 0, 0)),
         }
         stats = {0: triple(0.5, 0.5, 0.25), 1: triple(0.2, 0.9, 0.1)}
-        d0 = per_state_memoryless_decide(subsystems, stats, Observation(key=0))
+        d0 = per_state_memoryless_decide(subsystems, 0, stats[0])
         assert d0.action == 3
-        d1 = per_state_memoryless_decide(subsystems, stats, Observation(key=1))
+        d1 = per_state_memoryless_decide(subsystems, 1, stats[1])
         assert d1 == maxweight_decide(subsystems[1], stats[1], "A3")
         assert d1.action == 1
 
@@ -219,8 +205,7 @@ class TestPerState:
         queues = ((2, 3, 0), (1, 0, 0))
         stats = {0: triple(0.3, 0.3, 0.1)}
         direct = maxweight_decide(queues, stats[0], "A3")
-        dispatched = per_state_memoryless_decide({0: queues}, stats,
-                                                 Observation(key=0))
+        dispatched = per_state_memoryless_decide({0: queues}, 0, stats[0])
         assert direct == dispatched
 
 

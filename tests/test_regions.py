@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from channel_docs import alternating_model
 from duocast import (
     ActionDistribution,
     ChannelModel,
@@ -65,13 +66,6 @@ THREE_STATE_E = np.array(
 
 def three_state_model() -> ChannelModel:
     return ChannelModel(THREE_STATE_P, THREE_STATE_E)
-
-
-def alternating_model() -> ChannelModel:
-    # A clean slot always follows a half-lossy one and vice versa.
-    P = np.array([[0.0, 1.0], [1.0, 0.0]])
-    E = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.5, 0.5, 0.0]])
-    return ChannelModel(P, E, allow_periodic=True)
 
 
 def stats_for(model: ChannelModel, delay: int = 1) -> dict:

@@ -23,28 +23,12 @@ from pathlib import Path
 import numpy as np
 
 import lp_corpus
+from channel_docs import alternating, bursty, memoryless_chain, noisy
 from duocast.channel import load_channel
 from duocast.harness import Scenario, SimTrace, run
 from duocast.regions import diagonal_rate, region_hidden_L
 
 CORPUS_PATH = Path(__file__).resolve().parent / "data" / "trace_corpus.json"
-
-BURSTY = {
-    "gilbert_elliot": {"kind": "visible", "eps1": 0.6, "g1": 0.1, "eps2": 0.5, "g2": 0.2}
-}
-NOISY = {
-    "gilbert_elliot": {
-        "kind": "hidden", "eps1": 0.6, "g1": 0.1, "eps2": 0.5, "g2": 0.2,
-        "eps1_good": 0.2, "eps1_bad": 0.866, "eps2_good": 0.2, "eps2_bad": 0.8,
-    }
-}
-ALTERNATING = {
-    "states": 2,
-    "transition": [[0.0, 1.0], [1.0, 0.0]],
-    "emission": [[1.0, 0.0, 0.0, 0.0], [0.0, 0.5, 0.5, 0.0]],
-    "allow_periodic": True,
-}
-MEMORYLESS = {"states": 1, "transition": [[1.0]], "emission": [[0.35, 0.2, 0.25, 0.2]]}
 
 FIELDS = ("record", "times", "final_queues", "arrivals", "exits", "audit_passed")
 
@@ -58,31 +42,31 @@ def _equivalence() -> dict[str, Scenario]:
 
     cases = {}
     for name, channel, visible, delay, action_set, rates in (
-        ("bursty_A5_d1", BURSTY, True, 1, "A5", (0.28, 0.30)),
-        ("bursty_A5_d3", BURSTY, True, 3, "A5", (0.25, 0.28)),
-        ("alternating_A3_d1", ALTERNATING, True, 1, "A3", (0.30, 0.30)),
-        ("memoryless_A2_d1", MEMORYLESS, True, 1, "A2", (0.25, 0.25)),
-        ("noisy_A5_d1", NOISY, False, 1, "A5", (0.20, 0.20)),
-        ("noisy_A5_d2", NOISY, False, 2, "A5", (0.18, 0.18)),
-        ("noisy_A3_d2", NOISY, False, 2, "A3", (0.18, 0.18)),
-        ("noisy_A5_d3", NOISY, False, 3, "A5", (0.17, 0.17)),
+        ("bursty_A5_d1", bursty(), True, 1, "A5", (0.28, 0.30)),
+        ("bursty_A5_d3", bursty(), True, 3, "A5", (0.25, 0.28)),
+        ("alternating_A3_d1", alternating(), True, 1, "A3", (0.30, 0.30)),
+        ("memoryless_A2_d1", memoryless_chain(), True, 1, "A2", (0.25, 0.25)),
+        ("noisy_A5_d1", noisy(), False, 1, "A5", (0.20, 0.20)),
+        ("noisy_A5_d2", noisy(), False, 2, "A5", (0.18, 0.18)),
+        ("noisy_A3_d2", noisy(), False, 2, "A3", (0.18, 0.18)),
+        ("noisy_A5_d3", noisy(), False, 3, "A5", (0.17, 0.17)),
     ):
         cases[name] = Scenario(channel=channel, rates=rates, horizon=2000, seed=99,
                                visible=visible, delay=delay, policy=_mw(action_set),
                                stride=1)
     cases["prob_bursty_d1"] = Scenario(
-        channel=BURSTY, rates=(0.25, 0.25), horizon=2000, seed=7, stride=1,
+        channel=bursty(), rates=(0.25, 0.25), horizon=2000, seed=7, stride=1,
         policy={"kind": "probabilistic", "target": [0.25, 0.25]})
     cases["prob_bursty_d3"] = Scenario(
-        channel=BURSTY, rates=(0.2, 0.2), horizon=2000, seed=7, delay=3, stride=1,
+        channel=bursty(), rates=(0.2, 0.2), horizon=2000, seed=7, delay=3, stride=1,
         policy={"kind": "probabilistic", "target": [0.2, 0.2]})
-    r = 0.85 * diagonal_rate(region_hidden_L(load_channel(NOISY), 2))
+    r = 0.85 * diagonal_rate(region_hidden_L(load_channel(noisy()), 2))
     cases["prob_noisy_L2"] = Scenario(
-        channel=NOISY, rates=(r, r), horizon=3000, seed=13, visible=False,
+        channel=noisy(), rates=(r, r), horizon=3000, seed=13, visible=False,
         stride=1, policy={"kind": "probabilistic", "window_len": 2})
     for seed in (0, 1, 2):
         cases[f"bursty_A5_seed{seed}"] = Scenario(
-            channel=BURSTY, rates=(0.31, 0.33), horizon=1500, seed=seed,
+            channel=bursty(), rates=(0.31, 0.33), horizon=1500, seed=seed,
             policy=_mw("A5"), stride=1)
     return cases
 
@@ -92,29 +76,29 @@ def corpus() -> dict[str, dict[str, Scenario]]:
 
     equivalence = _equivalence()
     packets = {
-        "per_state_d1": dict(channel=BURSTY, rates=(0.15, 0.15), seed=21, stride=7,
+        "per_state_d1": dict(channel=bursty(), rates=(0.15, 0.15), seed=21, stride=7,
                              policy={"kind": "per_state"}),
-        "per_state_d2": dict(channel=BURSTY, rates=(0.12, 0.14), seed=22, delay=2,
+        "per_state_d2": dict(channel=bursty(), rates=(0.12, 0.14), seed=22, delay=2,
                              stride=5, policy={"kind": "per_state"}),
-        "prob_bursty_d2": dict(channel=BURSTY, rates=(0.18, 0.2), seed=23, delay=2,
+        "prob_bursty_d2": dict(channel=bursty(), rates=(0.18, 0.2), seed=23, delay=2,
                                stride=7,
                                policy={"kind": "probabilistic", "target": [0.2, 0.2]}),
-        "prob_noisy_L1": dict(channel=NOISY, rates=(0.15, 0.15), seed=24, visible=False,
+        "prob_noisy_L1": dict(channel=noisy(), rates=(0.15, 0.15), seed=24, visible=False,
                               stride=3, policy={"kind": "probabilistic", "window_len": 1}),
     }
     # Five chunks of the stream and a part, with records at every offset
     # into a chunk.
     chunks = {
-        "bursty_A5_d2": Scenario(channel=BURSTY, rates=(0.28, 0.3), horizon=5500,
+        "bursty_A5_d2": Scenario(channel=bursty(), rates=(0.28, 0.3), horizon=5500,
                                  seed=31, delay=2, policy=_mw("A5"), stride=7),
-        "noisy_A5_d3": Scenario(channel=NOISY, rates=(0.17, 0.17), horizon=5500,
+        "noisy_A5_d3": Scenario(channel=noisy(), rates=(0.17, 0.17), horizon=5500,
                                 seed=32, visible=False, delay=3, policy=_mw("A5"),
                                 stride=3),
         "prob_bursty_d3": Scenario(
-            channel=BURSTY, rates=(0.2, 0.2), horizon=5500, seed=33, delay=3, stride=5,
+            channel=bursty(), rates=(0.2, 0.2), horizon=5500, seed=33, delay=3, stride=5,
             policy={"kind": "probabilistic", "target": [0.22, 0.22]}),
         "prob_noisy_L2": Scenario(
-            channel=NOISY, rates=(0.18, 0.18), horizon=5500, seed=34, visible=False,
+            channel=noisy(), rates=(0.18, 0.18), horizon=5500, seed=34, visible=False,
             stride=6, policy={"kind": "probabilistic", "window_len": 2}),
     }
     return {
