@@ -201,6 +201,12 @@ def cond_erasure_visible(
     return ErasureStats.from_outcome_probs(step[prev_state] @ model.emission)
 
 
+def visible_stats(model: ChannelModel, delay: int = 1) -> dict[int, ErasureStats]:
+    """Each state's `cond_erasure_visible` law, keyed by the observed state."""
+
+    return {s: cond_erasure_visible(model, s, delay) for s in range(model.num_states)}
+
+
 def belief_update(
     model: ChannelModel, belief: Belief, observed: tuple[int, int]
 ) -> Belief:
@@ -403,6 +409,14 @@ def memoryless(outcome_probs: np.ndarray) -> ChannelModel:
     return ChannelModel(np.array([[1.0]]), p)
 
 
+def _field(doc: dict, name: str, prefix: str = ""):
+    """``doc[name]``; a ValueError naming the field when it is missing."""
+
+    if name not in doc:
+        raise ValueError(f"channel document has no {prefix}{name}")
+    return doc[name]
+
+
 def load_channel(source: str | Path | dict) -> ChannelModel:
     """Build a ChannelModel from a JSON document or an equivalent dict.
 
@@ -416,24 +430,25 @@ def load_channel(source: str | Path | dict) -> ChannelModel:
         doc = json.loads(Path(source).read_text())
     else:
         doc = source
+    if not isinstance(doc, dict):
+        raise ValueError(f"channel must be an object, got {doc!r}")
     if "gilbert_elliot" in doc:
         ge = doc["gilbert_elliot"]
+        if not isinstance(ge, dict):
+            raise ValueError(f"gilbert_elliot must be an object, got {ge!r}")
         kind = ge.get("kind", "visible")
-        common = (ge["eps1"], ge["g1"], ge["eps2"], ge["g2"])
-        if kind == "visible":
-            return ge_visible(*common)
+        names = ("eps1", "g1", "eps2", "g2")
         if kind == "hidden":
-            return ge_hidden(
-                *common,
-                ge["eps1_good"],
-                ge["eps1_bad"],
-                ge["eps2_good"],
-                ge["eps2_bad"],
-            )
+            names += ("eps1_good", "eps1_bad", "eps2_good", "eps2_bad")
+        args = [_field(ge, name, "gilbert_elliot.") for name in names]
+        if kind == "visible":
+            return ge_visible(*args)
+        if kind == "hidden":
+            return ge_hidden(*args)
         raise ValueError(f"unknown gilbert_elliot kind {kind!r}")
-    n = int(doc["states"])
-    transition = np.asarray(doc["transition"], dtype=float).reshape(n, n)
-    emission = np.asarray(doc["emission"], dtype=float).reshape(n, 4)
+    n = int(_field(doc, "states"))
+    transition = np.asarray(_field(doc, "transition"), dtype=float).reshape(n, n)
+    emission = np.asarray(_field(doc, "emission"), dtype=float).reshape(n, 4)
     return ChannelModel(
         transition, emission, allow_periodic=bool(doc.get("allow_periodic", False))
     )

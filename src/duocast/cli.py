@@ -13,12 +13,12 @@ import numpy as np
 
 from .channel import (
     ChannelModel,
-    cond_erasure_visible,
     ge_hidden,
     ge_visible,
     load_channel,
     prediction_gap,
     stationary_distribution,
+    visible_stats,
 )
 from .harness import (
     Scenario,
@@ -58,10 +58,7 @@ _REGION_KINDS = (
 
 
 def _visible_inputs(model: ChannelModel, delay: int):
-    stats = {
-        s: cond_erasure_visible(model, s, delay) for s in range(model.num_states)
-    }
-    return stats, stationary_distribution(model)
+    return visible_stats(model, delay), stationary_distribution(model)
 
 
 def _average_triple(model: ChannelModel) -> tuple[float, float, float]:
@@ -251,7 +248,7 @@ def _suite_flow(rng: np.random.Generator) -> tuple[bool, str]:
         n = int(rng.integers(1, 5))
         model = _random_model(rng, n)
         pi = stationary_distribution(model)
-        stats = {s: cond_erasure_visible(model, s) for s in range(n)}
+        stats = visible_stats(model)
         dist = _random_dist(rng, list(range(n)))
         for j in (1, 2):
             caps = link_capacities(dist, stats, pi, j)
@@ -267,7 +264,7 @@ def _suite_transform(rng: np.random.Generator) -> tuple[bool, str]:
         n = int(rng.integers(1, 4))
         model = _random_model(rng, n)
         pi = stationary_distribution(model)
-        stats = {s: cond_erasure_visible(model, s) for s in range(n)}
+        stats = visible_stats(model)
         dist = _random_dist(rng, list(range(n)))
         before = [cut_values(dist, stats, pi, j) for j in (1, 2)]
         if any(cv.minimum() < min(cv.a, cv.d) - 1e-12 for cv in before):

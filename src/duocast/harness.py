@@ -13,6 +13,7 @@ produces the identical trace under either engine.  Both return a
 from __future__ import annotations
 
 import json
+import os
 from bisect import bisect_right
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
@@ -22,13 +23,16 @@ from pathlib import Path
 import numpy as np
 
 from . import kernel
-from .channel import (
+# cond_erasure_visible is imported for perfbench/layers.py, which wraps it in
+# this module's namespace to count its calls.
+from .channel import (  # noqa: F401
     MAX_WINDOW_LEN,
     OUTCOMES,
     ChannelModel,
     cond_erasure_visible,
     load_channel,
     stationary_distribution,
+    visible_stats,
 )
 from .kernel import SimTrace
 from .lp import LinearProgram, solve
@@ -100,7 +104,7 @@ class Scenario:
     policy: dict = field(default_factory=_default_policy)
     stride: int | None = None
     engine: str = "counts"
-    movement_log: str | None = None
+    movement_log: str | os.PathLike | None = None
 
     def __post_init__(self) -> None:
         self.rates = _rate_pair("rates", self.rates)
@@ -116,12 +120,18 @@ class Scenario:
             self.stride = kernel.positive_int("stride", self.stride)
         if self.engine not in _ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}")
+        if self.movement_log is not None and not isinstance(
+                self.movement_log, (str, os.PathLike)):
+            raise ValueError(f"movement_log must be a file path, got "
+                             f"{self.movement_log!r}")
+        if not isinstance(self.policy, dict):
+            raise ValueError(f"policy must be an object with a kind, got {self.policy!r}")
         kind = self.policy.get("kind")
         if kind not in _POLICY_KINDS:
             raise ValueError(f"unknown policy kind {kind!r}")
         if kind == "maxweight":
             action_set = self.policy.get("action_set", "A5")
-            if action_set not in ACTION_SETS:
+            if not isinstance(action_set, str) or action_set not in ACTION_SETS:
                 raise ValueError(f"policy.action_set must be A2, A3, or A5, "
                                  f"got {action_set!r}")
         elif kind == "probabilistic":
@@ -168,7 +178,7 @@ class Scenario:
         if self.stride is not None:
             doc["stride"] = self.stride
         if self.movement_log is not None:
-            doc["movement_log"] = self.movement_log
+            doc["movement_log"] = os.fspath(self.movement_log)
         return json.dumps(doc, indent=2)
 
 
@@ -242,10 +252,7 @@ def _probabilistic_tables(scenario: Scenario, model: ChannelModel) -> _ProbTable
     policy = scenario.policy
     target = RatePoint(*policy.get("target", scenario.rates))
     if scenario.visible:
-        stats = {
-            s: cond_erasure_visible(model, s, scenario.delay)
-            for s in range(model.num_states)
-        }
+        stats = visible_stats(model, scenario.delay)
         weights = stationary_distribution(model)
         kind = "visible"
         window_len = 0
@@ -301,8 +308,7 @@ def per_state_split(
     pi = stationary_distribution(model)
     n = model.num_states
     facets: list[list[tuple[float, float, float]]] = []
-    for s in range(n):
-        st = cond_erasure_visible(model, s, delay)
+    for st in visible_stats(model, delay).values():
         region = region_memoryless_fb(st.eps1, st.eps2, st.eps12)
         rows = []
         boundary = region.boundary
@@ -410,14 +416,17 @@ def _run_packets(scenario: Scenario, model: ChannelModel, stride: int) -> SimTra
             delay=delay, window_len=tables.window_len if probabilistic else 0,
             predict=not probabilistic,
         ):
+            # Only the columns the policy reads: the arrival coins, and the
+            # action draw and link coins of the probabilistic policy.
             eps = eps.tolist()
-            for i, (row, zi, obs_key) in enumerate(
-                    zip(rows.tolist(), zis.tolist(), keys.tolist())):
+            draws = rows[:, 4:].tolist() if probabilistic else None
+            for i, ((u1, u2), zi, obs_key) in enumerate(
+                    zip(rows[:, :2].tolist(), zis.tolist(), keys.tolist())):
                 t = t0 + i
                 z = OUTCOMES[zi]
                 serving = net
                 if obs_key < 0:
-                    action, intents = 0, {}
+                    action, intents = 0, 0
                 else:
                     if maxweight:
                         decision = maxweight_decide(net, eps[i], action_set)
@@ -426,7 +435,7 @@ def _run_packets(scenario: Scenario, model: ChannelModel, stride: int) -> SimTra
                         decision = per_state_memoryless_decide(nets, obs_key, eps[i])
                     else:
                         decision = probabilistic_decide(
-                            tables.dist_by_code, tables.ratios, obs_key, row[4:])
+                            tables.dist_by_code, tables.ratios, obs_key, draws[i])
                     action, intents = decision.action, decision.intents
 
                 _, moves, slot_exits = apply_slot(serving, action, z, intents)
@@ -444,11 +453,11 @@ def _run_packets(scenario: Scenario, model: ChannelModel, stride: int) -> SimTra
                         + "\n"
                     )
 
-                if row[0] < r1:
-                    target = nets[_route(bins1, row[0], n_states)] if per_state else net
+                if u1 < r1:
+                    target = nets[_route(bins1, u1, n_states)] if per_state else net
                     target.new_arrival(1)
-                if row[1] < r2:
-                    target = nets[_route(bins2, row[1], n_states)] if per_state else net
+                if u2 < r2:
+                    target = nets[_route(bins2, u2, n_states)] if per_state else net
                     target.new_arrival(2)
 
                 if (t + 1) % stride == 0:

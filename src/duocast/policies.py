@@ -9,7 +9,8 @@ one per observable channel state.
 
 The policies take plain per-slot values, as the slot stream yields them: the
 observation key, the (eps1, eps2, eps12) triple max-weight weighs, and the
-slot's uniform draws for the probabilistic policy.
+slot's uniform draws for the probabilistic policy.  A decision's intents are
+a link mask in `queuenet`'s layout.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
-from .queuenet import ACTION_LINKS, ALLOWED_LINKS, LINK_NAMES
+from .queuenet import ACTION_LINKS, ALLOWED_LINKS, LINK_BITS, _describe
 
 __all__ = [
     "ACTION_SETS",
@@ -38,22 +39,32 @@ ACTION_SETS: dict[str, tuple[int, ...]] = {
 QueueLengths = tuple[tuple[int, int, int], tuple[int, int, int]]
 ErasureTriple = Sequence[float]  # (eps1, eps2, eps12)
 
-# Position of each link's coin in a slot's draws: after the action draw,
-# receiver 1's links 12, 13, 14, 24, 32, 34, then receiver 2's.
-_COIN_POS = {(j, link): 1 + 6 * (j - 1) + l
-             for j in (1, 2) for l, link in enumerate(LINK_NAMES)}
+# Each action's links as (bit, receiver, link, position of the link's coin
+# in a slot's draws): the coin of bit b follows the action draw at 1 + b.
+_COINS = {
+    action: tuple((LINK_BITS[j, link], j, link, LINK_BITS[j, link].bit_length())
+                  for j, link in links)
+    for action, links in ACTION_LINKS.items()
+}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PolicyDecision:
+    """An action and the link mask of the links it activates.
+
+    Not frozen: a frozen dataclass sets its fields through
+    ``object.__setattr__``, which doubles the cost of the one decision made
+    per slot.
+    """
+
     action: int
-    intents: dict[tuple[int, str], int]
+    intents: int
 
     def __post_init__(self) -> None:
-        allowed = ALLOWED_LINKS[self.action]
-        for key, value in self.intents.items():
-            if value and key not in allowed:
-                raise ValueError(f"intent {key} invalid under action {self.action}")
+        foreign = self.intents & ~ALLOWED_LINKS[self.action]
+        if foreign:
+            raise ValueError(f"intent on {_describe(foreign)} invalid under "
+                             f"action {self.action}")
 
 
 def action_weights(queues: QueueLengths, eps: ErasureTriple) -> list[float]:
@@ -91,20 +102,21 @@ _LINK_TESTS: dict[str, tuple[int, int | None]] = {
     "34": (2, None),
 }
 
-# One (key, receiver index, test) rule per link of each action.
-_INTENT_RULES: dict[int, tuple[tuple[tuple[int, str], int, tuple[int, int | None]], ...]] = {
-    action: tuple(((j, link), j - 1, _LINK_TESTS[link]) for j, link in links)
+# One (bit, receiver index, test) rule per link of each action.
+_INTENT_RULES: dict[int, tuple[tuple[int, int, tuple[int, int | None]], ...]] = {
+    action: tuple((LINK_BITS[j, link], j - 1, _LINK_TESTS[link]) for j, link in links)
     for action, links in ACTION_LINKS.items()
 }
 
 
-def link_intents(action: int, queues: QueueLengths) -> dict[tuple[int, str], int]:
-    """Positive-differential-backlog activations for the action's links."""
+def link_intents(action: int, queues: QueueLengths) -> int:
+    """The link mask of the action's links with a positive differential backlog."""
 
-    intents = {}
-    for key, i, (src, dst) in _INTENT_RULES[action]:
+    intents = 0
+    for bit, i, (src, dst) in _INTENT_RULES[action]:
         q = queues[i]
-        intents[key] = 1 if q[src] > (0 if dst is None else q[dst]) else 0
+        if q[src] > (0 if dst is None else q[dst]):
+            intents |= bit
     return intents
 
 
@@ -128,9 +140,10 @@ def probabilistic_decide(dist: Mapping, ratios: Mapping[int, Mapping[str, float]
 
     Queue lengths are never consulted.  ``draws`` are the slot's 13 uniforms
     in the stream's layout (`kernel.RNG_COLUMNS` from column 4): the action
-    draw, then one coin per link, receiver 1's links 12, 13, 14, 24, 32, 34
-    and then receiver 2's.  Each is read by its position, so a slot uses
-    the same draws whichever action comes up.
+    draw, then one coin per link bit, receiver 1's links 12, 13, 14, 24, 32,
+    34 and then receiver 2's.  Each is read by its position, so a slot uses
+    the same draws whichever action comes up, and the intents are the
+    action's links ANDed with the counts kernel's coin mask.
     """
 
     try:
@@ -145,10 +158,10 @@ def probabilistic_decide(dist: Mapping, ratios: Mapping[int, Mapping[str, float]
         if u < acc:
             action = a
             break
-    intents = {
-        (j, link): int(draws[_COIN_POS[j, link]] < ratios.get(j, {}).get(link, 0.0))
-        for j, link in ACTION_LINKS[action]
-    }
+    intents = 0
+    for bit, j, link, pos in _COINS[action]:
+        if draws[pos] < ratios.get(j, {}).get(link, 0.0):
+            intents |= bit
     return PolicyDecision(action, intents)
 
 

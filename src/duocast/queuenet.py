@@ -6,17 +6,24 @@ the raw receptions of its receiver.  Queue movements follow the link/flow
 model exactly: a packet moves over link (l, m) for receiver j in a slot iff
 the link is admissible under the chosen action and erasure pattern (C), the
 policy activated it (E), and the source queue is nonempty.
+
+Every per-slot set of links (the admissible, the intended and the moved) is
+a 12-bit int, with bit ``6*(j-1) + l`` for receiver j's link
+``LINK_NAMES[l]``: the layout of the counts kernel's coin mask, whose coin
+for that bit is random-matrix column ``5 + bit`` and whose ratio is
+``ratio_table.ravel()[bit]``.  `link_mask` and `link_flags` convert such a
+mask from and to a ``{(j, link): flag}`` dict.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from types import MappingProxyType
+from dataclasses import dataclass
 from typing import Mapping
 
 __all__ = [
     "LINK_NAMES",
+    "LINK_BITS",
     "ACTION_LINKS",
     "ALLOWED_LINKS",
     "Packet",
@@ -25,6 +32,8 @@ __all__ = [
     "ReceiverKnowledge",
     "QueueNetwork",
     "SlotFlows",
+    "link_mask",
+    "link_flags",
     "compute_capacities",
     "apply_slot",
     "flow_divergence",
@@ -32,6 +41,45 @@ __all__ = [
 ]
 
 LINK_NAMES = ("12", "13", "14", "24", "32", "34")
+
+# Each (receiver, link) key's bit in a link mask.
+LINK_BITS: dict[tuple[int, str], int] = {
+    (j, link): 1 << (6 * (j - 1) + l) for j in (1, 2) for l, link in enumerate(LINK_NAMES)
+}
+
+# Each receiver's link bits by link name, for the moves of one side.
+_BITS: dict[int, dict[str, int]] = {
+    j: {link: LINK_BITS[j, link] for link in LINK_NAMES} for j in (1, 2)
+}
+
+
+def link_mask(flags: Mapping[tuple[int, str], int]) -> int:
+    """The mask of the (receiver, link) keys whose flag is nonzero."""
+
+    mask = 0
+    for key, flag in flags.items():
+        if key not in LINK_BITS:
+            raise ValueError(f"unknown link {key!r}")
+        if flag:
+            mask |= LINK_BITS[key]
+    return mask
+
+
+def link_flags(mask: int) -> dict[tuple[int, str], int]:
+    """Every (receiver, link) key with its bit of ``mask``, 0 or 1."""
+
+    return {key: 1 if mask & bit else 0 for key, bit in LINK_BITS.items()}
+
+
+def _describe(mask: int) -> str:
+    """The lowest set bit of a nonzero ``mask``, as receiver and link."""
+
+    bit = (mask & -mask).bit_length() - 1
+    if bit >= len(LINK_BITS):
+        return f"bit {bit} (no link)"
+    j, l = divmod(bit, len(LINK_NAMES))
+    return f"link {LINK_NAMES[l]} for receiver {j + 1}"
+
 
 # Links that may carry an activation intent under each action.
 ACTION_LINKS: dict[int, tuple[tuple[int, str], ...]] = {
@@ -43,10 +91,10 @@ ACTION_LINKS: dict[int, tuple[tuple[int, str], ...]] = {
     5: ((1, "32"), (1, "34"), (2, "32"), (2, "34")),
 }
 
-# The same links as sets, for the per-slot intent checks.
-ALLOWED_LINKS: dict[int, frozenset[tuple[int, str]]] = {
-    action: frozenset(links) for action, links in ACTION_LINKS.items()
-}
+# The same links as one mask per action, for the per-slot intent checks.
+ALLOWED_LINKS: tuple[int, ...] = tuple(
+    link_mask(dict.fromkeys(ACTION_LINKS[action], 1)) for action in range(6)
+)
 
 
 @dataclass(frozen=True)
@@ -198,20 +246,20 @@ class QueueNetwork:
 
 @dataclass(slots=True)
 class SlotFlows:
-    """Per-slot link indicators: admissible (C), intended (E), moved counts."""
+    """Per-slot link masks: admissible (C), intended (E) and moved links."""
 
-    capacities: Mapping[tuple[int, str], int]
-    intents: dict[tuple[int, str], int]
-    effective: dict[tuple[int, str], int] = field(default_factory=dict)
+    capacities: int
+    intents: int
+    effective: int = 0
 
     def cap(self, j: int, link: str) -> int:
-        return self.capacities[(j, link)]
+        return 1 if self.capacities & LINK_BITS[j, link] else 0
 
     def flow(self, j: int, link: str) -> int:
-        return self.capacities[(j, link)] * self.intents.get((j, link), 0)
+        return 1 if self.capacities & self.intents & LINK_BITS[j, link] else 0
 
     def moved(self, j: int, link: str) -> int:
-        return self.effective.get((j, link), 0)
+        return 1 if self.effective & LINK_BITS[j, link] else 0
 
 
 def _capacity_formula(action: int, z1: int, z2: int) -> dict[tuple[int, str], int]:
@@ -226,29 +274,26 @@ def _capacity_formula(action: int, z1: int, z2: int) -> dict[tuple[int, str], in
     return caps
 
 
-# The formula over all 6 x 4 (action, z) pairs, built once.  The views are
-# read-only, so a slot's SlotFlows can hold one without copying it.
-_CAPACITY_TABLE: dict[tuple[int, tuple[int, int]], Mapping[tuple[int, str], int]] = {
-    (action, (z1, z2)): MappingProxyType(_capacity_formula(action, z1, z2))
+# The formula's mask for each action and outcome index 2*z1 + z2, built once.
+_CAPACITY_TABLE: tuple[tuple[int, ...], ...] = tuple(
+    tuple(link_mask(_capacity_formula(action, z1, z2)) for z1 in (0, 1) for z2 in (0, 1))
     for action in range(6)
-    for z1 in (0, 1)
-    for z2 in (0, 1)
-}
+)
 
 
-def _capacity_view(action: int, z: tuple[int, int]) -> Mapping[tuple[int, str], int]:
+def _capacity_mask(action: int, z: tuple[int, int]) -> int:
     if action not in range(6):
         raise ValueError(f"unknown action {action}")
     z1, z2 = z
     if z1 not in (0, 1) or z2 not in (0, 1):
         raise ValueError("erasure flags must be 0 or 1")
-    return _CAPACITY_TABLE[(action, (int(z1), int(z2)))]
+    return _CAPACITY_TABLE[action][2 * int(z1) + int(z2)]
 
 
 def compute_capacities(action: int, z: tuple[int, int]) -> dict[tuple[int, str], int]:
     """Which links the channel admits this slot, given action and erasures."""
 
-    return dict(_capacity_view(action, z))
+    return link_flags(_capacity_mask(action, z))
 
 
 def _other(j: int) -> int:
@@ -272,24 +317,21 @@ _DEG_REMEDY: dict[tuple[frozenset[int], frozenset[int]], str] = {
 
 
 class _SlotContext:
-    __slots__ = ("net", "z", "caps", "intents", "flows", "moves", "exits")
+    """One slot's state: ``active`` is the admissible intended links, ``moved``
+    the links a packet moved over, both as link masks."""
 
-    def __init__(self, net: QueueNetwork, z: tuple[int, int],
-                 caps: Mapping[tuple[int, str], int],
-                 intents: dict[tuple[int, str], int]) -> None:
+    __slots__ = ("net", "z", "caps", "intents", "active", "moved", "moves", "exits")
+
+    def __init__(self, net: QueueNetwork, z: tuple[int, int], caps: int,
+                 intents: int) -> None:
         self.net = net
         self.z = z
         self.caps = caps
         self.intents = intents
-        self.flows = SlotFlows(capacities=caps, intents=intents)
+        self.active = caps & intents
+        self.moved = 0
         self.moves: list[dict[str, object]] = []
         self.exits: list[tuple[Packet, int]] = []
-
-    def active(self, j: int, link: str) -> bool:
-        return bool(self.caps[(j, link)] and self.intents.get((j, link), 0))
-
-    def set_effective(self, j: int, link: str) -> None:
-        self.flows.effective[(j, link)] = 1
 
     def broadcast(self, content: int | None) -> None:
         if content is None:
@@ -346,14 +388,15 @@ def _apply_uncoded(ctx: _SlotContext, j: int) -> None:
     ctx.broadcast(packet.content if packet else None)
     if packet is None:
         return
-    if ctx.active(j, "14"):
+    bits = _BITS[j]
+    if ctx.active & bits["14"]:
         net.q1[j].popleft()
         ctx.exit_packet(packet, "q1")
-        ctx.set_effective(j, "14")
-    elif ctx.active(j, "12"):
+        ctx.moved |= bits["14"]
+    elif ctx.active & bits["12"]:
         net.q1[j].popleft()
         ctx.relay(packet, packet.content, "q1")
-        ctx.set_effective(j, "12")
+        ctx.moved |= bits["12"]
 
 
 def _apply_reactive(ctx: _SlotContext) -> None:
@@ -366,23 +409,20 @@ def _apply_reactive(ctx: _SlotContext) -> None:
     ctx.broadcast(wire if any(heads.values()) else None)
     for j in (1, 2):
         entry = heads[j]
-        if entry is not None and ctx.active(j, "24"):
+        if entry is not None and ctx.active & _BITS[j]["24"]:
             net.q2[j].popleft()
             ctx.exit_packet(entry.packet, "q2")
-            ctx.set_effective(j, "24")
+            ctx.moved |= _BITS[j]["24"]
 
 
 def _apply_proactive(ctx: _SlotContext) -> None:
     net = ctx.net
-    sides = [
-        j for j in (1, 2)
-        if ctx.intents.get((j, "13"), 0) and net.q1[j]
-    ]
+    sides = [j for j in (1, 2) if ctx.intents & _BITS[j]["13"] and net.q1[j]]
     wire = 0
     for j in sides:
         wire ^= net.q1[j][0].content
     ctx.broadcast(wire if sides else None)
-    moved = [j for j in sides if ctx.caps[(j, "13")]]
+    moved = [j for j in sides if ctx.caps & _BITS[j]["13"]]
     if not moved:
         return
     if len(moved) == 2:
@@ -391,25 +431,26 @@ def _apply_proactive(ctx: _SlotContext) -> None:
         net.q3_pairs.append((first, second))
         for j, packet in ((1, first), (2, second)):
             ctx.record(packet, j, "q1", "q3")
-            ctx.set_effective(j, "13")
+            ctx.moved |= _BITS[j]["13"]
     else:
         j = moved[0]
         packet = net.q1[j].popleft()
         net.q3_deg[j].append(DegEntry(packet, packet.content))
         ctx.record(packet, j, "q1", "q3")
-        ctx.set_effective(j, "13")
+        ctx.moved |= _BITS[j]["13"]
 
 
 def _serve_side(ctx: _SlotContext, j: int, packet: Packet, wire: int) -> bool:
     """Try to move one coded-queue side out; returns True if it moved."""
 
-    if ctx.active(j, "34"):
+    bits = _BITS[j]
+    if ctx.active & bits["34"]:
         ctx.exit_packet(packet, "q3")
-        ctx.set_effective(j, "34")
+        ctx.moved |= bits["34"]
         return True
-    if ctx.active(j, "32"):
+    if ctx.active & bits["32"]:
         ctx.relay(packet, wire, "q3")
-        ctx.set_effective(j, "32")
+        ctx.moved |= bits["32"]
         return True
     return False
 
@@ -483,28 +524,24 @@ def apply_slot(
     net: QueueNetwork,
     action: int,
     z: tuple[int, int],
-    intents: dict[tuple[int, str], int] | None = None,
+    intents: int = 0,
 ) -> tuple[SlotFlows, list[dict[str, object]], list[tuple[Packet, int]]]:
     """Run one transmission slot and move packets accordingly.
 
-    ``z`` is the realized erasure pattern (1 means erased).  ``intents`` maps
-    (receiver, link) to activation flags; links that the action cannot serve
-    are rejected.  Returns the slot's flow indicators, the movement log, and
+    ``z`` is the realized erasure pattern (1 means erased).  ``intents`` is
+    the link mask of the activated links; a link that the action cannot
+    serve is rejected.  Returns the slot's link masks, the movement log, and
     the packets delivered this slot.
     """
 
-    intents = dict(intents or {})
-    allowed = ALLOWED_LINKS.get(action)
-    if allowed is None:
-        raise ValueError(f"unknown action {action}")
-    for key, value in intents.items():
-        if value and key not in allowed:
-            raise ValueError(f"link {key[1]} for receiver {key[0]} cannot be "
-                             f"activated under action {action}")
-    caps = _capacity_view(action, z)
+    caps = _capacity_mask(action, z)
+    foreign = intents & ~ALLOWED_LINKS[action]
+    if foreign:
+        raise ValueError(f"{_describe(foreign)} cannot be activated under "
+                         f"action {action}")
     if action == 0:
         # Idle: nothing is sent and nothing moves.
-        return SlotFlows(capacities=caps, intents=intents), [], []
+        return SlotFlows(caps, intents), [], []
 
     ctx = _SlotContext(net, z, caps, intents)
     if action in (1, 2):
@@ -516,7 +553,7 @@ def apply_slot(
     elif action == 5:
         _apply_coded(ctx)
 
-    return ctx.flows, ctx.moves, ctx.exits
+    return SlotFlows(caps, intents, ctx.moved), ctx.moves, ctx.exits
 
 
 def flow_divergence(flows: SlotFlows, queue: int, j: int) -> int:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from duocast.channel import (
     memoryless,
     sample_step,
     stationary_distribution,
+    visible_stats,
     window_distribution,
 )
 
@@ -201,6 +204,14 @@ class TestCondErasureVisible:
     def test_rejects_bad_delay(self):
         with pytest.raises(ValueError):
             cond_erasure_visible(three_state_model(), 0, delay=0)
+
+    @pytest.mark.parametrize("delay", [1, 3])
+    def test_table_holds_each_state_law(self, delay):
+        model = three_state_model()
+        table = visible_stats(model, delay)
+        assert list(table) == [0, 1, 2]
+        for s, stats in table.items():
+            assert stats == cond_erasure_visible(model, s, delay)
 
 
 class TestBeliefUpdate:
@@ -443,6 +454,23 @@ class TestLoadChannel:
     def test_gilbert_elliot_hidden(self):
         model = load_channel(noisy())
         assert (model.emission > 0).all()
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"states": 1, "emission": [1.0, 0, 0, 0]}, "transition"),
+            ({"transition": [1.0], "emission": [1.0, 0, 0, 0]}, "states"),
+            ({"states": 1, "transition": [1.0]}, "emission"),
+            ({"gilbert_elliot": {"eps1": 0.6, "g1": 0.1, "eps2": 0.5}}, "gilbert_elliot.g2"),
+            ({"gilbert_elliot": {"kind": "hidden", "eps1": 0.6, "g1": 0.1, "eps2": 0.5,
+                                 "g2": 0.2}}, "gilbert_elliot.eps1_good"),
+            ({"gilbert_elliot": [0.6]}, "gilbert_elliot"),
+            ([1.0], "channel"),
+        ],
+    )
+    def test_missing_field_is_named(self, doc, field):
+        with pytest.raises(ValueError, match=re.escape(field)):
+            load_channel(doc)
 
     def test_allow_periodic_flag(self):
         doc = {

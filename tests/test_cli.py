@@ -159,6 +159,27 @@ class TestSimulateCommand:
         assert capsys.readouterr().out == first
 
 
+class TestBadScenarioInput:
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"policy": "maxweight"}, "policy"),
+            ({"policy": {"kind": "maxweight", "action_set": ["A5"]}}, "policy.action_set"),
+            ({"channel": {"states": 1, "emission": [1.0, 0, 0, 0]}}, "transition"),
+            ({"engine": "packets", "movement_log": 5}, "movement_log"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_fails_fast_naming_the_field(self, tmp_path, capsys, command, overrides,
+                                         field):
+        scenario = write_scenario(tmp_path / "sc.json", horizon=1000, **overrides)
+        extra = ["--points", "0.1,0.1"] if command == "sweep" else []
+        assert main([command, scenario, *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"duocast {command}: error: ")
+        assert field in err
+
+
 class TestSweepCommand:
     def test_points_to_csv(self, tmp_path):
         scenario = write_scenario(tmp_path / "sc.json")

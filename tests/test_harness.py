@@ -113,6 +113,10 @@ class TestScenario:
             {"policy": {"kind": "probabilistic", "target": 0.1}},
             {"policy": {"kind": "probabilistic", "target": [0.1, 0.1, 0.1]}},
             {"policy": {"kind": "probabilistic", "target": [0.1, 1.5]}},
+            {"policy": {"kind": "maxweight", "action_set": ["A5"]}},
+            {"movement_log": 5},
+            {"movement_log": True},
+            {"movement_log": ["moves.jsonl"]},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -125,6 +129,25 @@ class TestScenario:
             field += "".join(f".{key}" for key in kwargs["policy"] if key != "kind")
         with pytest.raises(ValueError, match=re.escape(field)):
             Scenario(**base)
+
+    @pytest.mark.parametrize("policy", ["maxweight", ["maxweight"], None])
+    def test_rejects_a_policy_that_is_not_an_object(self, policy):
+        with pytest.raises(ValueError, match="policy must be an object"):
+            Scenario(channel=fair_channel(), rates=(0.1, 0.1), horizon=100, policy=policy)
+
+    def test_movement_log_path_forms(self, tmp_path):
+        path = tmp_path / "moves.jsonl"
+        scenario = Scenario(channel=fair_channel(), rates=(0.1, 0.1), horizon=100,
+                            engine="packets", movement_log=path)
+        run(scenario)
+        assert len(path.read_text().splitlines()) == 100
+        assert json.loads(scenario.to_json())["movement_log"] == str(path)
+
+    def test_channel_without_transition_names_it(self):
+        channel = {"states": 1, "emission": [[1.0, 0.0, 0.0, 0.0]]}
+        scenario = Scenario(channel=channel, rates=(0.1, 0.1), horizon=100)
+        with pytest.raises(ValueError, match="transition"):
+            run(scenario)
 
     def test_probabilistic_target_outside_region(self):
         scenario = Scenario(

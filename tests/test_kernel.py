@@ -17,9 +17,11 @@ from duocast.channel import (
     memoryless,
     stationary_distribution,
 )
-from duocast import kernel
+from duocast import harness, kernel
 from duocast.harness import Scenario, _probabilistic_tables, _window_code, run
 from duocast.kernel import SimTrace, jit_enabled, run_counts, slot_stream
+from duocast.policies import probabilistic_decide
+from duocast.queuenet import ALLOWED_LINKS, LINK_BITS, LINK_NAMES
 from duocast.regions import diagonal_rate, region_hidden_L
 from channel_docs import alternating, bursty, memoryless_chain, noisy
 import lp_corpus
@@ -522,6 +524,72 @@ class TestChunkInvariance:
             assert other.audit_passed is True
 
 
+def coin_masks(rows, ratios):
+    """Each slot's coin mask, as the counts loop `kernel._count` builds it."""
+
+    return ((rows[:, 5:] < ratios) << kernel._COIN_SHIFTS).sum(axis=1)
+
+
+class TestOneLinkLayout:
+    """Link masks, kernel coins and ratio tables share one bit layout."""
+
+    def test_each_bit_is_its_coin_column_and_ratio_index(self, monkeypatch):
+        # Give every link a distinct ratio, so a permuted table would show.
+        synthesize = harness.synthesize_policy
+
+        def distinct(*args):
+            dist, _ = synthesize(*args)
+            return dist, {j: {link: (6 * (j - 1) + l + 1) / 16
+                              for l, link in enumerate(LINK_NAMES)} for j in (1, 2)}
+
+        monkeypatch.setattr(harness, "synthesize_policy", distinct)
+        scenario = Scenario(channel=bursty(), rates=(0.2, 0.2), horizon=100,
+                            policy={"kind": "probabilistic", "target": [0.2, 0.2]})
+        tables = _probabilistic_tables(scenario, scenario.model())
+        ratios = tables.ratio_table.ravel()
+        for (j, link), bit in LINK_BITS.items():
+            b = bit.bit_length() - 1
+            assert ratios[b] == tables.ratios[j][link] == (b + 1) / 16
+            # Only this link's coin, column 5 + b, falls below its ratio.
+            row = np.ones((1, kernel.RNG_COLUMNS))
+            row[0, 4] = 0.5  # the action draw
+            row[0, 5 + b] = 0.0
+            assert coin_masks(row, ratios)[0] == bit
+            action = next(a for a, allowed in enumerate(ALLOWED_LINKS) if allowed & bit)
+            onehot = {0: [float(a == action) for a in range(6)]}
+            decision = probabilistic_decide(onehot, tables.ratios, 0, row[0, 4:].tolist())
+            assert (decision.action, decision.intents) == (action, bit)
+
+    @pytest.mark.parametrize("visible", [True, False])
+    def test_decisions_are_the_kernel_coins_under_each_action(self, monkeypatch, visible):
+        monkeypatch.setattr(kernel, "CHUNK_SLOTS", 256)
+        policy = {"kind": "probabilistic", "target": [0.2, 0.2], "window_len": 2}
+        scenario = Scenario(channel=bursty() if visible else noisy(), rates=(0.2, 0.2),
+                            horizon=1200, visible=visible,
+                            policy=policy if visible else {**policy, "target": [0.15, 0.15]})
+        tables = _probabilistic_tables(scenario, scenario.model())
+        ratios = tables.ratio_table.ravel()
+        chunks = slots = 0
+        seen = set()
+        for _, rows, _, keys, _ in slot_stream(
+                scenario.model(), seed=3, horizon=scenario.horizon, visible=visible,
+                delay=1, window_len=tables.window_len):
+            chunks += 1
+            for draws, key, coin in zip(rows[:, 4:].tolist(), keys.tolist(),
+                                        coin_masks(rows, ratios).tolist()):
+                if key < 0:
+                    continue
+                decision = probabilistic_decide(tables.dist_by_code, tables.ratios,
+                                                key, draws)
+                assert coin & ALLOWED_LINKS[decision.action] == decision.intents
+                seen.add((decision.action, decision.intents))
+                slots += 1
+        assert chunks == 5 and slots >= 1190
+        # Several actions come up, and the coins vary the intents of some.
+        actions = {action for action, _ in seen}
+        assert len(actions) >= 3 and len(seen) > len(actions)
+
+
 class TestTraceCorpus:
     """Both engines reproduce the recorded corpus of traces bit for bit."""
 
@@ -539,3 +607,14 @@ class TestTraceCorpus:
                 if bitwise:
                     assert trace_corpus.entry(trace) == doc["groups"][group][name], \
                         (group, name)
+
+    def test_movement_logs_reproduce_the_recorded_digests(self, tmp_path):
+        doc = json.loads(trace_corpus.CORPUS_PATH.read_text())
+        scenarios = trace_corpus.movement_logs()
+        assert set(scenarios) == set(doc["movement_logs"])
+        bitwise = lp_corpus.compares_bits(doc["environment"])
+        for name, scenario in scenarios.items():
+            digest = trace_corpus.log_digest(scenario, tmp_path / f"{name}.jsonl")
+            assert (tmp_path / f"{name}.jsonl").stat().st_size > 0
+            if bitwise:
+                assert digest == doc["movement_logs"][name], name

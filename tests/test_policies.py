@@ -14,7 +14,14 @@ from duocast.policies import (
     per_state_memoryless_decide,
     probabilistic_decide,
 )
-from duocast.queuenet import LINK_NAMES, QueueNetwork
+from duocast.queuenet import (
+    ACTION_LINKS,
+    ALLOWED_LINKS,
+    LINK_NAMES,
+    QueueNetwork,
+    link_flags,
+    link_mask,
+)
 
 
 def triple(e1, e2, e12):
@@ -29,7 +36,7 @@ class TestMaxWeight:
         queues = ((0, 0, 0), (0, 0, 0))
         decision = maxweight_decide(queues, triple(0.3, 0.4, 0.1))
         assert decision.action == 0
-        assert decision.intents == {}
+        assert decision.intents == link_mask({})
 
     def test_side_queues_trigger_reactive(self):
         queues = ((0, 5, 0), (0, 5, 0))
@@ -39,7 +46,7 @@ class TestMaxWeight:
         assert max(weights[1], weights[2], weights[4], weights[5]) == 0.0
         decision = maxweight_decide(queues, stats)
         assert decision.action == 3
-        assert decision.intents == {(1, "24"): 1, (2, "24"): 1}
+        assert decision.intents == link_mask({(1, "24"): 1, (2, "24"): 1})
 
     @pytest.mark.parametrize("e1,e2", [(0.3, 0.6), (0.7, 0.2), (0.0, 0.0)])
     def test_fresh_backlog_prefers_proactive(self, e1, e2):
@@ -58,9 +65,9 @@ class TestMaxWeight:
         assert weights[5] == pytest.approx(14.4)
         decision = maxweight_decide(queues, stats)
         assert decision.action == 5
-        assert decision.intents == {
+        assert decision.intents == link_mask({
             (1, "32"): 1, (1, "34"): 1, (2, "32"): 1, (2, "34"): 1,
-        }
+        })
 
     def test_reactive_set_cannot_see_coded_queues(self):
         queues = ((0, 0, 8), (0, 0, 8))
@@ -77,9 +84,9 @@ class TestMaxWeight:
     def test_mixed_intents(self):
         queues = ((0, 2, 5), (0, 7, 3))
         intents = link_intents(5, queues)
-        assert intents == {
+        assert intents == link_mask({
             (1, "32"): 1, (1, "34"): 1, (2, "32"): 0, (2, "34"): 1,
-        }
+        })
 
     def test_accepts_queue_network(self):
         net = QueueNetwork()
@@ -124,7 +131,7 @@ class TestProbabilistic:
         for _ in range(20):
             decision = probabilistic_decide(dist, ratios, 0, rng.random(13).tolist())
             assert decision.action == 1
-            assert decision.intents == {(1, "14"): 1, (1, "12"): 1}
+            assert decision.intents == link_mask({(1, "14"): 1, (1, "12"): 1})
 
     def test_missing_key_errors(self):
         with pytest.raises(ValueError):
@@ -140,9 +147,11 @@ class TestProbabilistic:
             row[action] = 1.0
             decision = probabilistic_decide({0: row}, ratios, 0, [0.5] + coins)
             assert decision.action == action
-            for (j, link), intent in decision.intents.items():
+            assert decision.intents & ~ALLOWED_LINKS[action] == 0
+            flags = link_flags(decision.intents)
+            for j, link in ACTION_LINKS[action]:
                 coin = coins[6 * (j - 1) + LINK_NAMES.index(link)]
-                assert intent == int(coin < 0.33)
+                assert flags[j, link] == int(coin < 0.33)
 
     def test_coin_order_is_fixed(self):
         # Action coin first, then receiver-1 links 12,13,14,24,32,34, then
@@ -152,9 +161,9 @@ class TestProbabilistic:
         ratios = {2: {"32": 0.5}}
         decision = probabilistic_decide({0: [0, 0, 0, 0, 0, 1]}, ratios, 0, values)
         assert decision.action == 5
-        assert decision.intents == {
+        assert decision.intents == link_mask({
             (1, "32"): 0, (1, "34"): 0, (2, "32"): 1, (2, "34"): 0,
-        }
+        })
 
     def test_action_frequencies_match_distribution(self):
         row = [0.1, 0.2, 0.3, 0.15, 0.15, 0.1]
@@ -175,7 +184,9 @@ class TestProbabilistic:
         rng = np.random.default_rng(99)
         n = 100_000
         hits = sum(
-            probabilistic_decide(dist, ratios, 0, rng.random(13).tolist()).intents[(1, "14")]
+            link_flags(
+                probabilistic_decide(dist, ratios, 0, rng.random(13).tolist()).intents
+            )[(1, "14")]
             for _ in range(n)
         )
         sigma = np.sqrt(0.3 * 0.7 / n)
@@ -211,8 +222,10 @@ class TestPerState:
 
 class TestPolicyDecision:
     def test_rejects_foreign_intents(self):
-        with pytest.raises(ValueError):
-            PolicyDecision(3, {(1, "13"): 1})
+        with pytest.raises(ValueError, match="link 13 for receiver 1 invalid"):
+            PolicyDecision(3, link_mask({(1, "13"): 1}))
+        with pytest.raises(ValueError, match="link 12 for receiver 2 invalid"):
+            PolicyDecision(1, link_mask({(1, "12"): 1, (2, "12"): 1}))
 
     def test_zero_foreign_intent_allowed(self):
-        PolicyDecision(3, {(1, "13"): 0})
+        PolicyDecision(3, link_mask({(1, "13"): 0}))

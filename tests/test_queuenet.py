@@ -6,6 +6,9 @@ import pytest
 from duocast.queuenet import (
     _CAPACITY_TABLE,
     ACTION_LINKS,
+    ALLOWED_LINKS,
+    LINK_BITS,
+    LINK_NAMES,
     DegEntry,
     Packet,
     QueueNetwork,
@@ -15,15 +18,17 @@ from duocast.queuenet import (
     audit_decodability,
     compute_capacities,
     flow_divergence,
+    link_flags,
+    link_mask,
 )
 
-FULL_A5 = {(1, "32"): 1, (1, "34"): 1, (2, "32"): 1, (2, "34"): 1}
-FULL_A4 = {(1, "13"): 1, (2, "13"): 1}
-FULL_A3 = {(1, "24"): 1, (2, "24"): 1}
+FULL_A5 = link_mask({(1, "32"): 1, (1, "34"): 1, (2, "32"): 1, (2, "34"): 1})
+FULL_A4 = link_mask({(1, "13"): 1, (2, "13"): 1})
+FULL_A3 = link_mask({(1, "24"): 1, (2, "24"): 1})
 
 
 def uncoded_intents(j):
-    return {(j, "14"): 1, (j, "12"): 1}
+    return link_mask({(j, "14"): 1, (j, "12"): 1})
 
 
 def make_pair(z_poison=(0, 1)):
@@ -102,11 +107,11 @@ class TestCapacityTable:
     PAIRS = [(a, (z1, z2)) for a in range(6) for z1 in (0, 1) for z2 in (0, 1)]
 
     def test_table_matches_the_rules_on_all_24_pairs(self):
-        assert sorted(_CAPACITY_TABLE) == sorted(self.PAIRS)
+        assert [len(row) for row in _CAPACITY_TABLE] == [4] * 6
         for action, z in self.PAIRS:
             expected = capacity_oracle(action, *z)
             assert compute_capacities(action, z) == expected
-            assert dict(_CAPACITY_TABLE[(action, z)]) == expected
+            assert link_flags(_CAPACITY_TABLE[action][2 * z[0] + z[1]]) == expected
 
     def test_returned_dict_is_not_shared(self):
         first = compute_capacities(1, (0, 0))
@@ -116,7 +121,8 @@ class TestCapacityTable:
         assert second[(1, "14")] == 1
 
     def test_slot_flows_cannot_change_the_table(self):
-        flows, _, _ = apply_slot(QueueNetwork(), 1, (0, 0), {})
+        flows, _, _ = apply_slot(QueueNetwork(), 1, (0, 0), 0)
+        assert flows.capacities == _CAPACITY_TABLE[1][0]
         with pytest.raises(TypeError):
             flows.capacities[(1, "14")] = 0
         assert compute_capacities(1, (0, 0))[(1, "14")] == 1
@@ -141,16 +147,16 @@ class TestCapacityTable:
     )
     def test_apply_slot_rejects_bad_input(self, action, z, intents):
         with pytest.raises(ValueError):
-            apply_slot(QueueNetwork(), action, z, intents)
+            apply_slot(QueueNetwork(), action, z, link_mask(intents))
 
     def test_idle_slot_still_returns_flows(self):
         net = QueueNetwork()
         net.new_arrival(1)
-        flows, moves, exits = apply_slot(net, 0, (0, 0), {(1, "14"): 0})
+        flows, moves, exits = apply_slot(net, 0, (0, 0), link_mask({(1, "14"): 0}))
         assert isinstance(flows, SlotFlows)
         assert (moves, exits) == ([], [])
-        assert flows.intents == {(1, "14"): 0}
-        assert sum(flows.capacities.values()) == 0
+        assert flows.intents == link_mask({(1, "14"): 0})
+        assert sum(link_flags(flows.capacities).values()) == 0
         assert net.queue_lengths() == ((1, 0, 0), (0, 0, 0))
 
 
@@ -197,7 +203,7 @@ class TestUncoded:
     def test_without_activation_no_movement_but_reception_counts(self):
         net = QueueNetwork()
         p = net.new_arrival(1)
-        flows, _, exits = apply_slot(net, 1, (0, 0), {})
+        flows, _, exits = apply_slot(net, 1, (0, 0), 0)
         assert exits == []
         assert net.q1_len(1) == 1
         assert flows.moved(1, "14") == 0
@@ -341,7 +347,7 @@ class TestDegenerateProactive:
         net = QueueNetwork()
         pl = net.new_arrival(1)
         pm = net.new_arrival(2)
-        flows, _, _ = apply_slot(net, 4, (0, 0), {(1, "13"): 1})
+        flows, _, _ = apply_slot(net, 4, (0, 0), link_mask({(1, "13"): 1}))
         assert net.q3_deg[1][0] == DegEntry(pl, pl.content)
         assert net.q1[2][0] == pm
         assert flows.moved(2, "13") == 0
@@ -372,7 +378,7 @@ class TestLoneCodedService:
         # Poison heard only at receiver 1, remedy heard only at receiver 2,
         # and the policy moves just the session-2 side out.
         net, pl, pm = make_pair((0, 1))
-        _, _, exits = apply_slot(net, 5, (1, 0), {(2, "34"): 1})
+        _, _, exits = apply_slot(net, 5, (1, 0), link_mask({(2, "34"): 1}))
         assert exits == [(pm, 2)]
         survivor = net.q3_deg[1][0]
         assert survivor.packet == pl
@@ -384,7 +390,7 @@ class TestLoneCodedService:
 
     def test_survivor_keeps_own_content_when_known(self):
         net, pl, pm = make_pair((0, 1))
-        _, _, exits = apply_slot(net, 5, (0, 1), {(1, "34"): 1})
+        _, _, exits = apply_slot(net, 5, (0, 1), link_mask({(1, "34"): 1}))
         assert exits == [(pl, 1)]
         survivor = net.q3_deg[2][0]
         assert survivor.packet == pm and survivor.content == pm.content
@@ -392,7 +398,7 @@ class TestLoneCodedService:
 
 def lone_entry(net, session, z):
     packet = net.new_arrival(session)
-    apply_slot(net, 4, z, {(session, "13"): 1})
+    apply_slot(net, 4, z, link_mask({(session, "13"): 1}))
     return packet
 
 
@@ -434,7 +440,7 @@ class TestTwoLoneCodedService:
         net = QueueNetwork()
         pa = lone_entry(net, 1, (0, 1))
         pb = lone_entry(net, 2, (1, 0))
-        _, _, exits = apply_slot(net, 5, (0, 0), {(1, "34"): 1})
+        _, _, exits = apply_slot(net, 5, (0, 0), link_mask({(1, "34"): 1}))
         assert exits == [(pa, 1)]
         assert len(net.q3_deg[2]) == 1
 
@@ -475,22 +481,47 @@ class TestIntentValidation:
     def test_wrong_link_for_action(self):
         net = QueueNetwork()
         net.new_arrival(1)
-        with pytest.raises(ValueError):
-            apply_slot(net, 3, (0, 0), {(1, "13"): 1})
+        with pytest.raises(ValueError, match="link 13 for receiver 1 cannot"):
+            apply_slot(net, 3, (0, 0), link_mask({(1, "13"): 1}))
+        with pytest.raises(ValueError, match="link 34 for receiver 2 cannot"):
+            apply_slot(net, 1, (0, 0), link_mask({(1, "14"): 1, (2, "34"): 1}))
+        with pytest.raises(ValueError, match="bit 12"):
+            apply_slot(net, 1, (0, 0), 1 << 12)
 
     def test_zero_valued_foreign_intent_is_ignored(self):
         net = QueueNetwork()
-        flows, _, _ = apply_slot(net, 3, (0, 0), {(1, "13"): 0})
+        flows, _, _ = apply_slot(net, 3, (0, 0), link_mask({(1, "13"): 0}))
         assert flows.moved(1, "13") == 0
 
     def test_unknown_action(self):
         net = QueueNetwork()
         with pytest.raises(ValueError):
-            apply_slot(net, 7, (0, 0), {})
+            apply_slot(net, 7, (0, 0), 0)
+
+
+class TestLinkMasks:
+    def test_bits_follow_receiver_then_link_order(self):
+        assert [LINK_BITS[j, link].bit_length() - 1 for j in (1, 2)
+                for link in LINK_NAMES] == list(range(12))
+
+    def test_flags_and_mask_round_trip(self):
+        for mask in (0, 1, 0b101101, 4095, 2048):
+            assert link_mask(link_flags(mask)) == mask
+        flags = {(1, "14"): 1, (2, "12"): 0, (2, "34"): 1}
+        assert link_flags(link_mask(flags)) == {
+            key: flags.get(key, 0) for key in LINK_BITS}
+
+    def test_unknown_link_is_named(self):
+        with pytest.raises(ValueError, match="unknown link"):
+            link_mask({(3, "14"): 1})
+
+    def test_allowed_mask_of_each_action(self):
+        for action, links in ACTION_LINKS.items():
+            assert ALLOWED_LINKS[action] == link_mask(dict.fromkeys(links, 1))
 
 
 def random_intents(rng, action):
-    return {key: int(rng.integers(0, 2)) for key in ACTION_LINKS[action]}
+    return link_mask({key: int(rng.integers(0, 2)) for key in ACTION_LINKS[action]})
 
 
 class TestFuzz:
@@ -553,7 +584,7 @@ class TestDivergence:
 
     def test_bad_queue_index(self):
         net = QueueNetwork()
-        flows, _, _ = apply_slot(net, 0, (0, 0), {})
+        flows, _, _ = apply_slot(net, 0, (0, 0), 0)
         with pytest.raises(ValueError):
             flow_divergence(flows, 4, 1)
 

@@ -6,7 +6,10 @@ The corpus holds every scenario of ``TestEngineEquivalence`` on both
 engines, per_state and probabilistic packets runs, and runs on both engines
 long enough to cross several chunks of the slot stream.  Each entry records a
 digest of each field of the run's `SimTrace`: ``record``, ``times``,
-``final_queues``, ``arrivals``, ``exits`` and ``audit_passed``.  The
+``final_queues``, ``arrivals``, ``exits`` and ``audit_passed``.  Apart from
+the groups, ``movement_logs`` holds a digest of the JSONL movement log of
+four packets runs, byte for byte, so the packet moves are pinned as well as
+the queue counts they add up to.  The
 recorded digests come from a kernel whose traces are the reference;
 ``tests/test_kernel.py`` checks that the current code reproduces them.  The
 belief fold and the policy tables are float computations whose bits depend
@@ -17,6 +20,7 @@ on the LAPACK build, so the file records the environment of
 from __future__ import annotations
 
 import json
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -112,6 +116,30 @@ def corpus() -> dict[str, dict[str, Scenario]]:
     }
 
 
+def movement_logs() -> dict[str, Scenario]:
+    """Packets runs whose movement logs the corpus pins, without a log path."""
+
+    common = dict(horizon=3000, engine="packets", stride=5)
+    return {
+        "visible_A5_d2": Scenario(channel=bursty(), rates=(0.28, 0.3), seed=41, delay=2,
+                                  policy=_mw("A5"), **common),
+        "hidden_A5": Scenario(channel=noisy(), rates=(0.18, 0.18), seed=42,
+                              visible=False, policy=_mw("A5"), **common),
+        "probabilistic": Scenario(channel=bursty(), rates=(0.2, 0.2), seed=43,
+                                  policy={"kind": "probabilistic", "target": [0.22, 0.22]},
+                                  **common),
+        "per_state": Scenario(channel=bursty(), rates=(0.15, 0.15), seed=44,
+                              policy={"kind": "per_state"}, **common),
+    }
+
+
+def log_digest(scenario: Scenario, path: Path) -> str:
+    """Digest of the movement log that ``scenario`` writes to ``path``."""
+
+    run(replace(scenario, movement_log=str(path)))
+    return lp_corpus._digest(path.read_bytes())
+
+
 def _digest(array: np.ndarray) -> str:
     return lp_corpus._digest(np.ascontiguousarray(array, dtype=np.int64).tobytes())
 
@@ -129,6 +157,9 @@ def main() -> None:
         group: {name: entry(run(scenario)) for name, scenario in runs.items()}
         for group, runs in corpus().items()
     }
+    with tempfile.TemporaryDirectory() as tmp:
+        logs = {name: log_digest(scenario, Path(tmp) / "moves.jsonl")
+                for name, scenario in movement_logs().items()}
     # One run per line, so a changed trace shows as a one-line diff.
     lines = ['{"environment": ' + json.dumps(lp_corpus.environment()) + ', "groups": {']
     for g, (group, entries) in enumerate(groups.items()):
@@ -137,7 +168,7 @@ def main() -> None:
                   + ("," if i < len(entries) - 1 else "")
                   for i, (name, e) in enumerate(entries.items())]
         lines.append("}" + ("," if g < len(groups) - 1 else ""))
-    lines.append("}}")
+    lines.append('}, "movement_logs": ' + json.dumps(logs) + "}")
     CORPUS_PATH.parent.mkdir(exist_ok=True)
     CORPUS_PATH.write_text("\n".join(lines) + "\n")
     print(f"wrote {CORPUS_PATH}: { {group: len(e) for group, e in groups.items()} }")
