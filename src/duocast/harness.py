@@ -66,6 +66,7 @@ __all__ = [
 
 _POLICY_KINDS = ("maxweight", "probabilistic", "per_state")
 _ENGINES = ("counts", "packets")
+_MOVE_FIELDS = ("packet", "receiver", "from", "to")
 
 
 def _default_policy() -> dict:
@@ -418,7 +419,7 @@ def _run_packets(scenario: Scenario, model: ChannelModel, stride: int) -> SimTra
         ):
             # Only the columns the policy reads: the arrival coins, and the
             # action draw and link coins of the probabilistic policy.
-            eps = eps.tolist()
+            eps, at = eps[0].tolist(), eps[1].tolist()  # slot i's triple: eps[at[i]]
             draws = rows[:, 4:].tolist() if probabilistic else None
             for i, ((u1, u2), zi, obs_key) in enumerate(
                     zip(rows[:, :2].tolist(), zis.tolist(), keys.tolist())):
@@ -429,10 +430,10 @@ def _run_packets(scenario: Scenario, model: ChannelModel, stride: int) -> SimTra
                     action, intents = 0, 0
                 else:
                     if maxweight:
-                        decision = maxweight_decide(net, eps[i], action_set)
+                        decision = maxweight_decide(net, eps[at[i]], action_set)
                     elif per_state:
                         serving = nets[obs_key]
-                        decision = per_state_memoryless_decide(nets, obs_key, eps[i])
+                        decision = per_state_memoryless_decide(nets, obs_key, eps[at[i]])
                     else:
                         decision = probabilistic_decide(
                             tables.dist_by_code, tables.ratios, obs_key, draws[i])
@@ -446,7 +447,7 @@ def _run_packets(scenario: Scenario, model: ChannelModel, stride: int) -> SimTra
                                 "t": t,
                                 "action": action,
                                 "z": list(z),
-                                "moves": moves,
+                                "moves": [dict(zip(_MOVE_FIELDS, m)) for m in moves],
                                 "exits": [[p.pid, j] for p, j in slot_exits],
                             }
                         )

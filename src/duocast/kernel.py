@@ -25,26 +25,26 @@ loop, so every step is exact:
   from the previous chunk's last states followed by this chunk's; a window
   code is built digit by digit from shifted slices of the delayed
   outcomes, in int64 (hence at most MAX_WINDOW pairs);
-- max-weight's (eps1, eps2, eps12): for a visible slot the row of its key
-  in the per-state `cond_erasure_visible` table; for a hidden slot the
-  prediction from the belief that the Python fold stores for each slot:
-  elementwise products and sums, each starting at 0.0 and adding its terms
-  in index order, as a per-slot loop does (no `@` or `.sum`, whose
-  summation order differs);
+- max-weight's (eps1, eps2, eps12), as a table and each slot's row in it:
+  for a visible slot its key's row of the per-state `cond_erasure_visible`
+  table, built once per run; for a hidden slot its own row of predictions
+  from the beliefs the fold stores for each slot: elementwise products and
+  sums, each starting at 0.0 and adding its terms in index order, as a
+  per-slot loop does (no `@` or `.sum`, whose summation order differs);
 - in the counts loop, the arrival bits; under max-weight the five factors
-  of each slot's weights (1 - eps1, eps1 - eps12, ...), one subtraction
+  of each row's weights (1 - eps1, eps1 - eps12, ...), one subtraction
   each; under the probabilistic policy each slot's action (the leading run
   of cdf entries the action draw reaches) and its twelve link coins as a
   bit mask, all comparisons of draws with tables.
 
 What stays serial is plain Python: the chain's state walk and the belief
-fold in the stream; the max-weight weights and the moves in the counts
-loop, which keeps the six queues, four totals, record index and record
-countdown in Python int locals for the whole run (a numpy scalar in a local
-sends each mixed ``float * int`` through numpy's slow scalar path).  The
-per-slot loop reads Python lists made per chunk with ``tolist()``.  A slot
-with every queue empty skips the decision and the moves: each max-weight
-weight is 0.0 there, and each move is guarded by its queue.
+fold (unrolled by `_fold`) in the stream; the max-weight weights and the
+moves in the counts loop, which keeps the six queues, four totals, record
+index and record countdown in Python int locals for the whole run (a numpy
+scalar in a local sends each mixed ``float * int`` through numpy's slow
+scalar path).  The slot loop reads lists made per chunk by ``tolist()``.  A
+slot with every queue empty skips the decision and the moves: each
+max-weight weight is 0.0 there, and each move is guarded by its queue.
 
 The chunk length cannot change a trace: ``Generator.random`` fills the
 matrix row by row, so stacked small draws equal one large draw, and what
@@ -55,6 +55,7 @@ belief, queues) is exactly what a per-slot loop would carry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import repeat
 
 import numpy as np
@@ -129,14 +130,14 @@ def slot_stream(model: ChannelModel, *, seed: int, horizon: int, visible: bool,
     that slot: the state ``delay`` slots back for a visible model (the
     initial state before then); for a hidden one the base-4 code of the
     last ``window_len`` delayed feedback pairs (oldest pair in the highest
-    digit), or -1 until that many have arrived.  With ``predict``, ``eps``
-    holds each slot's (eps1, eps2, eps12), the triple max-weight weighs:
-    for a visible model the ``cond_erasure_visible(model, key, delay)`` row
-    of the slot's key; for a hidden one the feedback is instead folded into
-    a belief, the key is 0 (or -1 until ``window_len`` pairs have arrived)
-    and the triple is predicted from the belief.  Without ``predict``,
-    ``eps`` is an empty (0, 3) array.  All four are numpy arrays,
-    CHUNK_SLOTS slots long but for the last chunk.
+    digit), or -1 until that many have arrived.  With ``predict``, slot i's
+    (eps1, eps2, eps12) is ``table[at[i]]`` of ``eps = (table, at)``: for a
+    visible model ``table`` holds each state's ``cond_erasure_visible`` row
+    and ``at`` is ``key``; for a hidden one the feedback is instead folded
+    into a belief, the key is 0 (or -1 until ``window_len`` pairs have
+    arrived), ``table`` holds each slot's triple predicted from its belief
+    and ``at`` is ``arange``; without ``predict`` both are empty.  Arrays
+    per slot are CHUNK_SLOTS long but for the last chunk.
     """
 
     horizon = positive_int("horizon", horizon)
@@ -153,7 +154,7 @@ def slot_stream(model: ChannelModel, *, seed: int, horizon: int, visible: bool,
     p_cut = np.cumsum(model.transition, axis=1)[:, :last]
     e_cut = np.cumsum(model.emission, axis=1)[:, :3]
     # Transposed, so that each inner sum of the fold runs along one row.
-    emis_t = model.emission.T.tolist()
+    emis_t = tuple(map(tuple, model.emission.T.tolist()))
     trans_t = model.transition.T.tolist()
     pd1 = np.linalg.matrix_power(model.transition, delay - 1)
     ev = (model.emission[:, 2] + model.emission[:, 3],   # P(z1 = 1 | state)
@@ -166,7 +167,7 @@ def slot_stream(model: ChannelModel, *, seed: int, horizon: int, visible: bool,
     tail = np.full(delay if visible else delay + span - 1, s if visible else -1,
                    dtype=np.int64)
     belief = pi.tolist()
-    no_eps = np.empty((0, 3))
+    no_eps = (np.empty((0, 3)), np.empty(0, dtype=np.int64))
     if visible and predict:
         eps_tab = np.array([(st.eps1, st.eps2, st.eps12)
                             for st in visible_stats(model, delay).values()])
@@ -199,7 +200,7 @@ def slot_stream(model: ChannelModel, *, seed: int, horizon: int, visible: bool,
         if visible:
             keys = ext[:m]
             if predict:
-                eps = eps_tab[keys]
+                eps = (eps_tab, keys)
         elif window_len:
             # ext[i + span - 1] is the pair fed back at slot i and ext[i] the
             # oldest pair of its window, which is full once that is >= 0.
@@ -211,8 +212,8 @@ def slot_stream(model: ChannelModel, *, seed: int, horizon: int, visible: bool,
         else:
             keys = np.zeros(m, dtype=np.int64)
         if fold:
-            eps = _predict(ext[span - 1 : span - 1 + m].tolist(), belief,
-                           emis_t, trans_t, pd1, ev)
+            eps = (_predict(ext[span - 1 : span - 1 + m].tolist(), belief,
+                            emis_t, trans_t, pd1, ev), np.arange(m))
         yield t0, rows, zis, keys, eps
         t0 += m
 
@@ -221,7 +222,7 @@ def _predict(pairs, belief, emis_t, trans_t, pd1, ev):
     """Fold each slot's delayed pair into ``belief``; return (eps1, eps2, eps12).
 
     ``pairs`` holds the outcome index fed back at each slot, -1 for none
-    yet.  The fold is serial, so it runs in Python and updates ``belief`` in
+    yet.  The fold is serial; `_fold` runs it and updates ``belief`` in
     place.  The statistics are then computed for all slots at once, with
     elementwise products and sums that start at 0.0 and add their terms in
     index order, the order of a per-slot loop (no ``@`` or ``.sum``, whose
@@ -229,27 +230,8 @@ def _predict(pairs, belief, emis_t, trans_t, pd1, ev):
     """
 
     num_states = len(belief)
-    scratch = [0.0] * num_states
-    flat = []
-    for old in pairs:
-        if old >= 0:
-            col = emis_t[old]
-            total = 0.0
-            for k in range(num_states):
-                v = belief[k] * col[k]
-                scratch[k] = v
-                total += v
-            if total <= 0.0:
-                raise ValueError("feedback pair has probability zero "
-                                 "under the current belief")
-            for k in range(num_states):
-                col = trans_t[k]
-                acc = 0.0
-                for k2 in range(num_states):
-                    acc += scratch[k2] * col[k2]
-                belief[k] = acc / total
-        flat.extend(belief)
-    beliefs = np.array(flat).reshape(len(pairs), num_states)
+    beliefs = np.reshape(_fold(num_states)(pairs, belief, emis_t, trans_t),
+                         (len(pairs), num_states))
 
     # The belief `delay` - 1 slots ahead, then the erasure statistics.
     eps = np.zeros((3, len(pairs)))
@@ -262,15 +244,52 @@ def _predict(pairs, belief, emis_t, trans_t, pd1, ev):
     return eps.T
 
 
+@cache
+def _fold(n: int):
+    """The belief fold over ``n`` states as straight-line code, compiled once.
+
+    ``fold(pairs, belief, emis_t, trans_t)`` folds each pair into ``belief``
+    in place and returns each slot's belief, flat: a nested loop's float
+    operations in its order, each sum from 0.0 (so -0.0 entries add alike).
+    """
+
+    ks = range(n)
+    b = ", ".join(f"b{k}" for k in ks)
+    src = "\n".join([
+        "def fold(pairs, belief, emis_t, trans_t):",
+        f"    {b}, = belief",
+        "    " + ", ".join("(" + ", ".join(f"t{k}_{j}" for j in ks) + ",)" for k in ks)
+        + ", = trans_t",
+        "    flat = []",
+        "    for old in pairs:",
+        "        if old >= 0:",
+        "            " + ", ".join(f"e{k}" for k in ks) + ", = emis_t[old]",
+        *(f"            v{k} = b{k} * e{k}" for k in ks),
+        "            total = 0.0 + " + " + ".join(f"v{k}" for k in ks),
+        "            if total <= 0.0:",
+        "                raise ValueError('feedback pair has probability zero '",
+        "                                 'under the current belief')",
+        *(f"            b{k} = (0.0 + " + " + ".join(f"v{j} * t{k}_{j}" for j in ks)
+          + ") / total" for k in ks),
+        f"        flat += {b},",
+        f"    belief[:] = {b},",
+        "    return flat",
+    ])
+    scope = {}
+    exec(compile(src, f"<belief fold over {n} states>", "exec"), scope)
+    return scope["fold"]
+
+
 def _count(stream, amax, action_cdf, ratios, rates, stride, record):
     """Run the counts loop over ``stream``; return the end state and rows filled.
 
     ``action_cdf`` (an array, one cdf row per observation key) is None under
     max-weight, which reads each slot's (eps1, eps2, eps12) from the stream's
-    ``eps``, visible or hidden alike.  ``ratios`` holds the 12 link
+    ``(table, at)``, visible or hidden alike.  ``ratios`` holds the 12 link
     activation probabilities.  Each chunk first does in numpy what does not
-    depend on the queues; the slot loop then decides and moves.  Every ``stride``-th slot fills the next row of
-    ``record``; the end state is laid out as a row.
+    depend on the queues; the slot loop then decides and moves.  Every
+    ``stride``-th slot fills the next row of ``record``; the end state is
+    laid out as a row.
     """
 
     maxweight = action_cdf is None
@@ -289,7 +308,7 @@ def _count(stream, amax, action_cdf, ratios, rates, stride, record):
     left = stride  # slots up to and including the next record
     for _, rows, zis, keys, eps in stream:
         # Queue-independent work, per chunk: arrival bits (1 receiver 1,
-        # 2 receiver 2); under max-weight the factors of the slot's weights;
+        # 2 receiver 2); under max-weight the factors of each table row's weights;
         # under the probabilistic policy the action, the first index whose
         # cdf entry exceeds u (a leading run, so nothing is assumed of the
         # table; 0 before a key is observed), and the link coins as a
@@ -297,9 +316,9 @@ def _count(stream, amax, action_cdf, ratios, rates, stride, record):
         # (l 0..5) from column 5 + 6*j + l against ratios[6*j + l].
         arrivals = ((rows[:, 0] < r1) + 2 * (rows[:, 1] < r2)).tolist()
         if maxweight:
-            # Max-weight always observes: a visible key is a state, and the
-            # hidden belief waits for no window.
-            weights = _weight_terms(eps).tolist()
+            # Max-weight always observes (a visible key is a state, the hidden
+            # belief waits for no window); slot i weighs row at[i] of the table.
+            weights = map(_weight_terms(eps[0]).tolist().__getitem__, eps[1].tolist())
         else:
             seen = keys >= 0
             if missing[keys[seen]].any():

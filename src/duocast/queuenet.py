@@ -330,7 +330,7 @@ class _SlotContext:
         self.intents = intents
         self.active = caps & intents
         self.moved = 0
-        self.moves: list[dict[str, object]] = []
+        self.moves: list[tuple[int, int, str, str]] = []
         self.exits: list[tuple[Packet, int]] = []
 
     def broadcast(self, content: int | None) -> None:
@@ -341,7 +341,7 @@ class _SlotContext:
                 self.net.knowledge[j].add(content)
 
     def record(self, packet: Packet, j: int, src: str, dst: str) -> None:
-        self.moves.append({"packet": packet.pid, "receiver": j, "from": src, "to": dst})
+        self.moves.append((packet.pid, j, src, dst))
 
     def exit_packet(self, packet: Packet, src: str) -> None:
         j = packet.session
@@ -525,13 +525,13 @@ def apply_slot(
     action: int,
     z: tuple[int, int],
     intents: int = 0,
-) -> tuple[SlotFlows, list[dict[str, object]], list[tuple[Packet, int]]]:
+) -> tuple[SlotFlows, list[tuple[int, int, str, str]], list[tuple[Packet, int]]]:
     """Run one transmission slot and move packets accordingly.
 
     ``z`` is the realized erasure pattern (1 means erased).  ``intents`` is
     the link mask of the activated links; a link that the action cannot
-    serve is rejected.  Returns the slot's link masks, the movement log, and
-    the packets delivered this slot.
+    serve is rejected.  Returns the slot's link masks, its moves as
+    ``(pid, receiver, from, to)`` tuples, and the packets delivered.
     """
 
     caps = _capacity_mask(action, z)

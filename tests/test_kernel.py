@@ -306,10 +306,11 @@ class TestKernelValidation:
 
 
 def _stream_arrays(model, horizon, seed, **kwargs):
-    """The whole stream as arrays."""
+    """The whole stream as arrays, each slot's erasure triple as its own row."""
 
     chunks = [
-        chunk[1:] for chunk in slot_stream(model, seed=seed, horizon=horizon, **kwargs)
+        (rows, zis, keys, table[at]) for _, rows, zis, keys, (table, at)
+        in slot_stream(model, seed=seed, horizon=horizon, **kwargs)
     ]
     return [np.concatenate(parts) for parts in zip(*chunks)]
 
@@ -382,6 +383,15 @@ class TestSlotStreamOracle:
                                                       delay=delay)
             assert np.array_equal(plain_keys, keys)
             assert no_eps.shape == (0, 3)
+            # One per-state table for the whole run, indexed by each slot's key.
+            chunks = [chunk[3:] for chunk in slot_stream(
+                model, seed=6, horizon=horizon, visible=True, delay=delay,
+                predict=True)]
+            first_table = chunks[0][1][0]
+            assert np.array_equal(first_table, np.array(
+                [(st.eps1, st.eps2, st.eps12) for st in stats]))
+            for chunk_keys, (table, at) in chunks:
+                assert table is first_table and at is chunk_keys
 
     # One state, and chains whose rows hold zeros: repeated cdf entries are
     # where a vectorized draw and a scalar scan could part.
@@ -445,6 +455,82 @@ class TestSlotStreamOracle:
                 )
 
 
+def nested_loop_fold(pairs, belief, emis_t, trans_t):
+    """The belief fold as a nested loop, the reference for `kernel._fold`."""
+
+    num_states = len(belief)
+    scratch = [0.0] * num_states
+    flat = []
+    for old in pairs:
+        if old >= 0:
+            col = emis_t[old]
+            total = 0.0
+            for k in range(num_states):
+                v = belief[k] * col[k]
+                scratch[k] = v
+                total += v
+            if total <= 0.0:
+                raise ValueError("feedback pair has probability zero "
+                                 "under the current belief")
+            for k in range(num_states):
+                col = trans_t[k]
+                acc = 0.0
+                for k2 in range(num_states):
+                    acc += scratch[k2] * col[k2]
+                belief[k] = acc / total
+        flat.extend(belief)
+    return flat
+
+
+class TestFoldOracle:
+    """The generated fold against the nested loop, bit for bit."""
+
+    # A lone state cannot lose all its inflow, so n = 1 has no signed zeros.
+    @pytest.mark.parametrize("n,signed_zero", [
+        (n, signed_zero) for n in (1, 2, 3, 4, 5, 6, 40)
+        for signed_zero in (False, True) if n > 1 or not signed_zero
+    ])
+    def test_rows_and_belief_equal_the_nested_loop(self, n, signed_zero):
+        rng = np.random.default_rng(1400 + n)
+        slots = 300 if n == 40 else 2000
+        for _ in range(1 if n == 40 else 3):
+            model = lp_corpus._random_chain(rng, n)
+            transition = model.transition.copy()
+            if signed_zero:
+                # No state enters state 0, through -0.0 entries, which the
+                # fold's leading 0.0 turns into a +0.0 belief.
+                transition[:, 0] = -0.0
+                transition[:, 1:] /= transition[:, 1:].sum(axis=1, keepdims=True)
+            emis_t = tuple(map(tuple, model.emission.T.tolist()))
+            trans_t = transition.T.tolist()
+            pairs = rng.integers(-1, 4, slots).tolist()
+            pairs[:3] = [-1, -1, -1]  # no pair fed back yet
+            want_belief = stationary_distribution(model).tolist()
+            want = nested_loop_fold(pairs, want_belief, emis_t, trans_t)
+            # Several calls carry the belief across, as chunks do.
+            belief = stationary_distribution(model).tolist()
+            fold = kernel._fold(n)
+            got = []
+            for lo, hi in ((0, 1), (1, 8), (8, 261), (261, slots)):
+                got += fold(pairs[lo:hi], belief, emis_t, trans_t)
+            assert got == want
+            assert belief == want_belief
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert np.array_equal(np.signbit(belief), np.signbit(want_belief))
+            if signed_zero:
+                assert not np.signbit(belief[0]) and belief[0] == 0.0
+
+    def test_a_pair_of_probability_zero_is_rejected(self):
+        # Outcome 3 (both erased) never comes from state 0, and the belief
+        # is sure of state 0.
+        emis_t = ((0.5, 0.25), (0.25, 0.25), (0.25, 0.25), (0.0, 0.25))
+        trans_t = [[0.9, 0.2], [0.1, 0.8]]
+        for fold in (kernel._fold(2), nested_loop_fold):
+            with pytest.raises(ValueError, match="feedback pair has probability "
+                                                 "zero under the current belief"):
+                fold([-1, 3], [1.0, 0.0], emis_t, trans_t)
+
+
 # Chunk lengths the stream is cut into: one slot, a prime, the default and
 # one longer than every horizon below.
 _CHUNK_LENGTHS = (1, 7, 1024, 65536)
@@ -466,6 +552,9 @@ def _counts_case(name, delay):
     if name == "hidden_mw":
         return dict(model=load_channel(noisy()), rates=(0.18, 0.18),
                     visible=False)
+    if name == "hidden_mw_3_states":
+        return dict(model=lp_corpus._random_chain(np.random.default_rng(3), 3),
+                    rates=(0.15, 0.15), visible=False)
     visible = name == "prob_visible"
     doc = bursty() if visible else noisy()
     policy = {"kind": "probabilistic", "target": [0.2, 0.2]}
@@ -486,10 +575,13 @@ def _counts_case(name, delay):
 class TestChunkInvariance:
     """Where the stream cuts its chunks cannot change a trace."""
 
-    @pytest.mark.parametrize("delay", (1, 3))
-    @pytest.mark.parametrize(
-        "name", ("visible_mw", "hidden_mw", "prob_visible", "prob_hidden")
-    )
+    # Each kernel path at delays 1 and 3, and the fold of a three-state chain
+    # (noisy() has four states) at delay 2.
+    @pytest.mark.parametrize("name,delay", [
+        (name, delay)
+        for name in ("visible_mw", "hidden_mw", "prob_visible", "prob_hidden")
+        for delay in (1, 3)
+    ] + [("hidden_mw_3_states", 2)])
     def test_counts_equal_for_every_chunk_length(self, monkeypatch, name, delay):
         case = _counts_case(name, delay)
         model = case.pop("model")

@@ -182,7 +182,7 @@ class TestUncoded:
         assert exits == [(p, 1)]
         assert net.q1_len(1) == 0
         assert flows.moved(1, "14") == 1
-        assert moves == [{"packet": p.pid, "receiver": 1, "from": "q1", "to": "q4"}]
+        assert moves == [(p.pid, 1, "q1", "q4")]
 
     def test_overheard_moves_to_side_queue(self):
         net = QueueNetwork()
