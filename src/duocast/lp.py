@@ -7,17 +7,16 @@ determinism instead of maintaining an incremental inverse.  A bound flip
 leaves the basis, and so the duals, unchanged: the next column of the same
 improving list enters without solving for the duals again.
 
-``solve(lp, seed=earlier)`` warm-starts from an optimal solution of an LP
-with the same constraints and bounds: it skips phase 1 and runs phase 2
-from that solution's basis, which stays primal feasible when only the
-objective changes.  Without a seed, ``solve`` runs both phases from the
-all-artificial basis.
+``solve`` runs both phases from the all-artificial basis.
+``objective_path(lp, c1, c2)`` solves once at c1 and then walks the optimal
+bases as the objective turns towards c2 (a parametric, shadow-vertex walk),
+one pivot or bound flip per basis.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,29 +53,13 @@ class _StandardForm:
 
 
 @dataclass(frozen=True)
-class _Basis:
-    """A final basis with the equality form it is a basis of.
-
-    A, b and ub are shared, read-only, by every solve warm-started from it.
-    """
-
-    form: _StandardForm
-    A: np.ndarray
-    b: np.ndarray
-    ub: np.ndarray
-    basis: tuple[int, ...]
-    at_upper: np.ndarray
-
-
-@dataclass(frozen=True)
 class LpSolution:
     """Status, value and witness, plus the simplex's work as plain counts.
 
     phase1_pivots and phase2_pivots count basis changes in each phase (the
     swaps that drive zero artificials out of the basis are not counted);
     bound_flips counts entering columns that ran to their opposite bound
-    without a basis change, over both phases.  A warm-started solve makes no
-    phase-1 pivot.
+    without a basis change, over both phases.
     """
 
     status: str  # "optimal" | "infeasible" | "unbounded"
@@ -85,7 +68,6 @@ class LpSolution:
     phase1_pivots: int = 0
     phase2_pivots: int = 0
     bound_flips: int = 0
-    _basis: _Basis | None = field(default=None, repr=False, compare=False)
 
 
 class _Tableau:
@@ -146,55 +128,71 @@ def _simplex_core(tab: _Tableau, c: np.ndarray) -> tuple[str, int, int]:
                 | (tab.at_upper & (reduced < -_RCOST_TOL))
             )
         )[0]
-        ub_basic = [ub[k] for k in basis]
         # Bland: the smallest improving index enters.  A flip changes
         # neither the basis nor the reduced costs, and the flipped column
         # stops improving, so the next candidate is the list's next entry.
         for j in improving.tolist():
-            sigma = -1.0 if tab.at_upper[j] else 1.0
-            w = np.linalg.solve(B, tab.A[:, j]).tolist() if basis else []
-            xb = tab.basic_values(B).tolist()
-            # x_j moves by sigma * t >= 0; basic variables move by -sigma * t * w.
-            best_t = ub[j]
-            leave_row = -1
-            leave_to_upper = False
-            for i, (w_i, x_i, ub_i) in enumerate(zip(w, xb, ub_basic)):
-                delta = -sigma * w_i
-                if delta < -_PIVOT_TOL:
-                    t_i = max(x_i, 0.0) / -delta
-                    hits_upper = False
-                elif delta > _PIVOT_TOL and math.isfinite(ub_i):
-                    t_i = max(ub_i - x_i, 0.0) / delta
-                    hits_upper = True
-                else:
-                    continue
-                # Bland tie-break: strictly smaller t, or equal t with a smaller
-                # basic variable index.
-                if t_i < best_t - _PIVOT_TOL or (
-                    t_i < best_t + _PIVOT_TOL
-                    and leave_row >= 0
-                    and basis[i] < basis[leave_row]
-                ):
-                    best_t = t_i
-                    leave_row = i
-                    leave_to_upper = hits_upper
-            if not math.isfinite(best_t):
+            if not _enter(tab, B, is_basic, ub, j):
                 return "unbounded", pivots, flips
-            if leave_row < 0:
-                # Entering variable runs to its opposite bound: a pure flip.
-                tab.at_upper[j] = not tab.at_upper[j]
+            if not is_basic[j]:
                 flips += 1
                 continue
-            leaving = basis[leave_row]
-            basis[leave_row] = j
-            is_basic[leaving] = False
-            is_basic[j] = True
-            tab.at_upper[leaving] = leave_to_upper
-            tab.at_upper[j] = False
             pivots += 1
             break
         else:
             return "optimal", pivots, flips
+
+
+def _enter(tab: _Tableau, B: np.ndarray, is_basic: np.ndarray, ub: list, j: int) -> bool:
+    """Move column j off its bound as far as the ratio test allows.
+
+    Either a basic variable leaves (a pivot, with Bland's smallest basic index
+    on ties) or x_j runs to its opposite bound (a flip).  B is A[:, basis] and
+    ub the bounds as Python floats.  Returns False, changing nothing, when no
+    bound stops x_j.
+    """
+    basis = tab.basis
+    sigma = -1.0 if tab.at_upper[j] else 1.0
+    w = np.linalg.solve(B, tab.A[:, j]).tolist() if basis else []
+    xb = tab.basic_values(B).tolist()
+    # x_j moves by sigma * t >= 0; basic variables move by -sigma * t * w.
+    best_t = ub[j]
+    leave_row = -1
+    leave_to_upper = False
+    for i, (w_i, x_i) in enumerate(zip(w, xb)):
+        ub_i = ub[basis[i]]
+        delta = -sigma * w_i
+        if delta < -_PIVOT_TOL:
+            t_i = max(x_i, 0.0) / -delta
+            hits_upper = False
+        elif delta > _PIVOT_TOL and math.isfinite(ub_i):
+            t_i = max(ub_i - x_i, 0.0) / delta
+            hits_upper = True
+        else:
+            continue
+        # Bland tie-break: strictly smaller t, or equal t with a smaller
+        # basic variable index.
+        if t_i < best_t - _PIVOT_TOL or (
+            t_i < best_t + _PIVOT_TOL
+            and leave_row >= 0
+            and basis[i] < basis[leave_row]
+        ):
+            best_t = t_i
+            leave_row = i
+            leave_to_upper = hits_upper
+    if not math.isfinite(best_t):
+        return False
+    if leave_row < 0:
+        # Entering variable runs to its opposite bound: a pure flip.
+        tab.at_upper[j] = not tab.at_upper[j]
+        return True
+    leaving = basis[leave_row]
+    basis[leave_row] = j
+    is_basic[leaving] = False
+    is_basic[j] = True
+    tab.at_upper[leaving] = leave_to_upper
+    tab.at_upper[j] = False
+    return True
 
 
 def _standard_form(lp: LinearProgram) -> _StandardForm:
@@ -295,56 +293,17 @@ def _phase1(form: _StandardForm) -> tuple[_Tableau | None, int, int]:
     _drive_out_artificials(tab, first_artificial)
     tab.ub[first_artificial:] = 0.0
     tab.at_upper[first_artificial:] = False
-    for array in (tab.A, tab.b, tab.ub):
-        array.flags.writeable = False  # shared by warm starts from now on
     return tab, pivots, flips
-
-
-def _first_difference(old: np.ndarray, new: np.ndarray) -> int:
-    """First index along axis 0 where two same-shape arrays differ."""
-    differs = (old != new).reshape(len(old), -1).any(axis=1)
-    return int(np.flatnonzero(differs)[0])
-
-
-def _warm_tableau(form: _StandardForm, seed: LpSolution) -> _Tableau:
-    """Phase-2 start at the seed's basis, after checking the seed fits the LP."""
-    start = seed._basis
-    if seed.status != "optimal" or start is None:
-        raise ValueError(
-            f"seed must be an optimal solution returned by solve, not {seed.status!r}"
-        )
-    old = start.form
-    if old.lo.size != form.lo.size:
-        raise ValueError(
-            f"bounds differ from the seed LP's: {old.lo.size} variables, not {form.lo.size}"
-        )
-    if old.rhs.size != form.rhs.size:
-        raise ValueError(
-            f"constraints differ from the seed LP's: {old.rhs.size} rows, not {form.rhs.size}"
-        )
-    for name, what, a, b in (
-        ("bounds", "lower bound of variable", old.lo, form.lo),
-        ("bounds", "upper bound of variable", old.hi, form.hi),
-        ("constraints", "coefficients of row", old.rows, form.rows),
-        ("constraints", "relation of row", old.slack_sign, form.slack_sign),
-        ("constraints", "right-hand side of row", old.rhs, form.rhs),
-    ):
-        if not np.array_equal(a, b):
-            raise ValueError(
-                f"{name} differ from the seed LP's: {what} {_first_difference(a, b)}"
-            )
-    tab = _Tableau(start.A, start.b, start.ub, list(start.basis))
-    tab.at_upper = start.at_upper.copy()
-    return tab
 
 
 def _check_optimal(
     form: _StandardForm, tab: _Tableau, c_full: np.ndarray, value: float,
-    witness: np.ndarray, z: np.ndarray,
+    witness: np.ndarray, z: np.ndarray, y: np.ndarray,
 ) -> None:
     """Primal feasibility, objective consistency, and strong duality.
 
-    z is the tableau's point, of which witness is the unshifted head.
+    z is the tableau's point, of which witness is the unshifted head, and y
+    the basis's duals for the objective c_full.
     """
     residual = form.rows @ witness - form.rhs
     # Positive where a row is violated: lhs - rhs for <=, rhs - lhs for >=.
@@ -355,9 +314,8 @@ def _check_optimal(
         raise ArithmeticError(f"optimal witness violates a {rel} constraint")
     if ((witness < form.lo - _FEAS_TOL) | (witness > form.hi + _FEAS_TOL)).any():
         raise ArithmeticError("optimal witness violates a bound")
-    if abs(value - float(form.c0 @ witness)) > _FEAS_TOL:
+    if abs(value - float(c_full[: witness.size] @ witness)) > _FEAS_TOL:
         raise ArithmeticError("objective value inconsistent with witness")
-    y = tab.duals(c_full)
     reduced = c_full - tab.A.T @ y
     active_upper = tab.at_upper & (tab.ub > 0)
     dual_value = float(y @ tab.b + reduced[active_upper] @ tab.ub[active_upper])
@@ -375,23 +333,15 @@ def _check_optimal(
         raise ArithmeticError("dual certificate is not feasible")
 
 
-def solve(lp: LinearProgram, seed: LpSolution | None = None) -> LpSolution:
-    """Optimal basic solution, deterministic across runs.
-
-    seed is an optimal solution of an LP with the same constraints and
-    bounds (the objective may differ); phase 2 then starts from its basis.
-    A seed from another LP raises ValueError naming the field that differs.
-    """
+def solve(lp: LinearProgram) -> LpSolution:
+    """Optimal basic solution, deterministic across runs."""
     form = _standard_form(lp)
-    if seed is None:
-        tab, phase1_pivots, phase1_flips = _phase1(form)
-        if tab is None:
-            return LpSolution(
-                status="infeasible", value=np.nan, witness=None,
-                phase1_pivots=phase1_pivots, bound_flips=phase1_flips,
-            )
-    else:
-        tab, phase1_pivots, phase1_flips = _warm_tableau(form, seed), 0, 0
+    tab, phase1_pivots, phase1_flips = _phase1(form)
+    if tab is None:
+        return LpSolution(
+            status="infeasible", value=np.nan, witness=None,
+            phase1_pivots=phase1_pivots, bound_flips=phase1_flips,
+        )
     n = form.c0.size
     c_full = np.zeros(tab.A.shape[1])
     c_full[:n] = form.c0
@@ -406,11 +356,64 @@ def solve(lp: LinearProgram, seed: LpSolution | None = None) -> LpSolution:
     z = tab.values()
     witness = form.lo + z[:n]
     value = float(form.c0 @ witness)
-    _check_optimal(form, tab, c_full, value, witness, z)
-    basis = _Basis(form, tab.A, tab.b, tab.ub, tuple(tab.basis), tab.at_upper)
-    return LpSolution(
-        status="optimal", value=value, witness=witness, **counts, _basis=basis
-    )
+    _check_optimal(form, tab, c_full, value, witness, z, tab.duals(c_full))
+    return LpSolution(status="optimal", value=value, witness=witness, **counts)
+
+
+def objective_path(
+    lp: LinearProgram, c1: np.ndarray, c2: np.ndarray
+) -> list[tuple[tuple[float, float], LpSolution]]:
+    """Optimal basic solutions of lp as its objective turns from c1 to c2.
+
+    lp's own objective is ignored; the objective is (1 - s) c1 + s c2 for s
+    in [0, 1].  A cold solve at c1 gives the first basis.  Each later one is
+    a pivot or bound flip at the smallest s where a nonbasic reduced cost
+    changes sign (Bland's smallest index on ties, solve's ratio test).  Each
+    entry is (d, solution): at the unit direction d, proportional to
+    (1 - s, s), the basis becomes optimal, the value is (d[0] c1 + d[1] c2)
+    . witness, and the certificate is checked as solve checks its own.  The
+    last basis stays optimal up to c2.  The LP must be feasible and bounded.
+    """
+    form = _standard_form(lp)
+    n = form.c0.size
+    tab, phase1_pivots, phase1_flips = _phase1(form)
+    if tab is None:
+        raise ValueError("objective_path needs a feasible LP")
+    cs = np.zeros((2, tab.A.shape[1]))
+    cs[0, :n], cs[1, :n] = c1, c2
+    status, pivots, flips = _simplex_core(tab, cs[0])
+    if status != "optimal":
+        raise ValueError("objective_path needs a bounded LP")
+    counts = (phase1_pivots, pivots, phase1_flips + flips)
+    is_basic = np.zeros(cs.shape[1], dtype=bool)
+    is_basic[tab.basis] = True
+    movable = tab.ub > _PIVOT_TOL
+    ub = tab.ub.tolist()
+    path = []
+    s = 0.0
+    while True:
+        B = tab.A[:, tab.basis]
+        ys = np.linalg.solve(B.T, cs[:, tab.basis].T)
+        r1, r2 = cs - (tab.A.T @ ys).T
+        d = (1.0 - s) / math.hypot(1.0 - s, s), s / math.hypot(1.0 - s, s)
+        c = d[0] * cs[0] + d[1] * cs[1]
+        z = tab.values()
+        witness = form.lo + z[:n]
+        value = float(c[:n] @ witness)
+        _check_optimal(form, tab, c, value, witness, z, ys @ d)
+        path.append((d, LpSolution("optimal", value, witness, *counts)))
+        # r1 + s * slope must stay <= 0 at a lower bound and >= 0 at an upper.
+        slope = r2 - r1
+        turning = np.where(tab.at_upper, -slope, slope) > _RCOST_TOL
+        cols = np.flatnonzero(~is_basic & movable & turning)
+        crit = np.maximum(-r1[cols] / slope[cols], s)
+        if not cols.size or crit.min() >= 1.0:
+            return path
+        k = int(np.argmin(crit))  # the smallest index among exact ties
+        s, j = float(crit[k]), int(cols[k])
+        if not _enter(tab, B, is_basic, ub, j):
+            raise ValueError("objective_path needs a bounded LP")
+        counts = (0, 1, 0) if is_basic[j] else (0, 0, 1)
 
 
 def feasible(lp: LinearProgram) -> bool:

@@ -5,9 +5,10 @@ explicit boundary polyline from (R1max, 0) to (0, R2max) with a witness per
 vertex.  One exact vertex tracer, `_trace`, turns a support oracle into that
 boundary.  Only the reactive region's oracle solves an LP over the
 per-conditioning transmit fractions (x_k, y_k): its x_k + y_k >= 1 couples
-the two receivers.  Its constraints do not depend on the direction, so
-each support solve warm-starts from the previous optimum.  The visible and
-hidden_L LP separates into two fractional knapsacks, each solved by a
+the two receivers.  Its constraints do not depend on the direction, so one
+parametric simplex walk from (1, 0) to (0, 1) finds an optimal basic
+solution for every direction, and its oracle picks among them.  The visible
+and hidden_L LP separates into two fractional knapsacks, each solved by a
 greedy fill after one sort, and their oracle picks from the breakpoints of
 the two frontiers' lower envelope.  The uncoded and Minkowski regions are
 sums of per-key pieces, so their oracles add each piece's maximizer.  The
@@ -25,12 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from duocast.channel import (
+    Belief,
     ChannelModel,
-    FeedbackWindow,
+    belief_update,
     cond_erasure_hidden,
+    stationary_distribution,
     window_distribution,
 )
-from duocast.lp import LinearProgram, solve
+from duocast.lp import LinearProgram, objective_path, solve
 from duocast.queuenet import LINK_NAMES
 
 REGION_KINDS = (
@@ -404,16 +407,26 @@ def _knapsack_region(kind: str, stats_by_key: dict, weights) -> RateRegion:
         whole, share = _fill_cuts(order, gain, a, target)
         fills.append((rank.tolist(), whole.tolist(), share.tolist()))
 
+    def witness(i: int) -> RegionWitness:
+        fill_x, fill_y = ((rank, whole[i], share[i]) for rank, whole, share in fills)
+        return RegionWitness(kind=kind, parameters=_FillView(keys, index, fill_x, fill_y))
+
+    return _trace(kind, _best_candidate(points, witness))
+
+
+def _best_candidate(points: np.ndarray, witness):
+    """Support oracle over fixed candidate points (rows of points).
+
+    It returns the first candidate of largest value along the direction,
+    with witness(i), the witness of candidate i.
+    """
+
     def support(d1: float, d2: float):
         values = points @ np.array([d1, d2])
         i = int(np.argmax(values))
-        fill_x, fill_y = ((rank, whole[i], share[i]) for rank, whole, share in fills)
-        witness = RegionWitness(
-            kind=kind, parameters=_FillView(keys, index, fill_x, fill_y)
-        )
-        return float(values[i]), RatePoint(*points[i].tolist()), witness
+        return float(values[i]), RatePoint(*points[i].tolist()), witness(i)
 
-    return _trace(kind, support)
+    return support
 
 
 # The five traced regions (visible, reactive, uncoded, hidden_L, minkowski)
@@ -430,32 +443,23 @@ def region_reactive(stats_by_state: dict, pi, directions=None) -> RateRegion:
     """Visible-state region restricted to reactive coding (x_s + y_s >= 1).
 
     x + y >= 1 couples x and y per state, so this region is traced from its
-    support LP.  The LP is built once: only the objective changes between
-    directions, so each solve warm-starts phase 2 from the last optimum and
-    only the first runs phase 1.
+    support LP.  Only the objective changes between directions, so one
+    `objective_path` walk from (1, 0) to (0, 1) visits an optimal basic
+    solution for every direction, and the oracle picks the best of them.
     """
     keys, w, eps1, eps2, eps12 = _stats_arrays(stats_by_state, pi)
     K = len(keys)
-    builder = _fraction_lp_builder(w, eps1, eps2, eps12, reactive=True, uncoded=False)
-    template = builder(np.zeros(2))
-    last = None
-
-    def support(d1: float, d2: float):
-        nonlocal last
-        objective = np.zeros(2 + 2 * K)
-        objective[0], objective[1] = d1, d2
-        lp = LinearProgram(objective, template.constraints, template.bounds)
-        sol = last = solve(lp, seed=last)
-        if sol.status != "optimal":
-            raise ArithmeticError(f"region support LP ended {sol.status}")
-        r1, r2, *fractions = sol.witness
-        x = np.clip(fractions[:K], 0, 1)
-        y = np.clip(fractions[K:], 0, 1)
-        params = {key: (float(x[k]), float(y[k])) for k, key in enumerate(keys)}
-        point = RatePoint(max(r1, 0.0), max(r2, 0.0))
-        return sol.value, point, RegionWitness(kind="reactive", parameters=params)
-
-    return _trace("reactive", support)
+    build = _fraction_lp_builder(w, eps1, eps2, eps12, reactive=True, uncoded=False)
+    east, north = np.zeros(2 + 2 * K), np.zeros(2 + 2 * K)
+    east[0] = north[1] = 1.0
+    points, witnesses = [], []
+    for _, sol in objective_path(build(np.zeros(2)), east, north):
+        x = np.clip(sol.witness[2 : 2 + K], 0, 1).tolist()
+        y = np.clip(sol.witness[2 + K :], 0, 1).tolist()
+        points.append(np.maximum(sol.witness[:2], 0.0))
+        params = dict(zip(keys, zip(x, y)))
+        witnesses.append(RegionWitness(kind="reactive", parameters=params))
+    return _trace("reactive", _best_candidate(np.array(points), witnesses.__getitem__))
 
 
 def region_uncoded(stats_by_state: dict, pi, directions=None) -> RateRegion:
@@ -486,14 +490,25 @@ def region_uncoded(stats_by_state: dict, pi, directions=None) -> RateRegion:
 def hidden_window_stats(
     model: ChannelModel, window_len: int
 ) -> tuple[dict, dict]:
-    """Per-window erasure stats and window probabilities, zero-mass dropped."""
+    """Per-window erasure stats and window probabilities, zero-mass dropped.
+
+    A window's belief is its prefix's belief stepped once by the filter, so
+    each prefix is filtered once, from the stationary law.
+    """
     dist = window_distribution(model, window_len)
+    beliefs = {(): Belief(probs=stationary_distribution(model))}
+
+    def belief(window: tuple) -> Belief:
+        if window not in beliefs:
+            beliefs[window] = belief_update(model, belief(window[:-1]), window[-1])
+        return beliefs[window]
+
     stats = {}
     weights = {}
     for window, p in dist.items():
         if p <= 0.0:
             continue
-        stats[window] = cond_erasure_hidden(model, FeedbackWindow(window))
+        stats[window] = cond_erasure_hidden(model, belief(window))
         weights[window] = p
     total = sum(weights.values())
     weights = {k: v / total for k, v in weights.items()}
@@ -620,29 +635,30 @@ def diagonal_rate(region: RateRegion) -> float:
 
 def hausdorff_distance(a: RateRegion, b: RateRegion) -> float:
     """Exact Hausdorff distance between two convex rate regions."""
-
-    def poly_distance(point: np.ndarray, poly: np.ndarray) -> float:
-        best = math.inf
-        m = len(poly)
-        inside = True
-        for i in range(m):
-            p, q = poly[i], poly[(i + 1) % m]
-            edge = q - p
-            L2 = float(edge @ edge)
-            if L2 < 1e-24:
-                best = min(best, float(np.hypot(*(point - p))))
-                continue
-            cross = edge[0] * (point[1] - p[1]) - edge[1] * (point[0] - p[0])
-            if cross < 0:
-                inside = False
-            t = float(np.clip((point - p) @ edge / L2, 0.0, 1.0))
-            best = min(best, float(np.hypot(*(point - (p + t * edge)))))
-        return 0.0 if inside else best
-
     pa, pb = a.polygon(), b.polygon()
-    d_ab = max(poly_distance(p, pb) for p in pa)
-    d_ba = max(poly_distance(p, pa) for p in pb)
-    return max(d_ab, d_ba)
+    return max(_farthest_point(pa, pb), _farthest_point(pb, pa))
+
+
+def _farthest_point(points: np.ndarray, poly: np.ndarray) -> float:
+    """Largest distance from a row of points to the convex polygon poly.
+
+    A point on the inner side of every edge is inside, at distance 0.  The
+    points go in blocks of about 2**18 point-edge pairs, to bound memory.
+    """
+    edge = np.roll(poly, -1, axis=0) - poly
+    length2 = (edge * edge).sum(axis=1)
+    real = length2 >= 1e-24  # a shorter edge counts as its start vertex
+    worst = 0.0
+    for block in np.array_split(points, 1 + points.size * poly.size // 2**20):
+        rel = block[:, None, :] - poly
+        cross = edge[:, 0] * rel[..., 1] - edge[:, 1] * rel[..., 0]
+        along = (rel * edge).sum(axis=2) / np.where(real, length2, 1.0)
+        t = np.where(real, np.clip(along, 0.0, 1.0), 0.0)
+        gap = rel - t[..., None] * edge
+        dist = np.hypot(gap[..., 0], gap[..., 1]).min(axis=1)
+        outside = ((cross < 0) & real).any(axis=1)
+        worst = max(worst, float(np.max(dist, where=outside, initial=0.0)))
+    return worst
 
 
 def link_capacities(

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from duocast.channel import (
     ge_visible,
     stationary_distribution,
 )
-from duocast.lp import LinearProgram, LpSolution, feasible, solve
+from duocast.lp import LinearProgram, LpSolution, feasible, objective_path, solve
 import lp_corpus
 from lp_corpus import box_lp, random_mixed_lp
 
@@ -176,16 +177,29 @@ def scipy_reference(lp: LinearProgram) -> tuple[str, float | None]:
     return "infeasible", None
 
 
-def region_lps(monkeypatch) -> list[tuple[LinearProgram, LpSolution | None]]:
-    """The LPs regions solves, each with its seed: warm-started reactive
-    support LPs and cold membership LPs."""
+def directed(lp: LinearProgram, c1, c2, d) -> LinearProgram:
+    """lp with the objective d[0] c1 + d[1] c2."""
+    return replace(lp, objective=d[0] * np.asarray(c1) + d[1] * np.asarray(c2))
+
+
+def region_lps(monkeypatch) -> list[tuple[LinearProgram, LpSolution]]:
+    """The LPs regions solves, each with the solution regions got: cold
+    membership LPs, and each reactive path solution with the LP of its
+    direction."""
     seen = []
 
-    def recording(lp, seed=None):
-        seen.append((lp, seed))
-        return solve(lp, seed=seed)
+    def recording(lp):
+        sol = solve(lp)
+        seen.append((lp, sol))
+        return sol
+
+    def walking(lp, c1, c2):
+        path = objective_path(lp, c1, c2)
+        seen.extend((directed(lp, c1, c2, d), sol) for d, sol in path)
+        return path
 
     monkeypatch.setattr(regions, "solve", recording)
+    monkeypatch.setattr(regions, "objective_path", walking)
     rng = np.random.default_rng(2024)
     cases = []
     for model in [ge_visible(0.6, 0.1, 0.5, 0.2)] + [
@@ -208,10 +222,9 @@ def region_lps(monkeypatch) -> list[tuple[LinearProgram, LpSolution | None]]:
 
 
 def assert_matches_scipy(pairs) -> None:
-    """solve(lp, seed=seed) against HiGHS for each (lp, seed) pair."""
+    """Each (lp, solution) pair's status and value against HiGHS on lp."""
     statuses = set()
-    for lp, seed in pairs:
-        sol = solve(lp, seed=seed)
+    for lp, sol in pairs:
         status, value = scipy_reference(lp)
         assert sol.status == status
         if status == "optimal":
@@ -224,25 +237,14 @@ class TestSolveAgainstScipy:
     def test_random_mixed_rows(self):
         pytest.importorskip("scipy")
         rng = np.random.default_rng(4321)
-        assert_matches_scipy(
-            (random_mixed_lp(rng, infeasible=i % 3 == 0), None) for i in range(120)
-        )
+        lps = [random_mixed_lp(rng, infeasible=i % 3 == 0) for i in range(120)]
+        assert_matches_scipy((lp, solve(lp)) for lp in lps)
 
     def test_region_lps(self, monkeypatch):
         pytest.importorskip("scipy")
         pairs = region_lps(monkeypatch)
-        assert sum(seed is not None for _, seed in pairs) > 50
-        assert_matches_scipy(pairs)
-
-    def test_seeded_random_rows(self):
-        pytest.importorskip("scipy")
-        rng = np.random.default_rng(2718)
-        pairs = [(box_lp([0.0], [([1.0], ">=", 2.0)], [(0, 1)]), None)]
-        for _ in range(30):
-            lp = random_mixed_lp(rng, infeasible=False)
-            seed = solve(lp)
-            for c in rng.normal(size=(4, len(lp.bounds))):
-                pairs.append((replace(lp, objective=c), seed))
+        walked = sum(lp.objective[:2].any() for lp, _ in pairs)
+        assert walked > 50
         assert_matches_scipy(pairs)
 
 
@@ -303,79 +305,63 @@ def sparse_objectives(rng: np.random.Generator, n: int, count: int) -> np.ndarra
     return rng.normal(size=(count, n)) * (rng.random((count, n)) < 0.5)
 
 
-class TestWarmStart:
-    """solve(lp, seed=...) against a cold solve of the same LP."""
+def highs_value(lp: LinearProgram) -> float | None:
+    """HiGHS's optimal value of lp, or None without scipy."""
+    try:
+        import scipy  # noqa: F401
+    except ImportError:
+        return None
+    status, value = scipy_reference(lp)
+    assert status == "optimal"
+    return value
 
-    def test_seeded_matches_cold_on_random_lps(self):
+
+class TestObjectivePath:
+    """objective_path(lp, c1, c2) against cold solves and HiGHS."""
+
+    def test_every_basis_is_optimal_at_its_direction(self):
         rng = np.random.default_rng(8080)
-        for _ in range(80):
+        lengths = []
+        for i in range(60):
             lp = random_mixed_lp(rng, infeasible=False)
-            seed = solve(lp)
-            assert seed.status == "optimal"
             n = len(lp.bounds)
-            for c in np.vstack([rng.normal(size=(8, n)), sparse_objectives(rng, n, 8)]):
-                other = replace(lp, objective=c)
-                cold = solve(other)
-                # solve checks the warm optimum's certificate (primal
-                # feasibility, objective consistency, dual feasibility and
-                # a zero duality gap) before it returns.
-                warm = solve(other, seed=seed)
-                assert warm.status == cold.status == "optimal"
-                assert abs(warm.value - cold.value) <= 1e-9
-                assert warm.phase1_pivots == 0
-                seed = warm  # chain seeds as the region tracer does
+            make = rng.normal if i % 2 else (lambda size: sparse_objectives(rng, n, 2))
+            c1, c2 = make(size=(2, n))
+            path = objective_path(lp, c1, c2)
+            lengths.append(len(path))
+            angles = [math.atan2(d[1], d[0]) for d, _ in path]
+            assert angles[0] == 0.0
+            assert all(a <= b for a, b in zip(angles, angles[1:]))
+            for d, sol in path:
+                assert abs(math.hypot(*d) - 1.0) <= 1e-15
+                at_d = directed(lp, c1, c2, d)
+                assert sol.status == "optimal"
+                assert abs(sol.value - solve(at_d).value) <= 1e-9
+                highs = highs_value(at_d)
+                if highs is not None:
+                    assert sol.value == pytest.approx(highs, abs=1e-7)
+            # Both ends: the first basis is the cold solve's at c1, the last
+            # is optimal at c2.
+            assert np.array_equal(path[0][1].witness, solve(replace(lp, objective=c1)).witness)
+            for c, (_, sol) in ((c1, path[0]), (c2, path[-1])):
+                assert abs(c @ sol.witness - solve(replace(lp, objective=c)).value) <= 1e-9
+        assert max(lengths) > 3
 
-    def test_seed_from_a_redundant_row_lp(self):
-        # Phase 1 drops the redundant equality; the seed carries the reduced
-        # system, and the warm start must still see the original rows.
+    def test_a_redundant_row_lp(self):
+        # Phase 1 drops the redundant equality before the walk starts.
         lp = box_lp(
-            [1.0, 1.0],
+            [0.0, 0.0],
             [([1.0, 1.0], "=", 1.0), ([2.0, 2.0], "=", 2.0)],
             [(0, 1), (0, 1)],
         )
-        seed = solve(lp)
-        warm = solve(replace(lp, objective=np.array([1.0, -1.0])), seed=seed)
-        assert warm.value == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(warm.witness, [1.0, 0.0], atol=1e-12)
+        path = objective_path(lp, np.array([1.0, -1.0]), np.array([-1.0, 1.0]))
+        np.testing.assert_allclose(path[0][1].witness, [1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(path[-1][1].witness, [0.0, 1.0], atol=1e-12)
 
-
-class TestSeedValidation:
-    ROWS = [([1.0, 1.0], "<=", 1.0), ([1.0, -1.0], ">=", -0.5)]
-    BOUNDS = [(0, 1), (0, 1)]
-
-    @pytest.fixture()
-    def seed(self):
-        return solve(box_lp([1.0, 2.0], self.ROWS, self.BOUNDS))
-
-    @pytest.mark.parametrize(
-        "rows, bounds, message",
-        [
-            (ROWS, [(0, 1), (0, 2)], "bounds differ .*upper bound of variable 1"),
-            (ROWS, [(-1, 1), (0, 1)], "bounds differ .*lower bound of variable 0"),
-            ([([1.0, 1.0, 0.0], "<=", 1.0), ([1.0, -1.0, 0.0], ">=", -0.5)],
-             [(0, 1)] * 3, "bounds differ .*2 variables, not 3"),
-            (ROWS[:1], BOUNDS, "constraints differ .*2 rows, not 1"),
-            ([ROWS[0], ([1.0, -2.0], ">=", -0.5)], BOUNDS,
-             "constraints differ .*coefficients of row 1"),
-            ([ROWS[0], ([1.0, -1.0], "<=", -0.5)], BOUNDS,
-             "constraints differ .*relation of row 1"),
-            ([([1.0, 1.0], "<=", 0.9), ROWS[1]], BOUNDS,
-             "constraints differ .*right-hand side of row 0"),
-        ],
-    )
-    def test_seed_from_another_lp_names_the_field(self, seed, rows, bounds, message):
-        lp = box_lp(np.ones(len(bounds)), rows, bounds)
-        with pytest.raises(ValueError, match=message):
-            solve(lp, seed=seed)
-
-    def test_seed_must_be_optimal(self):
+    def test_an_infeasible_lp_is_rejected(self):
         lp = box_lp([1.0], [([1.0], ">=", 2.0)], [(0, 1)])
-        with pytest.raises(ValueError, match="optimal solution.*'infeasible'"):
-            solve(lp, seed=solve(lp))
-
-    def test_same_lp_with_a_new_objective_is_accepted(self, seed):
-        sol = solve(box_lp([-1.0, 1.0], self.ROWS, self.BOUNDS), seed=seed)
-        assert sol.status == "optimal"
+        with pytest.raises(ValueError, match="feasible"):
+            objective_path(lp, np.ones(1), -np.ones(1))
 
 
 # Pivots and flips of the cold solve of TestTelemetry's fixed LP.  They
@@ -399,14 +385,19 @@ class TestTelemetry:
         assert counts == PINNED_COUNTS
         assert all(type(c) is int for c in counts)
 
-    def test_seeded_solve_skips_phase_one(self):
+    def test_path_runs_phase_one_once(self):
         rows = [([1.0, 1.0, 1.0], ">=", 1.2), ([1.0, -1.0, 0.0], "=", 0.1)]
-        lp = box_lp([1.0, 0.0, -1.0], rows, [(0, 1)] * 3)
-        cold = solve(lp)
+        lp = box_lp([0.0, 0.0, 0.0], rows, [(0, 1)] * 3)
+        c1, c2 = np.array([1.0, 0.0, -1.0]), np.array([-1.0, 0.5, 1.0])
+        first, *steps = [sol for _, sol in objective_path(lp, c1, c2)]
+        cold = solve(replace(lp, objective=c1))
         assert cold.phase1_pivots > 0
-        warm = solve(replace(lp, objective=np.array([-1.0, 0.5, 1.0])), seed=cold)
-        assert warm.phase1_pivots == 0
-        assert warm.status == "optimal"
+        counts = (first.phase1_pivots, first.phase2_pivots, first.bound_flips)
+        assert counts == (cold.phase1_pivots, cold.phase2_pivots, cold.bound_flips)
+        assert steps
+        for sol in steps:
+            assert sol.phase1_pivots == 0
+            assert sol.phase2_pivots + sol.bound_flips == 1
 
 
 class TestColdPathCorpus:

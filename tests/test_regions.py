@@ -14,9 +14,11 @@ from duocast import (
     ActionDistribution,
     ChannelModel,
     ErasureStats,
+    FeedbackWindow,
     RatePoint,
     RateRegion,
     RegionWitness,
+    cond_erasure_hidden,
     cond_erasure_visible,
     cut_values,
     diagonal_rate,
@@ -41,10 +43,12 @@ from duocast import (
     region_visible,
     stationary_distribution,
     synthesize_policy,
+    window_distribution,
     witness_to_distribution,
 )
+from duocast import lp as lp_module
 from duocast import regions
-from duocast.lp import solve
+from duocast.lp import _phase1, objective_path, solve
 from duocast.regions import (
     _fraction_lp_builder,
     _key_to_str,
@@ -95,6 +99,44 @@ def random_dist(rng: np.random.Generator, keys) -> ActionDistribution:
     return ActionDistribution(
         probs={k: rng.dirichlet(np.ones(6)) for k in keys}
     )
+
+
+def scalar_hausdorff(a: RateRegion, b: RateRegion) -> float:
+    """Hausdorff distance by one scalar pass over every vertex-edge pair.
+
+    The oracle of `hausdorff_distance`: O(Va * Vb) in plain floats.
+    """
+
+    def poly_distance(point, poly) -> float:
+        x, y = point
+        best = math.inf
+        inside = True
+        for (px, py), (qx, qy) in zip(poly, poly[1:] + poly[:1]):
+            ex, ey = qx - px, qy - py
+            length2 = ex * ex + ey * ey
+            if length2 < 1e-24:
+                best = min(best, math.hypot(x - px, y - py))
+                continue
+            if ex * (y - py) - ey * (x - px) < 0:
+                inside = False
+            t = min(max(((x - px) * ex + (y - py) * ey) / length2, 0.0), 1.0)
+            best = min(best, math.hypot(x - (px + t * ex), y - (py + t * ey)))
+        return 0.0 if inside else best
+
+    pa, pb = a.polygon().tolist(), b.polygon().tolist()
+    return max(max(poly_distance(p, pb) for p in pa), max(poly_distance(p, pa) for p in pb))
+
+
+@pytest.fixture(autouse=True)
+def hausdorff_against_the_oracle(monkeypatch):
+    """Every Hausdorff distance a test here takes is checked against the oracle."""
+
+    def checked(a: RateRegion, b: RateRegion) -> float:
+        value = regions.hausdorff_distance(a, b)
+        assert abs(value - scalar_hausdorff(a, b)) <= 1e-15
+        return value
+
+    monkeypatch.setitem(globals(), "hausdorff_distance", checked)
 
 
 def vertices_inside(inner: RateRegion, outer: RateRegion, tol: float = 1e-9):
@@ -305,6 +347,22 @@ class TestHiddenRegion:
 
         np.testing.assert_allclose(support(pruned), support(found), rtol=0, atol=1e-12)
 
+    def test_window_stats_equal_the_per_window_filter(self, ge_model):
+        rng = np.random.default_rng(41)
+        for model, top in [(ge_model, 6)] + [(random_model(rng, n), 4) for n in (2, 3, 5)]:
+            for L in range(top + 1):
+                stats, weights = hidden_window_stats(model, L)
+                dist = window_distribution(model, L)
+                assert list(weights) == list(stats) == [w for w, p in dist.items() if p > 0]
+                for window, st_ in stats.items():
+                    assert st_ == cond_erasure_hidden(model, FeedbackWindow(window))
+
+    def test_hausdorff_to_shorter_windows(self, ladder):
+        # Pairs of hundreds to thousands of vertices, checked against the
+        # scalar oracle by the autouse fixture.
+        assert hausdorff_distance(ladder[5], ladder[4]) > 1e-4
+        assert hausdorff_distance(ladder[6], ladder[4]) > 1e-4
+
     def test_hidden_stays_inside_visible(self, ge_model, ladder):
         pi = stationary_distribution(ge_model)
         visible = region_visible(stats_for(ge_model), pi)
@@ -342,10 +400,31 @@ def oracle_cases():
         stats, pi = stats_for(model), stationary_distribution(model)
         for kind, tracer in tracers.items():
             yield f"{kind}-{n}state", kind, stats, pi, tracer(stats, pi)
+    # Degenerate inputs: an i.i.d. chain, eps12 = eps1, eps1 = 1, two
+    # identical states, and states that erase always or never.
+    iid = ChannelModel(np.tile([0.5, 0.3, 0.2], (3, 1)), THREE_STATE_E)
+    degenerate = {
+        "iid": (stats_for(iid), stationary_distribution(iid)),
+        "eps12=eps1": ({0: triple(0.3, 0.5, 0.3), 1: triple(0.6, 0.2, 0.2)}, [0.4, 0.6]),
+        "eps1=1": ({0: triple(1.0, 0.4, 0.4), 1: triple(0.5, 0.5, 0.25)}, [0.5, 0.5]),
+        "twins": ({0: triple(0.4, 0.3, 0.1), 1: triple(0.4, 0.3, 0.1)}, [0.3, 0.7]),
+        "never-always": (
+            {0: triple(0.0, 0.0, 0.0), 1: triple(1.0, 1.0, 1.0), 2: triple(0.5, 0.6, 0.3)},
+            [0.2, 0.3, 0.5],
+        ),
+    }
+    for name, (stats, pi) in degenerate.items():
+        for kind, tracer in tracers.items():
+            yield f"{kind}-{name}", kind, stats, pi, tracer(stats, pi)
     noisy = noisy_model()
     for L in (1, 2, 3):
         stats, weights = hidden_window_stats(noisy, L)
         yield f"hidden_L{L}", "hidden_L", stats, weights, region_hidden_L(noisy, L)
+        yield f"reactive-L{L}", "reactive", stats, weights, region_reactive(stats, weights)
+
+
+# Bases the bursty channel's reactive walk visits.
+PINNED_STEPS = 12
 
 
 class TestTracerAgainstLp:
@@ -374,7 +453,7 @@ class TestTracerAgainstLp:
     def test_closed_forms_match_the_lp_traced_boundary(self, cases):
         # Cold per-direction LP solves are the oracle: the same tracer over
         # them must give the closed forms' vertices and those of the
-        # warm-started reactive trace.
+        # reactive trace's parametric walk.
         for label, kind, stats, weights, region in cases:
             def support(d1, d2):
                 sol = lp_solution(kind, stats, weights, (d1, d2))
@@ -398,19 +477,37 @@ class TestTracerAgainstLp:
     def count_solves(monkeypatch) -> list:
         calls = []
 
-        def counted(lp, seed=None):
-            calls.append(seed is None)
-            return solve(lp, seed=seed)
+        def counted(lp):
+            calls.append(lp)
+            return solve(lp)
 
         monkeypatch.setattr("duocast.regions.solve", counted)
         return calls
 
-    def test_lp_solves_stay_within_two_per_vertex(self, monkeypatch):
+    def test_reactive_walks_one_path(self, monkeypatch):
         calls = self.count_solves(monkeypatch)
+        phase1 = []
+
+        def counted_phase1(form):
+            phase1.append(form)
+            return _phase1(form)
+
+        monkeypatch.setattr(lp_module, "_phase1", counted_phase1)
+        steps = []
+
+        def walking(lp, c1, c2):
+            steps.extend(objective_path(lp, c1, c2))
+            return steps
+
+        monkeypatch.setattr(regions, "objective_path", walking)
         model = ge_visible(0.6, 0.1, 0.5, 0.2)
         region = region_reactive(stats_for(model), stationary_distribution(model))
-        assert len(calls) <= 2 * len(region.boundary) + 1
-        assert calls.count(True) == 1  # only the first solve starts cold
+        assert calls == []
+        assert len(phase1) == 1
+        # One cold solve, then one pivot or flip per basis; the count
+        # changes only if the walk's pivot rule does.
+        assert len(steps) == PINNED_STEPS
+        assert len(region.boundary) == 6
 
     def test_closed_forms_solve_no_lp(self, monkeypatch):
         calls = self.count_solves(monkeypatch)
