@@ -247,6 +247,21 @@ class TestSolveAgainstScipy:
         assert walked > 50
         assert_matches_scipy(pairs)
 
+    def test_seeded_random_rows(self):
+        # Every basis of a path is seeded by the one before it; each is
+        # checked against HiGHS on the LP of its direction.
+        pytest.importorskip("scipy")
+        rng = np.random.default_rng(2718)
+        lp = box_lp([0.0], [([1.0], ">=", 2.0)], [(0, 1)])
+        pairs = [(lp, solve(lp))]
+        for _ in range(30):
+            lp = random_mixed_lp(rng, infeasible=False)
+            c1, c2 = rng.normal(size=(2, len(lp.bounds)))
+            path = objective_path(lp, c1, c2)
+            pairs.extend((directed(lp, c1, c2, d), sol) for d, sol in path)
+        assert len(pairs) > 1 + 2 * 30  # most paths step past their first basis
+        assert_matches_scipy(pairs)
+
 
 class TestFeasible:
     def test_out_of_box(self):
@@ -385,7 +400,9 @@ class TestTelemetry:
         assert counts == PINNED_COUNTS
         assert all(type(c) is int for c in counts)
 
-    def test_path_runs_phase_one_once(self):
+    def test_seeded_solve_skips_phase_one(self):
+        # Each basis of a path after the first is seeded by the one before
+        # it: only the cold solve at c1 runs phase 1.
         rows = [([1.0, 1.0, 1.0], ">=", 1.2), ([1.0, -1.0, 0.0], "=", 0.1)]
         lp = box_lp([0.0, 0.0, 0.0], rows, [(0, 1)] * 3)
         c1, c2 = np.array([1.0, 0.0, -1.0]), np.array([-1.0, 0.5, 1.0])

@@ -484,7 +484,7 @@ class TestTracerAgainstLp:
         monkeypatch.setattr("duocast.regions.solve", counted)
         return calls
 
-    def test_reactive_walks_one_path(self, monkeypatch):
+    def test_lp_solves_stay_within_two_per_vertex(self, monkeypatch):
         calls = self.count_solves(monkeypatch)
         phase1 = []
 
@@ -508,6 +508,7 @@ class TestTracerAgainstLp:
         # changes only if the walk's pivot rule does.
         assert len(steps) == PINNED_STEPS
         assert len(region.boundary) == 6
+        assert len(steps) <= 2 * len(region.boundary) + 1
 
     def test_closed_forms_solve_no_lp(self, monkeypatch):
         calls = self.count_solves(monkeypatch)
