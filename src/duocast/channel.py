@@ -22,6 +22,21 @@ _ROW_SUM_TOL = 1e-12
 MAX_WINDOW_LEN = 8
 
 
+def is_int(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not."""
+
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_window_len(value) -> int:
+    """``value`` as an int; a ValueError naming window_len unless 0..MAX_WINDOW_LEN."""
+
+    if not is_int(value) or not 0 <= value <= MAX_WINDOW_LEN:
+        raise ValueError(f"window_len must be an integer from 0 to {MAX_WINDOW_LEN} "
+                         f"(the maximum window length), got {value!r}")
+    return int(value)
+
+
 def _outcome_index(z: tuple[int, int]) -> int:
     z1, z2 = z
     if z1 not in (0, 1) or z2 not in (0, 1):
@@ -92,22 +107,6 @@ class Belief:
         if p.min() < -_ROW_SUM_TOL or abs(p.sum() - 1.0) > 1e-9:
             raise ValueError("belief must lie in the probability simplex")
         object.__setattr__(self, "probs", p)
-
-
-@dataclass(frozen=True)
-class FeedbackWindow:
-    """The last L feedback pairs, oldest first."""
-
-    samples: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        samples = tuple((int(z1), int(z2)) for z1, z2 in self.samples)
-        for z in samples:
-            _outcome_index(z)
-        object.__setattr__(self, "samples", samples)
-
-    def __len__(self) -> int:
-        return len(self.samples)
 
 
 def _bool_power_all_positive(mask: np.ndarray, exponent: int) -> bool:
@@ -222,53 +221,45 @@ def belief_update(
     return Belief(probs=(weighted / total) @ model.transition)
 
 
-def _window_belief(model: ChannelModel, window: FeedbackWindow) -> Belief:
-    belief = Belief(probs=stationary_distribution(model))
-    for z in window.samples:
-        belief = belief_update(model, belief, z)
-    return belief
-
-
-def cond_erasure_hidden(
-    model: ChannelModel, conditioning: Belief | FeedbackWindow
-) -> ErasureStats:
-    """Predicted erasure law under a belief or a finite feedback window.
-
-    A window is folded into a belief by running the filter from the
-    stationary distribution over its samples.
-    """
-    if isinstance(conditioning, FeedbackWindow):
-        belief = _window_belief(model, conditioning)
-    else:
-        belief = conditioning
+def cond_erasure_hidden(model: ChannelModel, belief: Belief) -> ErasureStats:
+    """Predicted erasure law under a belief over the next state."""
     if belief.probs.shape != (model.num_states,):
         raise ValueError("belief dimension does not match the model")
     return ErasureStats.from_outcome_probs(belief.probs @ model.emission)
+
+
+def window_keys(window_len: int) -> list[tuple[tuple[int, int], ...]]:
+    """Every window of ``window_len`` pairs, oldest first, in base-4 code order."""
+    keys: list[tuple[tuple[int, int], ...]] = [()]
+    for _ in range(check_window_len(window_len)):
+        keys = [key + (outcome,) for key in keys for outcome in OUTCOMES]
+    return keys
+
+
+def window_joint(model: ChannelModel, window_len: int) -> np.ndarray:
+    """alpha[w, s] = P(window w, next state s) for the stationary chain.
+
+    Row w is the window's base-4 code, oldest pair in the highest digit: the
+    forward recursion corrects every row by each outcome's emission column
+    and predicts by the transition, one level per pair.
+    """
+    window_len = check_window_len(window_len)
+    alpha = stationary_distribution(model)[np.newaxis, :]
+    for _ in range(window_len):
+        corrected = alpha[:, np.newaxis, :] * model.emission.T[np.newaxis, :, :]
+        alpha = corrected.reshape(-1, model.num_states) @ model.transition
+    total = alpha.sum()
+    if abs(total - 1.0) > 1e-10:
+        raise ArithmeticError(f"window probabilities sum to {total!r}")
+    return alpha
 
 
 def window_distribution(
     model: ChannelModel, window_len: int
 ) -> dict[tuple[tuple[int, int], ...], float]:
     """Stationary probability of every feedback window of the given length."""
-    if window_len < 0:
-        raise ValueError("window length must be nonnegative")
-    if window_len > MAX_WINDOW_LEN:
-        raise ValueError(
-            f"window length {window_len} exceeds the maximum {MAX_WINDOW_LEN}"
-        )
-    # alpha[w, s] = P(window w so far, next state = s); one forward step per level.
-    alpha = stationary_distribution(model)[np.newaxis, :]
-    for _ in range(window_len):
-        corrected = alpha[:, np.newaxis, :] * model.emission.T[np.newaxis, :, :]
-        alpha = corrected.reshape(-1, model.num_states) @ model.transition
-    probs = alpha.sum(axis=1)
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-10:
-        raise ArithmeticError(f"window probabilities sum to {total!r}")
-    keys: list[tuple[tuple[int, int], ...]] = [()]
-    for _ in range(window_len):
-        keys = [key + (outcome,) for key in keys for outcome in OUTCOMES]
-    return {key: float(p) for key, p in zip(keys, probs)}
+    probs = window_joint(model, window_len).sum(axis=1)
+    return dict(zip(window_keys(window_len), probs.tolist()))
 
 
 def forgetting_check(

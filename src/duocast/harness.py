@@ -26,10 +26,11 @@ from . import kernel
 # cond_erasure_visible is imported for perfbench/layers.py, which wraps it in
 # this module's namespace to count its calls.
 from .channel import (  # noqa: F401
-    MAX_WINDOW_LEN,
     OUTCOMES,
     ChannelModel,
+    check_window_len,
     cond_erasure_visible,
+    is_int,
     load_channel,
     stationary_distribution,
     visible_stats,
@@ -109,7 +110,7 @@ class Scenario:
 
     def __post_init__(self) -> None:
         self.rates = _rate_pair("rates", self.rates)
-        if not kernel.is_int(self.seed) or self.seed < 0:
+        if not is_int(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         self.seed = int(self.seed)
         if not isinstance(self.visible, (bool, np.bool_)):
@@ -138,10 +139,10 @@ class Scenario:
         elif kind == "probabilistic":
             if "target" in self.policy:
                 _rate_pair("policy.target", self.policy["target"])
-            window_len = self.policy.get("window_len", 1)
-            if not kernel.is_int(window_len) or not 0 <= window_len <= MAX_WINDOW_LEN:
-                raise ValueError(f"policy.window_len must be an integer from 0 to "
-                                 f"{MAX_WINDOW_LEN}, got {window_len!r}")
+            try:
+                check_window_len(self.policy.get("window_len", 1))
+            except ValueError as err:
+                raise ValueError(f"policy.{err}") from None
             if not self.visible and self.delay != 1:
                 raise ValueError(
                     "probabilistic policy on a hidden model requires delay 1"

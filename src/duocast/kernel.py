@@ -24,7 +24,7 @@ loop, so every step is exact:
 - the delayed keys: a visible key is the state `delay` slots back, read
   from the previous chunk's last states followed by this chunk's; a window
   code is built digit by digit from shifted slices of the delayed
-  outcomes, in int64 (hence at most MAX_WINDOW pairs);
+  outcomes, in int64 (at most MAX_WINDOW_LEN pairs, so 16 bits);
 - max-weight's (eps1, eps2, eps12), as a table and each slot's row in it:
   for a visible slot its key's row of the per-state `cond_erasure_visible`
   table, built once per run; for a hidden slot its own row of predictions
@@ -64,7 +64,9 @@ import numpy as np
 # this module's namespace to count its calls.
 from .channel import (  # noqa: F401
     ChannelModel,
+    check_window_len,
     cond_erasure_visible,
+    is_int,
     stationary_distribution,
     visible_stats,
 )
@@ -73,9 +75,7 @@ from .policies import ACTION_SETS
 __all__ = [
     "RNG_COLUMNS",
     "CHUNK_SLOTS",
-    "MAX_WINDOW",
     "SimTrace",
-    "is_int",
     "jit_enabled",
     "positive_int",
     "record_stride",
@@ -91,9 +91,6 @@ RNG_COLUMNS = 17
 
 # Slots per chunk of the stream, read for each chunk; the tests patch it.
 CHUNK_SLOTS = 1024
-
-# The longest feedback window whose base-4 code fits an int64.
-MAX_WINDOW = 31
 
 # Bit of each coin column 5..16 in a slot's coin mask.
 _COIN_SHIFTS = np.arange(RNG_COLUMNS - 5)
@@ -142,7 +139,7 @@ def slot_stream(model: ChannelModel, *, seed: int, horizon: int, visible: bool,
 
     horizon = positive_int("horizon", horizon)
     delay = positive_int("delay", delay)
-    window_len = _window_len(window_len)
+    window_len = check_window_len(window_len)
     num_states = model.num_states
     last = num_states - 1
     fold = predict and not visible
@@ -446,21 +443,6 @@ def _weight_terms(eps: np.ndarray) -> np.ndarray:
     return np.stack((1.0 - e1, e1 - e12, 1.0 - e2, e2 - e12, 1.0 - e12), axis=1)
 
 
-def _window_len(value) -> int:
-    """``value`` as an int; a ValueError naming window_len unless 0..MAX_WINDOW."""
-
-    if not is_int(value) or not 0 <= value <= MAX_WINDOW:
-        raise ValueError(f"window_len must be an integer from 0 to {MAX_WINDOW}, "
-                         f"got {value!r}")
-    return int(value)
-
-
-def is_int(value) -> bool:
-    """Whether ``value`` is a Python or numpy integer; a bool is not."""
-
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass
 class SimTrace:
     """Recorded queue history of one run, from either engine.
@@ -560,7 +542,7 @@ def run_counts(
     if action_set not in ACTION_SETS:
         raise ValueError(
             f"action_set must be one of {', '.join(ACTION_SETS)}, got {action_set!r}")
-    window_len = _window_len(window_len)
+    window_len = check_window_len(window_len)
     stride = record_stride(horizon, stride)
 
     num_states = model.num_states

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
-from .queuenet import ACTION_LINKS, ALLOWED_LINKS, LINK_BITS, _describe
+from .queuenet import ACTION_LINKS, LINK_BITS
 
 __all__ = [
     "ACTION_SETS",
@@ -52,19 +52,11 @@ _COINS = {
 class PolicyDecision:
     """An action and the link mask of the links it activates.
 
-    Not frozen: a frozen dataclass sets its fields through
-    ``object.__setattr__``, which doubles the cost of the one decision made
-    per slot.
+    ``apply_slot`` rejects an intent on a link the action does not use.
     """
 
     action: int
     intents: int
-
-    def __post_init__(self) -> None:
-        foreign = self.intents & ~ALLOWED_LINKS[self.action]
-        if foreign:
-            raise ValueError(f"intent on {_describe(foreign)} invalid under "
-                             f"action {self.action}")
 
 
 def action_weights(queues: QueueLengths, eps: ErasureTriple) -> list[float]:

@@ -3,11 +3,13 @@
     PYTHONPATH=src python tests/lp_corpus.py     # rewrite data/lp_cold_corpus.json
 
 The corpus holds random boxed LPs and the membership, flow and
-``per_state_split`` LPs the library builds on seeded channels.  Each entry
-records a digest of the LP itself and of ``solve(lp)``'s status, value and
-witness bytes.  The recorded digests come from a solver whose cold path is
-the reference; ``tests/test_lp.py`` checks that the current solver, called
-without a seed, reproduces them.  Float bits depend on the LAPACK build, so
+``per_state_split`` LPs the library builds on seeded channels.  The hidden_L
+window statistics come from ``window_fold.py``, not from the library, so a
+change in how the library computes them leaves the corpus's inputs alone.
+Each entry records a digest of the LP itself and of ``solve(lp)``'s status,
+value and witness bytes.  The recorded digests come from a solver whose cold
+path is the reference; ``tests/test_lp.py`` checks that the current solver,
+called without a seed, reproduces them.  Float bits depend on the LAPACK build, so
 the file also records the numpy version and machine it was written on.
 The random LP generators here serve ``tests/test_lp.py`` as well.
 """
@@ -32,6 +34,7 @@ from duocast.channel import (
 )
 from duocast.lp import LinearProgram, LpSolution, solve
 from duocast.queuenet import LINK_NAMES
+from window_fold import per_window_stats
 
 CORPUS_PATH = Path(__file__).resolve().parent / "data" / "lp_cold_corpus.json"
 
@@ -107,7 +110,7 @@ def corpus() -> dict[str, list[LinearProgram]]:
         stats = {s: cond_erasure_visible(model, s) for s in range(model.num_states)}
         cases.append(("visible", stats, stationary_distribution(model)))
     noisy = ge_hidden(0.6, 0.1, 0.5, 0.2, 0.2, 0.866, 0.2, 0.8)
-    cases.append(("hidden_L", *regions.hidden_window_stats(noisy, 2)))
+    cases.append(("hidden_L", *per_window_stats(noisy, 2)))
     with _Recorder(regions) as seen:
         for kind, stats, weights in cases:
             # Points from the closed-form visible region, which no LP draws.

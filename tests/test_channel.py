@@ -8,7 +8,6 @@ from duocast.channel import (
     Belief,
     ChannelModel,
     ErasureStats,
-    FeedbackWindow,
     OUTCOMES,
     belief_update,
     cond_erasure_hidden,
@@ -23,6 +22,7 @@ from duocast.channel import (
     visible_stats,
     window_distribution,
 )
+from duocast.regions import hidden_window_stats
 
 THREE_STATE_P = np.array(
     [[0.7, 0.2, 0.1], [0.2, 0.4, 0.4], [0.3, 0.01, 0.69]]
@@ -252,13 +252,13 @@ class TestCondErasureHidden:
         model = memoryless(row)
         stats = cond_erasure_hidden(model, Belief(np.array([1.0])))
         np.testing.assert_allclose(stats.as_outcome_probs(), row)
-        stats = cond_erasure_hidden(model, FeedbackWindow(((1, 1), (0, 0))))
-        np.testing.assert_allclose(stats.as_outcome_probs(), row)
+        stats, _ = hidden_window_stats(model, 2)
+        np.testing.assert_allclose(stats[((1, 1), (0, 0))].as_outcome_probs(), row)
 
     def test_empty_window_is_stationary_prediction(self):
         model = three_state_model()
         pi = stationary_distribution(model)
-        stats = cond_erasure_hidden(model, FeedbackWindow(()))
+        stats = hidden_window_stats(model, 0)[0][()]
         expected = ErasureStats.from_outcome_probs((pi @ model.transition) @ model.emission)
         np.testing.assert_allclose(stats.as_outcome_probs(), expected.as_outcome_probs(), atol=1e-12)
 
@@ -273,7 +273,7 @@ class TestCondErasureHidden:
             state, z = sample_step(model, state, rng)
             history.append(z)
             belief = belief_update(model, belief, z)
-        windowed = cond_erasure_hidden(model, FeedbackWindow(tuple(history)))
+        windowed = hidden_window_stats(model, len(history))[0][tuple(history)]
         direct = cond_erasure_hidden(model, belief)
         np.testing.assert_allclose(
             windowed.as_outcome_probs(), direct.as_outcome_probs(), atol=1e-12

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from duocast.channel import (
+    MAX_WINDOW_LEN,
     OUTCOMES,
     Belief,
     belief_update,
@@ -277,7 +278,7 @@ class TestKernelValidation:
         ("window_len", -1),
         ("window_len", 1.5),
         ("window_len", 2.0),
-        ("window_len", kernel.MAX_WINDOW + 1),
+        ("window_len", MAX_WINDOW_LEN + 1),
     ])
     def test_slot_stream_names_a_bad_field(self, field, value):
         kwargs = dict(seed=0, horizon=10, visible=True, delay=1)

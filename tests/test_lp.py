@@ -438,7 +438,13 @@ class TestColdPathCorpus:
             for i, (lp, want) in enumerate(zip(lps, expected)):
                 sol = solve(lp)
                 if bitwise:
-                    assert lp_corpus.entry(lp, sol) == want, (name, i)
+                    got = lp_corpus.entry(lp, sol)
+                    assert got[0] == want[0], (
+                        f"{name}[{i}]: the input LP changed, in the region or "
+                        "corpus-builder code, not in the solver")
+                    assert got[1:] == want[1:], (
+                        f"{name}[{i}]: the solver's output (status, value or "
+                        "witness) changed")
                 else:
                     assert sol.status == want[1], (name, i)
                     if sol.status == "optimal":

@@ -221,11 +221,5 @@ class TestPerState:
 
 
 class TestPolicyDecision:
-    def test_rejects_foreign_intents(self):
-        with pytest.raises(ValueError, match="link 13 for receiver 1 invalid"):
-            PolicyDecision(3, link_mask({(1, "13"): 1}))
-        with pytest.raises(ValueError, match="link 12 for receiver 2 invalid"):
-            PolicyDecision(1, link_mask({(1, "12"): 1, (2, "12"): 1}))
-
     def test_zero_foreign_intent_allowed(self):
         PolicyDecision(3, link_mask({(1, "13"): 0}))

@@ -14,11 +14,9 @@ from duocast import (
     ActionDistribution,
     ChannelModel,
     ErasureStats,
-    FeedbackWindow,
     RatePoint,
     RateRegion,
     RegionWitness,
-    cond_erasure_hidden,
     cond_erasure_visible,
     cut_values,
     diagonal_rate,
@@ -55,6 +53,7 @@ from duocast.regions import (
     _stats_arrays,
     iter_region_json,
 )
+from window_fold import per_window_stats
 
 THREE_STATE_P = np.array(
     [[0.7, 0.2, 0.1], [0.2, 0.4, 0.4], [0.3, 0.01, 0.69]]
@@ -348,14 +347,29 @@ class TestHiddenRegion:
         np.testing.assert_allclose(support(pruned), support(found), rtol=0, atol=1e-12)
 
     def test_window_stats_equal_the_per_window_filter(self, ge_model):
+        # The joint table and the per-window fold round differently, so they
+        # agree within 1e-15 rather than bit for bit.  The alternating chain
+        # keeps 3/4/6/8 of its 4/16/64/256 windows: the rest have mass 0.
         rng = np.random.default_rng(41)
-        for model, top in [(ge_model, 6)] + [(random_model(rng, n), 4) for n in (2, 3, 5)]:
-            for L in range(top + 1):
+        cases = [(ge_model, range(8))]
+        cases += [(random_model(rng, n), range(5)) for n in (2, 3, 5)]
+        cases += [(alternating_model(), range(1, 5))]
+        kept = []
+        for model, lengths in cases:
+            for L in lengths:
                 stats, weights = hidden_window_stats(model, L)
+                want_stats, want_weights = per_window_stats(model, L)
                 dist = window_distribution(model, L)
-                assert list(weights) == list(stats) == [w for w, p in dist.items() if p > 0]
-                for window, st_ in stats.items():
-                    assert st_ == cond_erasure_hidden(model, FeedbackWindow(window))
+                keys = [w for w, p in dist.items() if p > 0]
+                assert list(weights) == list(stats) == list(want_stats) == keys
+                laws = np.array([stats[w].as_outcome_probs() for w in keys])
+                want = np.array([want_stats[w].as_outcome_probs() for w in keys])
+                assert np.abs(laws - want).max() <= 1e-15, (model, L)
+                gaps = [abs(weights[w] - want_weights[w]) for w in keys]
+                assert max(gaps) <= 1e-15, (model, L)
+                if model.allow_periodic:
+                    kept.append(len(keys))
+        assert kept == [3, 4, 6, 8]
 
     def test_hausdorff_to_shorter_windows(self, ladder):
         # Pairs of hundreds to thousands of vertices, checked against the
@@ -372,6 +386,9 @@ class TestHiddenRegion:
     def test_window_length_guard(self, ge_model):
         with pytest.raises(ValueError, match="window length"):
             region_hidden_L(ge_model, 9)
+        for bad in (2.5, "2", True):
+            with pytest.raises(ValueError, match="window_len"):
+                region_hidden_L(ge_model, bad)
 
 
 def lp_solution(kind, stats, weights, d):
