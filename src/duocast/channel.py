@@ -138,6 +138,8 @@ class ChannelModel:
         *,
         allow_periodic: bool = False,
     ) -> None:
+        if not isinstance(allow_periodic, (bool, np.bool_)):
+            raise ValueError(f"allow_periodic must be true or false, got {allow_periodic!r}")
         P = np.array(transition, dtype=float)
         E = np.array(emission, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
@@ -148,6 +150,8 @@ class ChannelModel:
         if E.shape != (n, 4):
             raise ValueError("emission must have shape (num_states, 4)")
         for name, M in (("transition", P), ("emission", E)):
+            if not np.isfinite(M).all():
+                raise ValueError(f"{name} entries must be finite")
             if M.min() < 0:
                 raise ValueError(f"{name} entries must be nonnegative")
             if np.abs(M.sum(axis=1) - 1.0).max() > _ROW_SUM_TOL:
@@ -167,7 +171,7 @@ class ChannelModel:
         self.num_states = n
         self.transition = P
         self.emission = E
-        self.allow_periodic = allow_periodic
+        self.allow_periodic = bool(allow_periodic)
 
     def __repr__(self) -> str:
         return f"ChannelModel(num_states={self.num_states}, allow_periodic={self.allow_periodic})"
@@ -192,10 +196,11 @@ def cond_erasure_visible(
     model: ChannelModel, prev_state: int, delay: int = 1
 ) -> ErasureStats:
     """Erasure law of the current slot given the state observed `delay` slots ago."""
-    if delay < 1:
-        raise ValueError("delay must be at least 1")
-    if not 0 <= prev_state < model.num_states:
-        raise ValueError("prev_state out of range")
+    if not is_int(delay) or delay < 1:
+        raise ValueError(f"delay must be a positive integer, got {delay!r}")
+    if not is_int(prev_state) or not 0 <= prev_state < model.num_states:
+        raise ValueError(f"prev_state must be a state from 0 to {model.num_states - 1}, "
+                         f"got {prev_state!r}")
     step = np.linalg.matrix_power(model.transition, delay)
     return ErasureStats.from_outcome_probs(step[prev_state] @ model.emission)
 
@@ -408,6 +413,30 @@ def _field(doc: dict, name: str, prefix: str = ""):
     return doc[name]
 
 
+def _number(doc: dict, name: str, prefix: str) -> float:
+    """``doc[name]`` as a float; a ValueError naming the field unless a number."""
+
+    value = _field(doc, name, prefix)
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer,
+                                                         np.floating)):
+        raise ValueError(f"{prefix}{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _matrix(doc: dict, name: str, rows: int, cols: int) -> np.ndarray:
+    """``doc[name]`` as a rows x cols float matrix, row-major; a ValueError
+    naming the field unless it holds rows * cols numbers."""
+
+    value = _field(doc, name)
+    try:
+        matrix = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a matrix of numbers, got {value!r}") from None
+    if matrix.size != rows * cols:
+        raise ValueError(f"{name} must hold {rows} x {cols} numbers, got {matrix.size}")
+    return matrix.reshape(rows, cols)
+
+
 def load_channel(source: str | Path | dict) -> ChannelModel:
     """Build a ChannelModel from a JSON document or an equivalent dict.
 
@@ -431,15 +460,14 @@ def load_channel(source: str | Path | dict) -> ChannelModel:
         names = ("eps1", "g1", "eps2", "g2")
         if kind == "hidden":
             names += ("eps1_good", "eps1_bad", "eps2_good", "eps2_bad")
-        args = [_field(ge, name, "gilbert_elliot.") for name in names]
+        args = [_number(ge, name, "gilbert_elliot.") for name in names]
         if kind == "visible":
             return ge_visible(*args)
         if kind == "hidden":
             return ge_hidden(*args)
         raise ValueError(f"unknown gilbert_elliot kind {kind!r}")
-    n = int(_field(doc, "states"))
-    transition = np.asarray(_field(doc, "transition"), dtype=float).reshape(n, n)
-    emission = np.asarray(_field(doc, "emission"), dtype=float).reshape(n, 4)
-    return ChannelModel(
-        transition, emission, allow_periodic=bool(doc.get("allow_periodic", False))
-    )
+    n = _field(doc, "states")
+    if not is_int(n) or n < 1:
+        raise ValueError(f"states must be a positive integer, got {n!r}")
+    return ChannelModel(_matrix(doc, "transition", n, n), _matrix(doc, "emission", n, 4),
+                        allow_periodic=doc.get("allow_periodic", False))

@@ -30,10 +30,10 @@ from .channel import (  # noqa: F401
     ChannelModel,
     check_window_len,
     cond_erasure_visible,
-    is_int,
     load_channel,
     stationary_distribution,
     visible_stats,
+    window_keys,
 )
 from .kernel import SimTrace
 from .lp import LinearProgram, solve
@@ -74,19 +74,6 @@ def _default_policy() -> dict:
     return {"kind": "maxweight", "action_set": "A5"}
 
 
-def _rate_pair(name: str, value) -> tuple[float, float]:
-    """``value`` as two floats in [0, 1]; a ValueError naming ``name`` otherwise."""
-
-    if not (isinstance(value, (list, tuple, np.ndarray)) and len(value) == 2
-            and all(isinstance(v, (int, float, np.integer, np.floating))
-                    and not isinstance(v, bool) for v in value)):
-        raise ValueError(f"{name} must be a pair of numbers [r1, r2], got {value!r}")
-    r1, r2 = float(value[0]), float(value[1])
-    if not (0 <= r1 <= 1 and 0 <= r2 <= 1):
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    return r1, r2
-
-
 @dataclass
 class Scenario:
     """One reproducible simulation setup.
@@ -109,13 +96,9 @@ class Scenario:
     movement_log: str | os.PathLike | None = None
 
     def __post_init__(self) -> None:
-        self.rates = _rate_pair("rates", self.rates)
-        if not is_int(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        self.seed = int(self.seed)
-        if not isinstance(self.visible, (bool, np.bool_)):
-            raise ValueError(f"visible must be true or false, got {self.visible!r}")
-        self.visible = bool(self.visible)
+        self.rates = kernel.rate_pair("rates", self.rates)
+        self.seed = kernel.nonnegative_int("seed", self.seed)
+        self.visible = kernel.flag("visible", self.visible)
         self.horizon = kernel.positive_int("horizon", self.horizon)
         self.delay = kernel.positive_int("delay", self.delay)
         if self.stride is not None:
@@ -138,7 +121,7 @@ class Scenario:
                                  f"got {action_set!r}")
         elif kind == "probabilistic":
             if "target" in self.policy:
-                _rate_pair("policy.target", self.policy["target"])
+                kernel.rate_pair("policy.target", self.policy["target"])
             try:
                 check_window_len(self.policy.get("window_len", 1))
             except ValueError as err:
@@ -234,23 +217,21 @@ def throughput_check(trace: SimTrace) -> tuple[float, float]:
 # -- probabilistic-policy synthesis ------------------------------------------
 
 
-def _window_code(window: tuple[tuple[int, int], ...]) -> int:
-    code = 0
-    for z1, z2 in window:
-        code = code * 4 + 2 * z1 + z2
-    return code
-
-
 @dataclass(frozen=True)
 class _ProbTables:
     action_table: np.ndarray
     ratio_table: np.ndarray
-    dist_by_code: dict
-    ratios: dict
     window_len: int
 
 
 def _probabilistic_tables(scenario: Scenario, model: ChannelModel) -> _ProbTables:
+    """The kernel's tables of a probabilistic policy for the scenario's target.
+
+    Row k of ``action_table`` belongs to observation key k: the state for a
+    visible model, else the window at code k in `window_keys` order, a NaN
+    row for a window of zero mass.  ``ratio_table`` is receiver j's link
+    ratios in row j - 1, in `LINK_NAMES` order.
+    """
     policy = scenario.policy
     target = RatePoint(*policy.get("target", scenario.rates))
     if scenario.visible:
@@ -258,27 +239,24 @@ def _probabilistic_tables(scenario: Scenario, model: ChannelModel) -> _ProbTable
         weights = stationary_distribution(model)
         kind = "visible"
         window_len = 0
-        n_rows = model.num_states
-        code = int
+        keys = range(model.num_states)
     else:
         window_len = int(policy.get("window_len", 1))
         stats, weights = hidden_window_stats(model, window_len)
         kind = "hidden_L"
-        n_rows = 4**window_len
-        code = _window_code
+        keys = window_keys(window_len)
     witness = region_membership(kind, stats, weights, target)
     if witness is None:
         raise ValueError(
             f"target ({target.r1}, {target.r2}) lies outside the {kind} region"
         )
     dist, ratios = synthesize_policy(witness, target, stats, weights)
-    table = np.full((n_rows, 6), np.nan)
-    dist_by_code = {}
+    row_of = {key: k for k, key in enumerate(keys)}
+    table = np.full((len(keys), 6), np.nan)
     for key, row in dist.probs.items():
-        table[code(key)] = row
-        dist_by_code[code(key)] = row
+        table[row_of[key]] = row
     ratio_table = np.array([[ratios[j][l] for l in LINK_NAMES] for j in (1, 2)])
-    return _ProbTables(table, ratio_table, dist_by_code, ratios, window_len)
+    return _ProbTables(table, ratio_table, window_len)
 
 
 # -- per-state dispatch -------------------------------------------------------
@@ -392,7 +370,10 @@ def _run_packets(scenario: Scenario, model: ChannelModel, stride: int) -> SimTra
     maxweight = kind == "maxweight"
     per_state = kind == "per_state"
     probabilistic = kind == "probabilistic"
-    tables = _probabilistic_tables(scenario, model) if probabilistic else None
+    if probabilistic:
+        tables = _probabilistic_tables(scenario, model)
+        action_rows = tables.action_table.tolist()
+        ratios = tables.ratio_table.ravel().tolist()
 
     nets: dict[int, QueueNetwork]
     if per_state:
@@ -429,16 +410,15 @@ def _run_packets(scenario: Scenario, model: ChannelModel, stride: int) -> SimTra
                 serving = net
                 if obs_key < 0:
                     action, intents = 0, 0
+                elif maxweight:
+                    action, intents = maxweight_decide(net, eps[at[i]], action_set)
+                elif per_state:
+                    serving = nets[obs_key]
+                    action, intents = per_state_memoryless_decide(
+                        nets, obs_key, eps[at[i]])
                 else:
-                    if maxweight:
-                        decision = maxweight_decide(net, eps[at[i]], action_set)
-                    elif per_state:
-                        serving = nets[obs_key]
-                        decision = per_state_memoryless_decide(nets, obs_key, eps[at[i]])
-                    else:
-                        decision = probabilistic_decide(
-                            tables.dist_by_code, tables.ratios, obs_key, draws[i])
-                    action, intents = decision.action, decision.intents
+                    action, intents = probabilistic_decide(
+                        action_rows, ratios, obs_key, draws[i])
 
                 _, moves, slot_exits = apply_slot(serving, action, z, intents)
                 if log_fh is not None:

@@ -76,8 +76,11 @@ __all__ = [
     "RNG_COLUMNS",
     "CHUNK_SLOTS",
     "SimTrace",
+    "flag",
     "jit_enabled",
+    "nonnegative_int",
     "positive_int",
+    "rate_pair",
     "record_stride",
     "run_counts",
     "slot_stream",
@@ -110,6 +113,35 @@ def positive_int(name: str, value) -> int:
     return int(value)
 
 
+def nonnegative_int(name: str, value) -> int:
+    """``value`` as an int; a ValueError naming ``name`` unless an int >= 0."""
+
+    if not is_int(value) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
+def flag(name: str, value) -> bool:
+    """``value`` as a bool; a ValueError naming ``name`` unless a bool."""
+
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return bool(value)
+
+
+def rate_pair(name: str, value) -> tuple[float, float]:
+    """``value`` as two floats in [0, 1]; a ValueError naming ``name`` otherwise."""
+
+    if not (isinstance(value, (list, tuple, np.ndarray)) and len(value) == 2
+            and all(isinstance(v, (int, float, np.integer, np.floating))
+                    and not isinstance(v, bool) for v in value)):
+        raise ValueError(f"{name} must be a pair of numbers [r1, r2], got {value!r}")
+    r1, r2 = float(value[0]), float(value[1])
+    if not (0 <= r1 <= 1 and 0 <= r2 <= 1):
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+    return r1, r2
+
+
 def record_stride(horizon: int, stride: int | None) -> int:
     """Slots between recorded rows: ``stride``, or about 512 rows per run."""
 
@@ -137,7 +169,9 @@ def slot_stream(model: ChannelModel, *, seed: int, horizon: int, visible: bool,
     per slot are CHUNK_SLOTS long but for the last chunk.
     """
 
+    seed = nonnegative_int("seed", seed)
     horizon = positive_int("horizon", horizon)
+    visible = flag("visible", visible)
     delay = positive_int("delay", delay)
     window_len = check_window_len(window_len)
     num_states = model.num_states
@@ -533,10 +567,11 @@ def run_counts(
     ``window_len`` feedback pairs, oldest pair in the highest digit.
     """
 
+    rates = rate_pair("rates", rates)
+    seed = nonnegative_int("seed", seed)
     horizon = positive_int("horizon", horizon)
+    visible = flag("visible", visible)
     delay = positive_int("delay", delay)
-    if not (0 <= rates[0] <= 1 and 0 <= rates[1] <= 1):
-        raise ValueError("arrival rates must lie in [0, 1]")
     if policy not in ("maxweight", "probabilistic"):
         raise ValueError(f"unknown policy {policy!r}")
     if action_set not in ACTION_SETS:
@@ -552,7 +587,7 @@ def run_counts(
         window_len = 0  # max-weight decides on the belief, never a window
     else:
         if action_table is None:
-            raise ValueError("probabilistic policy needs an action table")
+            raise ValueError("probabilistic policy needs an action_table")
         table = np.asarray(action_table, dtype=float)
         if table.ndim != 2 or table.shape[1] != 6:
             raise ValueError("action table must have six columns")
@@ -561,8 +596,9 @@ def run_counts(
             raise ValueError(f"action_table needs {keys} rows, one per observation "
                              f"key, got {len(table)}")
         action_cdf = np.cumsum(table, axis=1)
-        ratio_arr = np.zeros((2, 6)) if ratio_table is None else \
-            np.asarray(ratio_table, dtype=float)
+        if ratio_table is None:
+            raise ValueError("probabilistic policy needs a ratio_table")
+        ratio_arr = np.asarray(ratio_table, dtype=float)
         if ratio_arr.shape != (2, 6):
             raise ValueError("ratio table must be 2x6")
         ratios = ratio_arr.ravel()  # receiver j's link l at 6*j + l
@@ -571,8 +607,7 @@ def run_counts(
     stream = slot_stream(model, seed=seed, horizon=horizon, visible=visible,
                          delay=delay, window_len=window_len, predict=maxweight)
     end, rows = _count(
-        stream, max(ACTION_SETS[action_set]), action_cdf, ratios,
-        (float(rates[0]), float(rates[1])), stride, record)
+        stream, max(ACTION_SETS[action_set]), action_cdf, ratios, rates, stride, record)
     if sum(end[6:8]) != sum(end[:6]) + sum(end[8:]):
         raise AssertionError("conservation violated in counts kernel")
     return SimTrace.from_rows(horizon, stride, record[:rows], end)

@@ -9,20 +9,20 @@ one per observable channel state.
 
 The policies take plain per-slot values, as the slot stream yields them: the
 observation key, the (eps1, eps2, eps12) triple max-weight weighs, and the
-slot's uniform draws for the probabilistic policy.  A decision's intents are
-a link mask in `queuenet`'s layout.
+slot's uniform draws for the probabilistic policy, which reads the counts
+kernel's own tables as lists: one action row per key and the twelve link
+ratios in link-bit order.  Each decide function returns an ``(action,
+intents)`` pair, the intents a link mask in `queuenet`'s layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
-from .queuenet import ACTION_LINKS, LINK_BITS
+from .queuenet import ACTION_LINKS, ALLOWED_LINKS, LINK_BITS
 
 __all__ = [
     "ACTION_SETS",
-    "PolicyDecision",
     "action_weights",
     "link_intents",
     "maxweight_decide",
@@ -38,25 +38,7 @@ ACTION_SETS: dict[str, tuple[int, ...]] = {
 
 QueueLengths = tuple[tuple[int, int, int], tuple[int, int, int]]
 ErasureTriple = Sequence[float]  # (eps1, eps2, eps12)
-
-# Each action's links as (bit, receiver, link, position of the link's coin
-# in a slot's draws): the coin of bit b follows the action draw at 1 + b.
-_COINS = {
-    action: tuple((LINK_BITS[j, link], j, link, LINK_BITS[j, link].bit_length())
-                  for j, link in links)
-    for action, links in ACTION_LINKS.items()
-}
-
-
-@dataclass(slots=True)
-class PolicyDecision:
-    """An action and the link mask of the links it activates.
-
-    ``apply_slot`` rejects an intent on a link the action does not use.
-    """
-
-    action: int
-    intents: int
+Decision = tuple[int, int]  # (action, intents as a link mask)
 
 
 def action_weights(queues: QueueLengths, eps: ErasureTriple) -> list[float]:
@@ -112,7 +94,7 @@ def link_intents(action: int, queues: QueueLengths) -> int:
     return intents
 
 
-def maxweight_decide(net, eps: ErasureTriple, action_set: str = "A5") -> PolicyDecision:
+def maxweight_decide(net, eps: ErasureTriple, action_set: str = "A5") -> Decision:
     """Pick the action with the largest Table-style weight; idle on all zero."""
 
     queues = net.queue_lengths() if hasattr(net, "queue_lengths") else net
@@ -123,42 +105,47 @@ def maxweight_decide(net, eps: ErasureTriple, action_set: str = "A5") -> PolicyD
         if weights[a] > best:
             best = weights[a]
             action = a
-    return PolicyDecision(action, link_intents(action, queues))
+    return action, link_intents(action, queues)
 
 
-def probabilistic_decide(dist: Mapping, ratios: Mapping[int, Mapping[str, float]],
-                         key: Hashable, draws: Sequence[float]) -> PolicyDecision:
-    """Draw an action from dist[key] and link activations from ratios.
+def probabilistic_decide(action_rows: Sequence[Sequence[float]],
+                         ratios: Sequence[float], key: int,
+                         draws: Sequence[float]) -> Decision:
+    """Draw an action from ``action_rows[key]`` and link activations from ratios.
 
-    Queue lengths are never consulted.  ``draws`` are the slot's 13 uniforms
-    in the stream's layout (`kernel.RNG_COLUMNS` from column 4): the action
-    draw, then one coin per link bit, receiver 1's links 12, 13, 14, 24, 32,
-    34 and then receiver 2's.  Each is read by its position, so a slot uses
-    the same draws whichever action comes up, and the intents are the
-    action's links ANDed with the counts kernel's coin mask.
+    Queue lengths are never consulted.  ``action_rows`` is the counts
+    kernel's ``action_table.tolist()``, one row per observation key, a NaN
+    row for a key with no distribution; ``ratios`` is its
+    ``ratio_table.ravel().tolist()``, the ratio of link bit b at index b.
+    ``draws`` are the slot's 13 uniforms in the stream's layout
+    (`kernel.RNG_COLUMNS` from column 4): the action draw, then the coin of
+    each link bit b at 1 + b.  The action is the first whose running sum
+    exceeds the draw, as the kernel's leading run over the cdf, and the
+    intents are the coin mask ANDed with the action's links.
     """
 
-    try:
-        row = dist[key]
-    except KeyError:
+    if not 0 <= key < len(action_rows):
         raise ValueError(f"no action distribution for observation {key!r}")
     u = draws[0]
-    action = 5
     acc = 0.0
-    for a, p in enumerate(row):
+    for action, p in enumerate(action_rows[key]):
         acc += p
         if u < acc:
-            action = a
             break
-    intents = 0
-    for bit, j, link, pos in _COINS[action]:
-        if draws[pos] < ratios.get(j, {}).get(link, 0.0):
-            intents |= bit
-    return PolicyDecision(action, intents)
+    else:
+        # No cdf entry exceeds the draw: action 5, unless the last entry is
+        # not >= 0 (a NaN row), which the kernel rejects too.
+        if not acc >= 0.0:
+            raise ValueError(f"no action distribution for observation {key!r}")
+    coins = 0
+    for b, ratio in enumerate(ratios):
+        if draws[1 + b] < ratio:
+            coins |= 1 << b
+    return action, coins & ALLOWED_LINKS[action]
 
 
 def per_state_memoryless_decide(subsystems: Mapping, key: Hashable,
-                                eps: ErasureTriple) -> PolicyDecision:
+                                eps: ErasureTriple) -> Decision:
     """Dispatch to the reactive sub-policy of state ``key``, whose triple is ``eps``."""
 
     return maxweight_decide(subsystems[key], eps, "A3")

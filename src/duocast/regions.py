@@ -13,7 +13,9 @@ greedy fill after one sort, and their oracle picks from the breakpoints of
 the two frontiers' lower envelope.  The uncoded and Minkowski regions are
 sums of per-key pieces, so their oracles add each piece's maximizer.  The
 memoryless regions are closed forms.  Membership and policy synthesis
-always solve the LP cold.
+always solve the LP cold.  Every evaluator reads the per-key gains
+a1 = w(1 - eps1), a2 = w(1 - eps2) and g = w(1 - eps12) from one
+`_key_table`.
 """
 
 from __future__ import annotations
@@ -179,7 +181,27 @@ class CutValues:
         return min(self.a, self.b, self.c, self.d)
 
 
-def _stats_arrays(stats_by_key: dict, weights: dict | np.ndarray):
+@dataclass(frozen=True)
+class _KeyTable:
+    """Each key's weight, erasure probabilities and gains, in the stats' order.
+
+    a1 = w(1 - eps1) and a2 = w(1 - eps2) are what a slot of key k sent to
+    receiver 1 or 2 alone delivers per unit of time share, g = w(1 - eps12)
+    what a coded slot delivers to at least one receiver, and G = sum(g).
+    """
+
+    keys: list
+    w: np.ndarray
+    eps1: np.ndarray
+    eps2: np.ndarray
+    eps12: np.ndarray
+    a1: np.ndarray
+    a2: np.ndarray
+    g: np.ndarray
+    G: float
+
+
+def _key_table(stats_by_key: dict, weights: dict | np.ndarray) -> _KeyTable:
     keys = list(stats_by_key.keys())
     if isinstance(weights, dict):
         w = np.array([weights[k] for k in keys], dtype=float)
@@ -192,7 +214,9 @@ def _stats_arrays(stats_by_key: dict, weights: dict | np.ndarray):
     eps1 = np.array([stats_by_key[k].eps1 for k in keys])
     eps2 = np.array([stats_by_key[k].eps2 for k in keys])
     eps12 = np.array([stats_by_key[k].eps12 for k in keys])
-    return keys, w, eps1, eps2, eps12
+    g = w * (1.0 - eps12)
+    return _KeyTable(keys, w, eps1, eps2, eps12, a1=w * (1.0 - eps1),
+                     a2=w * (1.0 - eps2), g=g, G=float(g.sum()))
 
 
 def _trace(kind: str, support) -> RateRegion:
@@ -258,48 +282,27 @@ def _prune_collinear(ordered):
     return kept
 
 
-def _fraction_lp_builder(
-    w, eps1, eps2, eps12, *, reactive: bool, uncoded: bool
-):
-    """LP over [R1, R2, x_0.., y_0..] for one weighted-objective solve."""
-    K = w.size
-    a1 = w * (1.0 - eps1)
-    a2 = w * (1.0 - eps2)
-    g = w * (1.0 - eps12)
-    G = float(g.sum())
+def _fraction_lp(table: _KeyTable, *, reactive: bool, uncoded: bool) -> LinearProgram:
+    """The region's LP over [R1, R2, x_0.., y_0..], all in [0, 1], zero objective.
 
-    def build(direction: np.ndarray) -> LinearProgram:
-        n = 2 + 2 * K
-        rows = []
-
-        def row(r_coeff, x_coeff, y_coeff, rel, rhs):
-            vec = np.zeros(n)
-            vec[0], vec[1] = r_coeff
-            vec[2 : 2 + K] = x_coeff
-            vec[2 + K :] = y_coeff
-            rows.append((vec, rel, float(rhs)))
-
-        row((1.0, 0.0), -a1, np.zeros(K), "<=", 0.0)
-        row((0.0, 1.0), np.zeros(K), -a2, "<=", 0.0)
-        if uncoded:
-            for k in range(K):
-                ex, ey = np.zeros(K), np.zeros(K)
-                ex[k] = ey[k] = 1.0
-                row((0.0, 0.0), ex, ey, "<=", 1.0)
-        else:
-            row((1.0, 0.0), np.zeros(K), g, "<=", G)
-            row((0.0, 1.0), g, np.zeros(K), "<=", G)
-            if reactive:
-                for k in range(K):
-                    ex, ey = np.zeros(K), np.zeros(K)
-                    ex[k] = ey[k] = 1.0
-                    row((0.0, 0.0), ex, ey, ">=", 1.0)
-        objective = np.zeros(n)
-        objective[0], objective[1] = direction
-        bounds = [(0.0, 1.0)] * n
-        return LinearProgram(objective=objective, constraints=rows, bounds=bounds)
-
-    return build
+    Rows in order: R1 <= a1.x and R2 <= a2.y; then x_k + y_k <= 1 per key
+    (uncoded), or R1 + g.y <= G and R2 + g.x <= G, then x_k + y_k >= 1 per
+    key if reactive.
+    """
+    K = len(table.keys)
+    n = 2 + 2 * K
+    zero = np.zeros(K)
+    rows = [(np.concatenate(([1.0, 0.0], -table.a1, zero)), "<=", 0.0),
+            (np.concatenate(([0.0, 1.0], zero, -table.a2)), "<=", 0.0)]
+    if not uncoded:
+        rows += [(np.concatenate(([1.0, 0.0], zero, table.g)), "<=", table.G),
+                 (np.concatenate(([0.0, 1.0], table.g, zero)), "<=", table.G)]
+    if uncoded or reactive:
+        pairs = np.zeros((K, n))
+        k = np.arange(K)
+        pairs[k, 2 + k] = pairs[k, 2 + K + k] = 1.0
+        rows += [(row, "<=" if uncoded else ">=", 1.0) for row in pairs]
+    return LinearProgram(objective=np.zeros(n), constraints=rows, bounds=[(0.0, 1.0)] * n)
 
 
 class _FillView(Mapping):
@@ -374,9 +377,8 @@ def _knapsack_region(kind: str, stats_by_key: dict, weights) -> RateRegion:
     vertex's witness is the x fill that reaches R1 and the y fill that
     reaches R2, so it supports the vertex by construction.
     """
-    keys, w, eps1, eps2, eps12 = _stats_arrays(stats_by_key, weights)
-    a1, a2, g = w * (1.0 - eps1), w * (1.0 - eps2), w * (1.0 - eps12)
-    G = float(g.sum())
+    table = _key_table(stats_by_key, weights)
+    keys, a1, a2, g, G = table.keys, table.a1, table.a2, table.g, table.G
     order_x, gain_x, spent_x = _greedy_fill(a1, g)
     order_y, gain_y, spent_y = _greedy_fill(a2, g)
     # f_x over R1 ascending; f_y as the inverse of P_y's frontier, also over
@@ -448,13 +450,13 @@ def region_reactive(stats_by_state: dict, pi, directions=None) -> RateRegion:
     `objective_path` walk from (1, 0) to (0, 1) visits an optimal basic
     solution for every direction, and the oracle picks the best of them.
     """
-    keys, w, eps1, eps2, eps12 = _stats_arrays(stats_by_state, pi)
-    K = len(keys)
-    build = _fraction_lp_builder(w, eps1, eps2, eps12, reactive=True, uncoded=False)
+    table = _key_table(stats_by_state, pi)
+    keys, K = table.keys, len(table.keys)
     east, north = np.zeros(2 + 2 * K), np.zeros(2 + 2 * K)
     east[0] = north[1] = 1.0
     points, witnesses = [], []
-    for _, sol in objective_path(build(np.zeros(2)), east, north):
+    lp = _fraction_lp(table, reactive=True, uncoded=False)
+    for _, sol in objective_path(lp, east, north):
         x = np.clip(sol.witness[2 : 2 + K], 0, 1).tolist()
         y = np.clip(sol.witness[2 + K :], 0, 1).tolist()
         points.append(np.maximum(sol.witness[:2], 0.0))
@@ -471,8 +473,9 @@ def region_uncoded(stats_by_state: dict, pi, directions=None) -> RateRegion:
     receiver with the larger d_j * w(1 - eps_j); the shared tracer turns
     that oracle into the exact boundary.
     """
-    keys, w, eps1, eps2, _ = _stats_arrays(stats_by_state, pi)
-    gains = np.column_stack([w * (1.0 - eps1), w * (1.0 - eps2)])
+    table = _key_table(stats_by_state, pi)
+    keys = table.keys
+    gains = np.column_stack([table.a1, table.a2])
 
     def support(d1: float, d2: float):
         to_two = gains[:, 1] * d2 > gains[:, 0] * d1
@@ -558,7 +561,8 @@ def region_minkowski(stats_by_state: dict, pi, directions=None) -> RateRegion:
     the exact boundary.  Each witness maps every state to its own (x, y) in
     parameters and to its contributed rate pair in shares.
     """
-    keys, w, _, _, _ = _stats_arrays(stats_by_state, pi)
+    table = _key_table(stats_by_state, pi)
+    keys, w = table.keys, table.w
     summands = []
     for k, key in enumerate(keys):
         st = stats_by_state[key]
@@ -589,12 +593,9 @@ def region_membership(
     """Feasibility-LP membership test returning a witness when inside."""
     if kind not in ("visible", "reactive", "uncoded", "hidden_L"):
         raise ValueError(f"membership LP not defined for kind {kind!r}")
-    keys, w, eps1, eps2, eps12 = _stats_arrays(stats_by_key, weights)
-    K = len(keys)
-    builder = _fraction_lp_builder(
-        w, eps1, eps2, eps12, reactive=kind == "reactive", uncoded=kind == "uncoded"
-    )
-    lp = builder(np.zeros(2))
+    table = _key_table(stats_by_key, weights)
+    keys, K = table.keys, len(table.keys)
+    lp = _fraction_lp(table, reactive=kind == "reactive", uncoded=kind == "uncoded")
     lp.bounds[0] = (point.r1, point.r1)
     lp.bounds[1] = (point.r2, point.r2)
     sol = solve(lp)
@@ -659,18 +660,17 @@ def link_capacities(
     """Average per-slot link capacities of the virtual queue network."""
     if receiver not in (1, 2):
         raise ValueError("receiver must be 1 or 2")
-    keys, w, eps1, eps2, eps12 = _stats_arrays(stats_by_key, weights)
-    own = eps1 if receiver == 1 else eps2
-    p = np.array([dist.probs[k] for k in keys])
-    caps = {
-        "12": float(np.sum(w * (own - eps12) * p[:, receiver])),
-        "13": float(np.sum(w * (1.0 - eps12) * p[:, 4])),
-        "14": float(np.sum(w * (1.0 - own) * p[:, receiver])),
-        "24": float(np.sum(w * (1.0 - own) * p[:, 3])),
-        "32": float(np.sum(w * (own - eps12) * p[:, 5])),
-        "34": float(np.sum(w * (1.0 - own) * p[:, 5])),
+    t = _key_table(stats_by_key, weights)
+    own, a = (t.eps1, t.a1) if receiver == 1 else (t.eps2, t.a2)
+    p = np.array([dist.probs[k] for k in t.keys])
+    return {
+        "12": float(np.sum(t.w * (own - t.eps12) * p[:, receiver])),
+        "13": float(np.sum(t.g * p[:, 4])),
+        "14": float(np.sum(a * p[:, receiver])),
+        "24": float(np.sum(a * p[:, 3])),
+        "32": float(np.sum(t.w * (own - t.eps12) * p[:, 5])),
+        "34": float(np.sum(a * p[:, 5])),
     }
-    return caps
 
 
 def cut_values(
@@ -727,9 +727,9 @@ def redundancy_transform(
     D_j unchanged.  Distributions already balancing the mixing flows
     (c13 = c32 + c34) are returned unchanged.
     """
-    keys, w, eps1, eps2, eps12 = _stats_arrays(stats_by_key, weights)
+    table = _key_table(stats_by_key, weights)
+    keys, g = table.keys, table.g
     p = np.array([dist.probs[k] for k in keys])
-    g = w * (1.0 - eps12)
     c13 = float(g @ p[:, 4])
     k5 = float(g @ p[:, 5])
     if abs(k5 - c13) <= 1e-12:
@@ -751,18 +751,18 @@ def redundancy_transform(
             raise ArithmeticError("balance fill ran out of reallocatable mass")
     else:
         # Grow the remedy exit capacity until one receiver's c34 hits c13.
-        e_own = (1.0 - eps1, 1.0 - eps2)
+        gains = (table.a1, table.a2)
         c34 = [0.0, 0.0]
         for i in range(len(keys)):
             room = m[i]
             for j in (0, 1):
-                coef = w[i] * e_own[j][i]
+                coef = gains[j][i]
                 if coef > 0:
                     room = min(room, (c13 - c34[j]) / coef)
             take = max(min(room, m[i]), 0.0)
             p5[i] = take
             for j in (0, 1):
-                c34[j] += w[i] * e_own[j][i] * take
+                c34[j] += gains[j][i] * take
             if take < m[i] - 1e-15:
                 break
     out = {}
@@ -807,21 +807,14 @@ def witness_to_distribution(witness: RegionWitness) -> ActionDistribution:
 def _witness_supports(
     witness: RegionWitness, target: RatePoint, stats_by_key, weights
 ) -> bool:
-    keys, w, eps1, eps2, eps12 = _stats_arrays(stats_by_key, weights)
-    x = np.array([witness.parameters[k][0] for k in keys])
-    y = np.array([witness.parameters[k][1] for k in keys])
-    if witness.kind == "uncoded":
-        r1 = float(np.sum(w * (1 - eps1) * x))
-        r2 = float(np.sum(w * (1 - eps2) * y))
-    else:
-        r1 = min(
-            float(np.sum(w * (1 - eps1) * x)),
-            float(np.sum(w * (1 - eps12) * (1 - y))),
-        )
-        r2 = min(
-            float(np.sum(w * (1 - eps2) * y)),
-            float(np.sum(w * (1 - eps12) * (1 - x))),
-        )
+    t = _key_table(stats_by_key, weights)
+    x = np.array([witness.parameters[k][0] for k in t.keys])
+    y = np.array([witness.parameters[k][1] for k in t.keys])
+    r1 = float(np.sum(t.a1 * x))
+    r2 = float(np.sum(t.a2 * y))
+    if witness.kind != "uncoded":
+        r1 = min(r1, float(np.sum(t.g * (1 - y))))
+        r2 = min(r2, float(np.sum(t.g * (1 - x))))
     return target.r1 <= r1 + _GEOM_TOL and target.r2 <= r2 + _GEOM_TOL
 
 

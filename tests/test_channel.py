@@ -79,6 +79,15 @@ class TestChannelModel:
         model = alternating_model()
         assert model.num_states == 2
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # NaN passes every comparison the other checks make: a NaN emission
+        # made a model, and a NaN transition was reported as periodic.
+        with pytest.raises(ValueError, match="emission entries must be finite"):
+            ChannelModel(np.array([[1.0]]), np.array([[bad, 0.0, 0.0, 1.0]]))
+        with pytest.raises(ValueError, match="transition entries must be finite"):
+            ChannelModel(np.array([[bad, 0.5], [0.5, 0.5]]), np.tile([1.0, 0, 0, 0], (2, 1)))
+
     def test_arrays_frozen(self):
         model = three_state_model()
         with pytest.raises(ValueError):
@@ -204,6 +213,18 @@ class TestCondErasureVisible:
     def test_rejects_bad_delay(self):
         with pytest.raises(ValueError):
             cond_erasure_visible(three_state_model(), 0, delay=0)
+
+    @pytest.mark.parametrize("prev_state,delay,field", [
+        (0, 2.5, "delay"),
+        (0, True, "delay"),
+        (1.5, 1, "prev_state"),
+        (True, 1, "prev_state"),
+        (3, 1, "prev_state"),
+        (-1, 1, "prev_state"),
+    ])
+    def test_bad_state_or_delay_is_named(self, prev_state, delay, field):
+        with pytest.raises(ValueError, match=field):
+            cond_erasure_visible(three_state_model(), prev_state, delay=delay)
 
     @pytest.mark.parametrize("delay", [1, 3])
     def test_table_holds_each_state_law(self, delay):
@@ -470,6 +491,33 @@ class TestLoadChannel:
     )
     def test_missing_field_is_named(self, doc, field):
         with pytest.raises(ValueError, match=re.escape(field)):
+            load_channel(doc)
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"states": "two"}, "states"),
+            ({"states": 1.7}, "states"),
+            ({"states": True}, "states"),
+            ({"transition": [[0.5, 0.5]]}, "transition"),
+            ({"transition": [[0.5, 0.5], [0.5]]}, "transition"),
+            ({"emission": [[1.0, 0, 0, 0]] * 3}, "emission"),
+            ({"emission": "none"}, "emission"),
+            ({"allow_periodic": "no"}, "allow_periodic"),
+        ],
+    )
+    def test_bad_field_is_named(self, change, field):
+        doc = {"states": 2, "transition": [[0.5, 0.5], [0.5, 0.5]],
+               "emission": [[1.0, 0, 0, 0]] * 2, **change}
+        with pytest.raises(ValueError, match=re.escape(field)):
+            load_channel(doc)
+
+    @pytest.mark.parametrize("value", ["a", None, [0.6], True])
+    def test_non_numeric_gilbert_elliot_field_is_named(self, value):
+        doc = {"gilbert_elliot": {"kind": "hidden", "eps1": 0.6, "g1": 0.1, "eps2": 0.5,
+                                  "g2": 0.2, "eps1_good": 0.2, "eps1_bad": value,
+                                  "eps2_good": 0.2, "eps2_bad": 0.8}}
+        with pytest.raises(ValueError, match="gilbert_elliot.eps1_bad must be a number"):
             load_channel(doc)
 
     def test_allow_periodic_flag(self):

@@ -120,6 +120,24 @@ class TestRegionCommand:
         assert err.startswith("duocast region: error: ")
         assert field in err
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"gilbert_elliot": {"kind": "visible", "eps1": "a", "g1": 0.1, "eps2": 0.5,
+                                 "g2": 0.2}}, "gilbert_elliot.eps1"),
+            ({"states": 1, "transition": [[1.0]], "emission": [[float("nan"), 0, 0, 1]]},
+             "emission"),
+        ],
+    )
+    def test_bad_channel_fails_fast(self, tmp_path, capsys, doc, field):
+        path = tmp_path / "ch.json"
+        path.write_text(json.dumps(doc))
+        assert main(["region", "--channel", str(path), "--kind", "visible"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("duocast region: error: ")
+        assert field in captured.err
+
     def test_directions_flag_is_gone(self, tmp_path, capsys):
         channel = write_channel(tmp_path / "ch.json")
         extra = ["--directions", "17"]

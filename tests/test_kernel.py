@@ -17,9 +17,10 @@ from duocast.channel import (
     load_channel,
     memoryless,
     stationary_distribution,
+    window_keys,
 )
 from duocast import harness, kernel
-from duocast.harness import Scenario, _probabilistic_tables, _window_code, run
+from duocast.harness import Scenario, _probabilistic_tables, run
 from duocast.kernel import SimTrace, jit_enabled, run_counts, slot_stream
 from duocast.policies import probabilistic_decide
 from duocast.queuenet import ALLOWED_LINKS, LINK_BITS, LINK_NAMES
@@ -199,6 +200,19 @@ class TestKernelValidation:
         with pytest.raises(ValueError):
             run_counts(self.model, rates=(1.2, 0.1), horizon=10, seed=0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("rates", (0.1,)),
+        ("rates", ("a", 0.1)),
+        ("seed", 1.5),
+        ("seed", -1),
+        ("visible", "no"),
+    ])
+    def test_bad_field_is_named(self, field, value):
+        kwargs = dict(rates=(0.1, 0.1), horizon=10, seed=0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            run_counts(self.model, **kwargs)
+
     def test_bad_policy_name(self):
         with pytest.raises(ValueError):
             run_counts(self.model, rates=(0.1, 0.1), horizon=10, seed=0, policy="greedy")
@@ -219,6 +233,12 @@ class TestKernelValidation:
                 policy="probabilistic",
                 action_table=np.ones((1, 5)),
             )
+
+    def test_probabilistic_needs_ratio_table(self):
+        # Without it no link would ever activate.
+        with pytest.raises(ValueError, match="ratio_table"):
+            run_counts(self.model, rates=(0.1, 0.1), horizon=10, seed=0,
+                       policy="probabilistic", action_table=np.full((1, 6), 1 / 6))
 
     def test_missing_observation_row_raises(self):
         table = np.full((1, 6), np.nan)
@@ -279,6 +299,9 @@ class TestKernelValidation:
         ("window_len", 1.5),
         ("window_len", 2.0),
         ("window_len", MAX_WINDOW_LEN + 1),
+        ("seed", 1.5),
+        ("seed", -1),
+        ("visible", "no"),
     ])
     def test_slot_stream_names_a_bad_field(self, field, value):
         kwargs = dict(seed=0, horizon=10, visible=True, delay=1)
@@ -429,13 +452,14 @@ class TestSlotStreamOracle:
             _, _, outcomes = _reference_path(model, matrix, 5)
             assert np.array_equal(zis, outcomes)
             pairs = [OUTCOMES[zi] for zi in outcomes]
+            windows = window_keys(window_len)
             for t, key in enumerate(keys):
                 newest = t - delay  # the latest pair fed back by slot t
                 if newest - window_len + 1 < 0:
                     assert key == -1
                 else:
                     window = tuple(pairs[newest - window_len + 1 : newest + 1])
-                    assert key == _window_code(window)
+                    assert windows[key] == window
 
     def test_predicted_stats_follow_belief_update(self):
         model = load_channel(noisy())
@@ -623,6 +647,14 @@ def coin_masks(rows, ratios):
     return ((rows[:, 5:] < ratios) << kernel._COIN_SHIFTS).sum(axis=1)
 
 
+def kernel_actions(rows, keys, action_table):
+    """Each observed slot's action, as `kernel._count` draws it: the leading
+    run of cdf entries its action draw reaches."""
+
+    heads = np.cumsum(action_table, axis=1)[:, :5]
+    return np.cumprod(rows[:, 4:5] >= heads[keys], axis=1).sum(axis=1)
+
+
 class TestOneLinkLayout:
     """Link masks, kernel coins and ratio tables share one bit layout."""
 
@@ -642,16 +674,41 @@ class TestOneLinkLayout:
         ratios = tables.ratio_table.ravel()
         for (j, link), bit in LINK_BITS.items():
             b = bit.bit_length() - 1
-            assert ratios[b] == tables.ratios[j][link] == (b + 1) / 16
+            assert ratios[b] == (6 * (j - 1) + LINK_NAMES.index(link) + 1) / 16
             # Only this link's coin, column 5 + b, falls below its ratio.
             row = np.ones((1, kernel.RNG_COLUMNS))
             row[0, 4] = 0.5  # the action draw
             row[0, 5 + b] = 0.0
             assert coin_masks(row, ratios)[0] == bit
             action = next(a for a, allowed in enumerate(ALLOWED_LINKS) if allowed & bit)
-            onehot = {0: [float(a == action) for a in range(6)]}
-            decision = probabilistic_decide(onehot, tables.ratios, 0, row[0, 4:].tolist())
-            assert (decision.action, decision.intents) == (action, bit)
+            onehot = [[float(a == action) for a in range(6)]]
+            decision = probabilistic_decide(onehot, ratios.tolist(), 0, row[0, 4:].tolist())
+            assert decision == (action, bit)
+
+    @staticmethod
+    def _check_stream(model, visible, window_len, action_table, ratios):
+        """Each observed slot's decision against the kernel's action and coins.
+
+        Returns the chunks read, the slots decided and the distinct decisions.
+        """
+        rows_list, ratio_list = action_table.tolist(), ratios.tolist()
+        chunks = slots = 0
+        seen = set()
+        for _, rows, _, keys, _ in slot_stream(model, seed=3, horizon=1200,
+                                               visible=visible, delay=1,
+                                               window_len=window_len):
+            chunks += 1
+            observed = keys >= 0
+            actions = kernel_actions(rows[observed], keys[observed], action_table)
+            coins = coin_masks(rows[observed], ratios)
+            for draws, key, action, coin in zip(rows[observed, 4:].tolist(),
+                                                keys[observed].tolist(),
+                                                actions.tolist(), coins.tolist()):
+                decision = probabilistic_decide(rows_list, ratio_list, key, draws)
+                assert decision == (action, coin & ALLOWED_LINKS[action])
+                seen.add(decision)
+                slots += 1
+        return chunks, slots, seen
 
     @pytest.mark.parametrize("visible", [True, False])
     def test_decisions_are_the_kernel_coins_under_each_action(self, monkeypatch, visible):
@@ -660,27 +717,38 @@ class TestOneLinkLayout:
         scenario = Scenario(channel=bursty() if visible else noisy(), rates=(0.2, 0.2),
                             horizon=1200, visible=visible,
                             policy=policy if visible else {**policy, "target": [0.15, 0.15]})
-        tables = _probabilistic_tables(scenario, scenario.model())
-        ratios = tables.ratio_table.ravel()
-        chunks = slots = 0
-        seen = set()
-        for _, rows, _, keys, _ in slot_stream(
-                scenario.model(), seed=3, horizon=scenario.horizon, visible=visible,
-                delay=1, window_len=tables.window_len):
-            chunks += 1
-            for draws, key, coin in zip(rows[:, 4:].tolist(), keys.tolist(),
-                                        coin_masks(rows, ratios).tolist()):
-                if key < 0:
-                    continue
-                decision = probabilistic_decide(tables.dist_by_code, tables.ratios,
-                                                key, draws)
-                assert coin & ALLOWED_LINKS[decision.action] == decision.intents
-                seen.add((decision.action, decision.intents))
-                slots += 1
+        model = scenario.model()
+        tables = _probabilistic_tables(scenario, model)
+        chunks, slots, seen = self._check_stream(
+            model, visible, tables.window_len, tables.action_table,
+            tables.ratio_table.ravel())
         assert chunks == 5 and slots >= 1190
         # Several actions come up, and the coins vary the intents of some.
         actions = {action for action, _ in seen}
         assert len(actions) >= 3 and len(seen) > len(actions)
+
+        # Random tables, some entries zero, so that cdf entries repeat.  The
+        # second channel never erases both receivers at once, so the windows
+        # holding that outcome are never observed, and their rows are NaN, as
+        # synthesized tables leave a window of zero mass.
+        rng = np.random.default_rng(18)
+        never_both = load_channel({
+            "states": 2, "transition": [[0.8, 0.2], [0.3, 0.7]],
+            "emission": [[0.5, 0.3, 0.2, 0.0], [0.1, 0.4, 0.5, 0.0]]})
+        cases = [(model, visible, tables.window_len)] + [(never_both, False, 2)]
+        for case_model, case_visible, window_len in cases:
+            n_keys = case_model.num_states if case_visible else 4 ** window_len
+            for _ in range(3):
+                table = rng.dirichlet(np.ones(6), size=n_keys)
+                table[rng.random(table.shape) < 0.3] = 0.0
+                table[:, 5] += table.sum(axis=1) == 0.0  # no empty row
+                table /= table.sum(axis=1, keepdims=True)
+                if case_model is never_both:
+                    table[["3" in np.base_repr(k, 4) for k in range(n_keys)]] = np.nan
+                chunks, slots, seen = self._check_stream(
+                    case_model, case_visible, window_len, table, rng.random(12))
+                assert slots >= 1190
+                assert len({action for action, _ in seen}) >= 3
 
 
 class TestTraceCorpus:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from duocast.policies import (
     ACTION_SETS,
-    PolicyDecision,
     action_weights,
     link_intents,
     maxweight_decide,
@@ -31,12 +30,16 @@ def triple(e1, e2, e12):
     return (e1, e2, e12)
 
 
+def ratio_list(ratios):
+    """``{(j, link): ratio}`` as the list in link-bit order, 0.0 where absent."""
+
+    return [ratios.get((j, link), 0.0) for j in (1, 2) for link in LINK_NAMES]
+
+
 class TestMaxWeight:
     def test_all_empty_idles(self):
         queues = ((0, 0, 0), (0, 0, 0))
-        decision = maxweight_decide(queues, triple(0.3, 0.4, 0.1))
-        assert decision.action == 0
-        assert decision.intents == link_mask({})
+        assert maxweight_decide(queues, triple(0.3, 0.4, 0.1)) == (0, link_mask({}))
 
     def test_side_queues_trigger_reactive(self):
         queues = ((0, 5, 0), (0, 5, 0))
@@ -44,9 +47,8 @@ class TestMaxWeight:
         weights = action_weights(queues, stats)
         assert weights[3] == 5.0
         assert max(weights[1], weights[2], weights[4], weights[5]) == 0.0
-        decision = maxweight_decide(queues, stats)
-        assert decision.action == 3
-        assert decision.intents == link_mask({(1, "24"): 1, (2, "24"): 1})
+        assert maxweight_decide(queues, stats) == (
+            3, link_mask({(1, "24"): 1, (2, "24"): 1}))
 
     @pytest.mark.parametrize("e1,e2", [(0.3, 0.6), (0.7, 0.2), (0.0, 0.0)])
     def test_fresh_backlog_prefers_proactive(self, e1, e2):
@@ -56,30 +58,28 @@ class TestMaxWeight:
         assert weights[4] == 20.0
         assert weights[1] == pytest.approx(10.0)
         assert weights[2] == pytest.approx(10.0)
-        assert maxweight_decide(queues, stats).action == 4
+        assert maxweight_decide(queues, stats)[0] == 4
 
     def test_coded_backlog_served_by_action_five(self):
         queues = ((0, 0, 8), (0, 0, 8))
         stats = triple(0.4, 0.4, 0.1)
         weights = action_weights(queues, stats)
         assert weights[5] == pytest.approx(14.4)
-        decision = maxweight_decide(queues, stats)
-        assert decision.action == 5
-        assert decision.intents == link_mask({
+        assert maxweight_decide(queues, stats) == (5, link_mask({
             (1, "32"): 1, (1, "34"): 1, (2, "32"): 1, (2, "34"): 1,
-        })
+        }))
 
     def test_reactive_set_cannot_see_coded_queues(self):
         queues = ((0, 0, 8), (0, 0, 8))
         stats = triple(0.4, 0.4, 0.1)
-        assert maxweight_decide(queues, stats, "A3").action == 0
+        assert maxweight_decide(queues, stats, "A3")[0] == 0
 
     def test_tie_breaks_to_lowest_index(self):
         queues = ((3, 0, 0), (3, 0, 0))
         stats = triple(0.5, 0.5, 0.2)
         weights = action_weights(queues, stats)
         assert weights[1] == weights[2] == pytest.approx(2.4)
-        assert maxweight_decide(queues, stats, "A2").action == 1
+        assert maxweight_decide(queues, stats, "A2")[0] == 1
 
     def test_mixed_intents(self):
         queues = ((0, 2, 5), (0, 7, 3))
@@ -111,9 +111,9 @@ class TestMaxWeight:
         # even near-ties resolve identically at both scales.
         scaled = tuple(tuple(8 * v for v in side) for side in queues)
         for action_set in ACTION_SETS:
-            first = maxweight_decide(queues, stats, action_set)
-            second = maxweight_decide(scaled, stats, action_set)
-            assert first.action == second.action
+            first, _ = maxweight_decide(queues, stats, action_set)
+            second, _ = maxweight_decide(scaled, stats, action_set)
+            assert first == second
 
     def test_determinism(self):
         queues = ((4, 1, 2), (3, 5, 0))
@@ -124,31 +124,34 @@ class TestMaxWeight:
 
 class TestProbabilistic:
     def test_deterministic_distribution(self):
-        dist = {0: [0, 1, 0, 0, 0, 0]}
-        ratios = {1: {l: 1.0 for l in ("12", "13", "14", "24", "32", "34")},
-                  2: {l: 1.0 for l in ("12", "13", "14", "24", "32", "34")}}
+        rows = [[0, 1, 0, 0, 0, 0]]
+        ratios = [1.0] * 12
         rng = np.random.default_rng(3)
         for _ in range(20):
-            decision = probabilistic_decide(dist, ratios, 0, rng.random(13).tolist())
-            assert decision.action == 1
-            assert decision.intents == link_mask({(1, "14"): 1, (1, "12"): 1})
+            decision = probabilistic_decide(rows, ratios, 0, rng.random(13).tolist())
+            assert decision == (1, link_mask({(1, "14"): 1, (1, "12"): 1}))
 
     def test_missing_key_errors(self):
-        with pytest.raises(ValueError):
-            probabilistic_decide({0: [1, 0, 0, 0, 0, 0]}, {}, 7, [0.5] * 13)
+        # Key 1 has a NaN row, the table's mark of a key with no distribution;
+        # a negative key is out of range, not a row counted from the end.
+        rows = [[1, 0, 0, 0, 0, 0], [float("nan")] * 6]
+        for key in (7, 1, -1):
+            with pytest.raises(ValueError, match=f"no action distribution for "
+                                                 f"observation {key}"):
+                probabilistic_decide(rows, [0.0] * 12, key, [0.5] * 13)
 
     def test_consumes_thirteen_draws_regardless_of_action(self):
         # Each link's coin has its own column of the slot's 13 draws, so the
         # action that comes up moves no coin.
         coins = [0.05 * k for k in range(1, 13)]
-        ratios = {j: {link: 0.33 for link in LINK_NAMES} for j in (1, 2)}
+        ratios = [0.33] * 12
         for action in range(1, 6):
             row = [0.0] * 6
             row[action] = 1.0
-            decision = probabilistic_decide({0: row}, ratios, 0, [0.5] + coins)
-            assert decision.action == action
-            assert decision.intents & ~ALLOWED_LINKS[action] == 0
-            flags = link_flags(decision.intents)
+            got, intents = probabilistic_decide([row], ratios, 0, [0.5] + coins)
+            assert got == action
+            assert intents & ~ALLOWED_LINKS[action] == 0
+            flags = link_flags(intents)
             for j, link in ACTION_LINKS[action]:
                 coin = coins[6 * (j - 1) + LINK_NAMES.index(link)]
                 assert flags[j, link] == int(coin < 0.33)
@@ -158,34 +161,32 @@ class TestProbabilistic:
         # receiver 2.  Give only link 32 of receiver 2 a winning coin.
         values = [0.99] + [0.9] * 12
         values[1 + 6 + 4] = 0.1
-        ratios = {2: {"32": 0.5}}
-        decision = probabilistic_decide({0: [0, 0, 0, 0, 0, 1]}, ratios, 0, values)
-        assert decision.action == 5
-        assert decision.intents == link_mask({
+        ratios = ratio_list({(2, "32"): 0.5})
+        decision = probabilistic_decide([[0, 0, 0, 0, 0, 1]], ratios, 0, values)
+        assert decision == (5, link_mask({
             (1, "32"): 0, (1, "34"): 0, (2, "32"): 1, (2, "34"): 0,
-        })
+        }))
 
     def test_action_frequencies_match_distribution(self):
         row = [0.1, 0.2, 0.3, 0.15, 0.15, 0.1]
-        dist = {0: row}
         rng = np.random.default_rng(12345)
         n = 200_000
         counts = np.zeros(6)
         for _ in range(n):
             draws = rng.random(13).tolist()
-            counts[probabilistic_decide(dist, {}, 0, draws).action] += 1
+            counts[probabilistic_decide([row], [0.0] * 12, 0, draws)[0]] += 1
         for a, p in enumerate(row):
             sigma = np.sqrt(p * (1 - p) / n)
             assert abs(counts[a] / n - p) < 3 * sigma + 1e-12
 
     def test_intent_frequencies_match_ratio(self):
-        dist = {0: [0, 1, 0, 0, 0, 0]}
-        ratios = {1: {"14": 0.3}}
+        rows = [[0, 1, 0, 0, 0, 0]]
+        ratios = ratio_list({(1, "14"): 0.3})
         rng = np.random.default_rng(99)
         n = 100_000
         hits = sum(
             link_flags(
-                probabilistic_decide(dist, ratios, 0, rng.random(13).tolist()).intents
+                probabilistic_decide(rows, ratios, 0, rng.random(13).tolist())[1]
             )[(1, "14")]
             for _ in range(n)
         )
@@ -194,9 +195,9 @@ class TestProbabilistic:
 
     def test_row_shorter_probability_mass_falls_to_last_action(self):
         # Guard against drifting cumulative sums: mass exactly 1 picks within.
-        decision = probabilistic_decide({0: [0.5, 0.5, 0, 0, 0, 0]}, {}, 0,
-                                        [0.999999] + [0.5] * 12)
-        assert decision.action == 1
+        action, _ = probabilistic_decide([[0.5, 0.5, 0, 0, 0, 0]], [0.0] * 12, 0,
+                                         [0.999999] + [0.5] * 12)
+        assert action == 1
 
 
 class TestPerState:
@@ -206,11 +207,10 @@ class TestPerState:
             1: ((6, 0, 0), (0, 0, 0)),
         }
         stats = {0: triple(0.5, 0.5, 0.25), 1: triple(0.2, 0.9, 0.1)}
-        d0 = per_state_memoryless_decide(subsystems, 0, stats[0])
-        assert d0.action == 3
+        assert per_state_memoryless_decide(subsystems, 0, stats[0])[0] == 3
         d1 = per_state_memoryless_decide(subsystems, 1, stats[1])
         assert d1 == maxweight_decide(subsystems[1], stats[1], "A3")
-        assert d1.action == 1
+        assert d1[0] == 1
 
     def test_single_state_equals_reactive_maxweight(self):
         queues = ((2, 3, 0), (1, 0, 0))
@@ -219,7 +219,3 @@ class TestPerState:
         dispatched = per_state_memoryless_decide({0: queues}, 0, stats[0])
         assert direct == dispatched
 
-
-class TestPolicyDecision:
-    def test_zero_foreign_intent_allowed(self):
-        PolicyDecision(3, link_mask({(1, "13"): 0}))

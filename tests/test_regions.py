@@ -48,9 +48,9 @@ from duocast import lp as lp_module
 from duocast import regions
 from duocast.lp import _phase1, objective_path, solve
 from duocast.regions import (
-    _fraction_lp_builder,
+    _fraction_lp,
+    _key_table,
     _key_to_str,
-    _stats_arrays,
     iter_region_json,
 )
 from window_fold import per_window_stats
@@ -393,11 +393,10 @@ class TestHiddenRegion:
 
 def lp_solution(kind, stats, weights, d):
     """The region's LP solved along d, without the tracer."""
-    _, w, eps1, eps2, eps12 = _stats_arrays(stats, weights)
-    build = _fraction_lp_builder(
-        w, eps1, eps2, eps12, reactive=kind == "reactive", uncoded=kind == "uncoded"
-    )
-    return solve(build(np.asarray(d, dtype=float)))
+    lp = _fraction_lp(_key_table(stats, weights), reactive=kind == "reactive",
+                      uncoded=kind == "uncoded")
+    lp.objective[:2] = d
+    return solve(lp)
 
 
 def lp_support(kind, stats, weights, d) -> float:
