@@ -28,6 +28,22 @@ def is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def positive_int(name: str, value) -> int:
+    """``value`` as an int; a ValueError naming ``name`` unless an int >= 1."""
+
+    if not is_int(value) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def nonnegative_int(name: str, value) -> int:
+    """``value`` as an int; a ValueError naming ``name`` unless an int >= 0."""
+
+    if not is_int(value) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
 def check_window_len(value) -> int:
     """``value`` as an int; a ValueError naming window_len unless 0..MAX_WINDOW_LEN."""
 
@@ -276,6 +292,7 @@ def forgetting_check(
     start against the filter restarted from the stationary distribution
     window_len slots back.  The gap is taken between the predicted states.
     """
+    trace_len = positive_int("trace_len", trace_len)
     return _restarted_filter_gap(model, window_len, trace_len, seed, None)
 
 
@@ -287,6 +304,7 @@ def prediction_gap(
     The same comparison as `forgetting_check`, with the gap taken between
     the predicted distributions of the next erasure outcome.
     """
+    horizon = positive_int("horizon", horizon)
     return _restarted_filter_gap(model, window_len, horizon, seed, model.emission)
 
 
@@ -299,9 +317,8 @@ def _restarted_filter_gap(
 ) -> float:
     if (model.emission <= 0).any():
         raise ValueError("the windowed filter requires strictly positive emissions")
-    if window_len < 1 or trace_len < 1:
-        raise ValueError("window_len and the trace length must be positive")
-    rng = np.random.default_rng(seed)
+    window_len = positive_int("window_len", window_len)
+    rng = np.random.default_rng(nonnegative_int("seed", seed))
     pi = stationary_distribution(model)
     n = model.num_states
     state = int(rng.choice(n, p=pi))

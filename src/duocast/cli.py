@@ -93,6 +93,9 @@ def cmd_region(args: argparse.Namespace) -> int:
         }[args.kind]
         region = fn(stats, pi)
     elif args.kind == "hidden":
+        # The windows hold feedback one slot old; region_hidden_L has no delay.
+        if args.delay != 1:
+            raise ValueError(f"delay must be 1 for the hidden region, got {args.delay}")
         region = region_hidden_L(model, args.window_len)
     else:
         e1, e2, e12 = _average_triple(model)

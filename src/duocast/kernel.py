@@ -67,6 +67,8 @@ from .channel import (  # noqa: F401
     check_window_len,
     cond_erasure_visible,
     is_int,
+    nonnegative_int,
+    positive_int,
     stationary_distribution,
     visible_stats,
 )
@@ -103,22 +105,6 @@ def jit_enabled() -> bool:
     """False: the loops always run as plain Python (for backend stamps)."""
 
     return False
-
-
-def positive_int(name: str, value) -> int:
-    """``value`` as an int; a ValueError naming ``name`` unless an int >= 1."""
-
-    if not is_int(value) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return int(value)
-
-
-def nonnegative_int(name: str, value) -> int:
-    """``value`` as an int; a ValueError naming ``name`` unless an int >= 0."""
-
-    if not is_int(value) or value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-    return int(value)
 
 
 def flag(name: str, value) -> bool:

@@ -2,20 +2,21 @@
 
 Every region is a convex polygon in the (R1, R2) quadrant, produced as an
 explicit boundary polyline from (R1max, 0) to (0, R2max) with a witness per
-vertex.  One exact vertex tracer, `_trace`, turns a support oracle into that
-boundary.  Only the reactive region's oracle solves an LP over the
-per-conditioning transmit fractions (x_k, y_k): its x_k + y_k >= 1 couples
-the two receivers.  Its constraints do not depend on the direction, so one
-parametric simplex walk from (1, 0) to (0, 1) finds an optimal basic
-solution for every direction, and its oracle picks among them.  The visible
-and hidden_L LP separates into two fractional knapsacks, each solved by a
-greedy fill after one sort, and their oracle picks from the breakpoints of
-the two frontiers' lower envelope.  The uncoded and Minkowski regions are
-sums of per-key pieces, so their oracles add each piece's maximizer.  The
-memoryless regions are closed forms.  Membership and policy synthesis
-always solve the LP cold.  Every evaluator reads the per-key gains
-a1 = w(1 - eps1), a2 = w(1 - eps2) and g = w(1 - eps12) from one
-`_key_table`.
+vertex.  Each traced kind lists candidate points that include every vertex,
+in boundary order, and one exact vertex tracer, `_trace`, picks the
+vertices out of them.  Only the reactive region's candidates come from an
+LP over the per-conditioning transmit fractions (x_k, y_k): its
+x_k + y_k >= 1 couples the two receivers.  Its constraints do not depend on
+the direction, so one parametric simplex walk from (1, 0) to (0, 1) visits
+an optimal basic solution for every direction, in boundary order.  The
+visible and hidden_L LP separates into two fractional knapsacks, each
+solved by a greedy fill after one sort; their candidates are the
+breakpoints and crossings of the two frontiers' lower envelope.  The
+uncoded region's candidates are a greedy fill, and the Minkowski region's
+are its summands' edges merged by slope.  The memoryless regions are closed
+forms.  Membership and policy synthesis always solve the LP cold.  Every
+evaluator reads the per-key gains a1 = w(1 - eps1), a2 = w(1 - eps2) and
+g = w(1 - eps12) from one `_key_table`.
 """
 
 from __future__ import annotations
@@ -219,34 +220,39 @@ def _key_table(stats_by_key: dict, weights: dict | np.ndarray) -> _KeyTable:
                      a2=w * (1.0 - eps2), g=g, G=float(g.sum()))
 
 
-def _trace(kind: str, support) -> RateRegion:
-    """Exact boundary of a convex region from its support oracle.
+def _trace(kind: str, points: np.ndarray, witness) -> RateRegion:
+    """Exact boundary of a convex region from candidates in boundary order.
 
-    support(d1, d2) returns (value, RatePoint, RegionWitness) for a maximizer
-    of d1*R1 + d2*R2.  Starting from the two axis maximizers, each pair of
-    neighbouring vertices is split by the maximizer along the normal of the
-    edge between them, until every edge is certified by its own normal.  An
-    oracle that returns vertices is called 2V - 1 times for V vertices.
+    points holds one (R1, R2) row per candidate, every vertex among them,
+    ordered from the (R1max, 0) end to the (0, R2max) end; witness(i) is the
+    witness of candidate i.  Each end takes the witness of the first
+    candidate that reaches it.  Each chord between neighbouring vertices is
+    split at the first candidate farthest along its normal, until every edge
+    is certified by its own normal.  A maximizer along a direction between
+    those of a chord's two ends lies between them in boundary order, so each
+    split searches only the candidates from one end to the other.
     """
-    _, east, east_witness = support(1.0, 0.0)
-    _, north, north_witness = support(0.0, 1.0)
-    found = [(RatePoint(east.r1, 0.0), east_witness)]
-    if east.r1 >= 1e-11 or north.r2 >= 1e-11:
-        found.append((RatePoint(0.0, north.r2), north_witness))
-    stack = [(found[0][0], found[-1][0])]
+    east, north = int(np.argmax(points[:, 0])), int(np.argmax(points[:, 1]))
+    found = [(RatePoint(float(points[east, 0]), 0.0), witness(east))]
+    if points[east, 0] >= 1e-11 or points[north, 1] >= 1e-11:
+        found.append((RatePoint(0.0, float(points[north, 1])), witness(north)))
+    stack = [(found[0][0], east, found[-1][0], north)]
     while stack:
-        pa, pb = stack.pop()
+        pa, ia, pb, ib = stack.pop()
         d1, d2 = pb.r2 - pa.r2, pa.r1 - pb.r1
         norm = math.hypot(d1, d2)
         if norm < 1e-12 or d1 < -1e-12 or d2 < -1e-12:
             continue
         d1, d2 = max(d1, 0.0) / norm, max(d2, 0.0) / norm
-        value, point, witness = support(d1, d2)
-        if value <= d1 * pa.r1 + d2 * pa.r2 + 1e-10:
+        values = points[ia : ib + 1] @ np.array([d1, d2])
+        i = int(np.argmax(values))
+        if values[i] <= d1 * pa.r1 + d2 * pa.r2 + 1e-10:
             continue
-        found.append((point, witness))
-        stack.append((pa, point))
-        stack.append((point, pb))
+        i += ia
+        point = RatePoint(*points[i].tolist())
+        found.append((point, witness(i)))
+        stack.append((pa, ia, point, i))
+        stack.append((point, i, pb, ib))
     found.sort(key=lambda t: (-t[0].r1, t[0].r2))
     pruned = _prune_collinear(found)
     return RateRegion(
@@ -373,7 +379,7 @@ def _knapsack_region(kind: str, stats_by_key: dict, weights) -> RateRegion:
     likewise with the axes swapped.  Both frontiers take one sort, O(K log K).
     The boundary is min(f_x, f_y) over R1 in [0, sum a1]; its vertices are
     among the breakpoints of both frontiers and their crossings, and `_trace`
-    picks them out with the tolerances it applies to an LP oracle.  Each
+    picks them out of those candidates sorted by R1 descending.  Each
     vertex's witness is the x fill that reaches R1 and the y fill that
     reaches R2, so it supports the vertex by construction.
     """
@@ -399,6 +405,7 @@ def _knapsack_region(kind: str, stats_by_key: dict, weights) -> RateRegion:
         ]),
         0.0,
     )
+    points = points[np.lexsort((points[:, 1], -points[:, 0]))]
 
     index = {key: k for k, key in enumerate(keys)}
     fills = []
@@ -414,22 +421,7 @@ def _knapsack_region(kind: str, stats_by_key: dict, weights) -> RateRegion:
         fill_x, fill_y = ((rank, whole[i], share[i]) for rank, whole, share in fills)
         return RegionWitness(kind=kind, parameters=_FillView(keys, index, fill_x, fill_y))
 
-    return _trace(kind, _best_candidate(points, witness))
-
-
-def _best_candidate(points: np.ndarray, witness):
-    """Support oracle over fixed candidate points (rows of points).
-
-    It returns the first candidate of largest value along the direction,
-    with witness(i), the witness of candidate i.
-    """
-
-    def support(d1: float, d2: float):
-        values = points @ np.array([d1, d2])
-        i = int(np.argmax(values))
-        return float(values[i]), RatePoint(*points[i].tolist()), witness(i)
-
-    return support
+    return _trace(kind, points, witness)
 
 
 # The five traced regions (visible, reactive, uncoded, hidden_L, minkowski)
@@ -448,7 +440,8 @@ def region_reactive(stats_by_state: dict, pi, directions=None) -> RateRegion:
     x + y >= 1 couples x and y per state, so this region is traced from its
     support LP.  Only the objective changes between directions, so one
     `objective_path` walk from (1, 0) to (0, 1) visits an optimal basic
-    solution for every direction, and the oracle picks the best of them.
+    solution for every direction, and its steps are the candidates in the
+    order it visits them.
     """
     table = _key_table(stats_by_state, pi)
     keys, K = table.keys, len(table.keys)
@@ -462,33 +455,31 @@ def region_reactive(stats_by_state: dict, pi, directions=None) -> RateRegion:
         points.append(np.maximum(sol.witness[:2], 0.0))
         params = dict(zip(keys, zip(x, y)))
         witnesses.append(RegionWitness(kind="reactive", parameters=params))
-    return _trace("reactive", _best_candidate(np.array(points), witnesses.__getitem__))
+    return _trace("reactive", np.array(points), witnesses.__getitem__)
 
 
 def region_uncoded(stats_by_state: dict, pi, directions=None) -> RateRegion:
     """Plain per-state time sharing between the two uncoded transmissions.
 
     The region is the sum of per-state triangles with legs w(1 - eps1) and
-    w(1 - eps2), so its support along (d1, d2) gives each state to the
-    receiver with the larger d_j * w(1 - eps_j); the shared tracer turns
-    that oracle into the exact boundary.
+    w(1 - eps2).  Its vertices hand the states to receiver 2 one at a time,
+    starting from all at receiver 1, in the order of least w(1 - eps1) given
+    up per unit of w(1 - eps2) gained: the greedy fill of the knapsack with
+    the roles of a and g taken by a2 and a1.
     """
     table = _key_table(stats_by_state, pi)
     keys = table.keys
-    gains = np.column_stack([table.a1, table.a2])
+    order, gain, spent = _greedy_fill(table.a2, table.a1)
+    points = np.maximum(np.column_stack([table.a1.sum() - spent, gain]), 0.0)
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[order] = np.arange(len(keys))
 
-    def support(d1: float, d2: float):
-        to_two = gains[:, 1] * d2 > gains[:, 0] * d1
-        r1 = float(gains[~to_two, 0].sum())
-        r2 = float(gains[to_two, 1].sum())
-        params = {
-            key: ((0.0, 1.0) if two else (1.0, 0.0))
-            for key, two in zip(keys, to_two.tolist())
-        }
-        witness = RegionWitness(kind="uncoded", parameters=params)
-        return d1 * r1 + d2 * r2, RatePoint(r1, r2), witness
+    def witness(i: int) -> RegionWitness:
+        params = {key: ((0.0, 1.0) if r < i else (1.0, 0.0))
+                  for key, r in zip(keys, rank.tolist())}
+        return RegionWitness(kind="uncoded", parameters=params)
 
-    return _trace("uncoded", support)
+    return _trace("uncoded", points, witness)
 
 
 def hidden_window_stats(
@@ -556,35 +547,36 @@ def region_memoryless_nofb(eps1: float, eps2: float) -> RateRegion:
 def region_minkowski(stats_by_state: dict, pi, directions=None) -> RateRegion:
     """Weighted sum of per-state memoryless feedback regions.
 
-    Support functions add under Minkowski sums, so the closed-form oracle
-    sums each summand's maximizing vertex; the shared tracer turns it into
-    the exact boundary.  Each witness maps every state to its own (x, y) in
-    parameters and to its contributed rate pair in shares.
+    The boundary of a Minkowski sum walks every summand's edges merged by
+    slope, steepest first.  Candidate i puts each state at the vertex it
+    has reached after the first i edges, and adds those vertices in state
+    order.  Each witness maps every state to its own (x, y) in parameters
+    and to its contributed rate pair in shares.
     """
     table = _key_table(stats_by_state, pi)
     keys, w = table.keys, table.w
-    summands = []
+    summands, edges = [], []
     for k, key in enumerate(keys):
         st = stats_by_state[key]
         sub = region_memoryless_fb(st.eps1, st.eps2, st.eps12)
         pts = np.array([[p.r1 * w[k], p.r2 * w[k]] for p in sub.boundary])
         summands.append((key, pts, sub))
+        edges += [(math.atan2(-dx, dy), k) for dx, dy in np.diff(pts, axis=0).tolist()]
+    edges.sort()
+    # at[i, k]: the vertex state k has reached once the first i edges are taken.
+    at = np.zeros((len(edges) + 1, len(keys)), dtype=np.int64)
+    at[np.arange(1, len(edges) + 1), [k for _, k in edges]] = 1
+    at = np.cumsum(at, axis=0)
+    total = sum(pts[at[:, k]] for k, (_, pts, _) in enumerate(summands))
 
-    def support(d1: float, d2: float):
-        d = np.array([d1, d2])
-        total = np.zeros(2)
-        params = {}
-        shares = {}
-        for key, pts, sub in summands:
-            best = int(np.argmax(pts @ d))
-            total += pts[best]
-            params[key] = sub.witnesses[best].parameters[0]
-            shares[key] = (float(pts[best][0]), float(pts[best][1]))
-        point = RatePoint(max(total[0], 0.0), max(total[1], 0.0))
-        witness = RegionWitness(kind="minkowski", parameters=params, shares=shares)
-        return float(total @ d), point, witness
+    def witness(i: int) -> RegionWitness:
+        params, shares = {}, {}
+        for (key, pts, sub), v in zip(summands, at[i].tolist()):
+            params[key] = sub.witnesses[v].parameters[0]
+            shares[key] = (float(pts[v][0]), float(pts[v][1]))
+        return RegionWitness(kind="minkowski", parameters=params, shares=shares)
 
-    return _trace("minkowski", support)
+    return _trace("minkowski", np.maximum(total, 0.0), witness)
 
 
 def region_membership(

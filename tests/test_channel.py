@@ -17,6 +17,7 @@ from duocast.channel import (
     ge_visible,
     load_channel,
     memoryless,
+    prediction_gap,
     sample_step,
     stationary_distribution,
     visible_stats,
@@ -381,6 +382,26 @@ class TestForgettingCheck:
         model = ge_visible(0.6, 0.1, 0.5, 0.2)
         with pytest.raises(ValueError, match="strictly positive"):
             forgetting_check(model, window_len=2, trace_len=10, seed=0)
+
+    @pytest.mark.parametrize(
+        "fn, args, field",
+        [
+            (forgetting_check, {"window_len": 2.5}, "window_len"),
+            (forgetting_check, {"window_len": True}, "window_len"),
+            (forgetting_check, {"window_len": 0}, "window_len"),
+            (forgetting_check, {"trace_len": 10.5}, "trace_len"),
+            (forgetting_check, {"seed": 1.5}, "seed"),
+            (forgetting_check, {"seed": -1}, "seed"),
+            (prediction_gap, {"horizon": 10.5}, "horizon"),
+            (prediction_gap, {"window_len": 2.5}, "window_len"),
+            (prediction_gap, {"seed": 1.5}, "seed"),
+        ],
+    )
+    def test_bad_input_is_named(self, fn, args, field):
+        length = "trace_len" if fn is forgetting_check else "horizon"
+        kwargs = {"window_len": 2, length: 10, "seed": 0, **args}
+        with pytest.raises(ValueError, match=field):
+            fn(self.hidden_ge(), **kwargs)
 
 
 class TestSampleStep:

@@ -110,6 +110,7 @@ class TestRegionCommand:
             (["--kind", "hidden", "--window-len", "9"], "window length"),
             (["--kind", "hidden", "--window-len", "-1"], "window length"),
             (["--kind", "visible", "--delay", "0"], "delay"),
+            (["--kind", "hidden", "--delay", "3"], "delay"),
         ],
     )
     def test_bad_input_fails_fast(self, tmp_path, capsys, flags, field):

@@ -327,13 +327,16 @@ class TestHiddenRegion:
         # two of its corners lie within 1e-8 of a neighbour, and the old
         # collinearity test, which bounded the bare cross product, dropped
         # them (223); test_pruning_keeps_every_corner checks the support.
-        counts = [len(ladder[L].boundary) for L in (1, 2, 3, 4)]
-        assert counts == [5, 17, 59, 225]
+        # Pruning every candidate without the tracer's 1e-10 acceptance
+        # would keep 899 and 3595 at L=5 and L=6.
+        counts = [len(ladder[L].boundary) for L in (1, 2, 3, 4, 5, 6)]
+        assert counts == [5, 17, 59, 225, 898, 3528]
 
     @pytest.mark.parametrize("L", (4, 5))
     def test_pruning_keeps_every_corner(self, ge_model, monkeypatch, L):
         # Pruning may drop only points on a chord of their neighbours, so the
-        # pruned boundary has the support of every extreme point _trace found.
+        # pruned boundary has the support of every candidate _trace split a
+        # chord at.
         pruned = region_hidden_L(ge_model, L)
         monkeypatch.setattr(regions, "_prune_collinear", lambda ordered: ordered)
         found = region_hidden_L(ge_model, L)
@@ -389,6 +392,52 @@ class TestHiddenRegion:
         for bad in (2.5, "2", True):
             with pytest.raises(ValueError, match="window_len"):
                 region_hidden_L(ge_model, bad)
+
+
+def oracle_trace(kind: str, support) -> RateRegion:
+    """The reference tracer: exact boundary of a convex region from its support oracle.
+
+    support(d1, d2) returns (value, RatePoint, RegionWitness) for a maximizer
+    of d1*R1 + d2*R2.  Starting from the two axis maximizers, each pair of
+    neighbouring vertices is split by the maximizer along the normal of the
+    edge between them, until every edge is certified by its own normal.  It
+    splits with the tolerances of `regions._trace` and prunes the same way.
+    """
+    _, east, east_witness = support(1.0, 0.0)
+    _, north, north_witness = support(0.0, 1.0)
+    found = [(RatePoint(east.r1, 0.0), east_witness)]
+    if east.r1 >= 1e-11 or north.r2 >= 1e-11:
+        found.append((RatePoint(0.0, north.r2), north_witness))
+    stack = [(found[0][0], found[-1][0])]
+    while stack:
+        pa, pb = stack.pop()
+        d1, d2 = pb.r2 - pa.r2, pa.r1 - pb.r1
+        norm = math.hypot(d1, d2)
+        if norm < 1e-12 or d1 < -1e-12 or d2 < -1e-12:
+            continue
+        d1, d2 = max(d1, 0.0) / norm, max(d2, 0.0) / norm
+        value, point, witness = support(d1, d2)
+        if value <= d1 * pa.r1 + d2 * pa.r2 + 1e-10:
+            continue
+        found.append((point, witness))
+        stack.append((pa, point))
+        stack.append((point, pb))
+    found.sort(key=lambda t: (-t[0].r1, t[0].r2))
+    pruned = regions._prune_collinear(found)
+    return RateRegion(
+        kind=kind, boundary=[p for p, _ in pruned], witnesses=[w for _, w in pruned]
+    )
+
+
+def first_argmax(points: np.ndarray, witness):
+    """Support oracle over every candidate: the first of largest value."""
+
+    def support(d1: float, d2: float):
+        values = points @ np.array([d1, d2])
+        i = int(np.argmax(values))
+        return float(values[i]), RatePoint(*points[i].tolist()), witness(i)
+
+    return support
 
 
 def lp_solution(kind, stats, weights, d):
@@ -476,7 +525,7 @@ class TestTracerAgainstLp:
                 point = RatePoint(max(sol.witness[0], 0.0), max(sol.witness[1], 0.0))
                 return sol.value, point, RegionWitness(kind=kind, parameters={})
 
-            traced = regions._trace(kind, support)
+            traced = oracle_trace(kind, support)
             assert len(traced.boundary) == len(region.boundary), label
             assert hausdorff_distance(traced, region) <= 1e-12, label
             assert abs(diagonal_rate(traced) - diagonal_rate(region)) <= 1e-12, label
@@ -535,6 +584,55 @@ class TestTracerAgainstLp:
         for L in (1, 2, 3):
             region_hidden_L(noisy_model(), L)
         assert calls == []
+
+
+def capture_traces(monkeypatch) -> list:
+    """Record each `_trace` call's (kind, points, witness, region) from now on."""
+    calls = []
+    trace = regions._trace
+
+    def capturing(kind, points, witness):
+        region = trace(kind, points, witness)
+        calls.append((kind, points, witness, region))
+        return region
+
+    monkeypatch.setattr(regions, "_trace", capturing)
+    return calls
+
+
+def oracle_retrace(call) -> RateRegion:
+    """The oracle tracer over the candidates one `_trace` call searched."""
+    kind, points, witness, _ = call
+    return oracle_trace(kind, first_argmax(points, witness))
+
+
+class TestOrderedTracer:
+    """`_trace` searches a slice of the ordered candidates per chord; the
+    oracle tracer, which searches them all, must find the same boundary."""
+
+    @pytest.mark.parametrize("L", range(8))
+    def test_noisy_hidden_vertices_match_the_oracle_bitwise(self, monkeypatch, L):
+        calls = capture_traces(monkeypatch)
+        region_hidden_L(noisy_model(), L)
+        [call] = calls
+
+        def bits(region):
+            return np.array([(p.r1, p.r2) for p in region.boundary]).tobytes()
+
+        assert bits(call[3]) == bits(oracle_retrace(call))
+
+    def test_every_kind_matches_the_oracle_tracer(self, monkeypatch):
+        # Each case traces one region; each visible case's inputs also trace
+        # the Minkowski sum, whose candidates follow the merged edge slopes.
+        calls = capture_traces(monkeypatch)
+        for label, kind, stats, weights, _ in oracle_cases():
+            if kind == "visible":
+                region_minkowski(stats, weights)
+            for call in calls:
+                region, want = call[3], oracle_retrace(call)
+                assert len(region.boundary) == len(want.boundary), (label, call[0])
+                assert hausdorff_distance(region, want) <= 1e-12, (label, call[0])
+            calls.clear()
 
 
 class TestMinkowski:
