@@ -44,6 +44,14 @@ def nonnegative_int(name: str, value) -> int:
     return int(value)
 
 
+def flag(name: str, value) -> bool:
+    """``value`` as a bool; a ValueError naming ``name`` unless a bool."""
+
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return bool(value)
+
+
 def check_window_len(value) -> int:
     """``value`` as an int; a ValueError naming window_len unless 0..MAX_WINDOW_LEN."""
 
@@ -154,8 +162,7 @@ class ChannelModel:
         *,
         allow_periodic: bool = False,
     ) -> None:
-        if not isinstance(allow_periodic, (bool, np.bool_)):
-            raise ValueError(f"allow_periodic must be true or false, got {allow_periodic!r}")
+        allow_periodic = flag("allow_periodic", allow_periodic)
         P = np.array(transition, dtype=float)
         E = np.array(emission, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
@@ -187,7 +194,7 @@ class ChannelModel:
         self.num_states = n
         self.transition = P
         self.emission = E
-        self.allow_periodic = bool(allow_periodic)
+        self.allow_periodic = allow_periodic
 
     def __repr__(self) -> str:
         return f"ChannelModel(num_states={self.num_states}, allow_periodic={self.allow_periodic})"
@@ -212,8 +219,7 @@ def cond_erasure_visible(
     model: ChannelModel, prev_state: int, delay: int = 1
 ) -> ErasureStats:
     """Erasure law of the current slot given the state observed `delay` slots ago."""
-    if not is_int(delay) or delay < 1:
-        raise ValueError(f"delay must be a positive integer, got {delay!r}")
+    delay = positive_int("delay", delay)
     if not is_int(prev_state) or not 0 <= prev_state < model.num_states:
         raise ValueError(f"prev_state must be a state from 0 to {model.num_states - 1}, "
                          f"got {prev_state!r}")
@@ -281,75 +287,6 @@ def window_distribution(
     """Stationary probability of every feedback window of the given length."""
     probs = window_joint(model, window_len).sum(axis=1)
     return dict(zip(window_keys(window_len), probs.tolist()))
-
-
-def forgetting_check(
-    model: ChannelModel, window_len: int, trace_len: int, seed: int
-) -> float:
-    """Max total-variation gap between full-history and windowed predictions.
-
-    Samples one trace and compares, at every slot, the filter run from the
-    start against the filter restarted from the stationary distribution
-    window_len slots back.  The gap is taken between the predicted states.
-    """
-    trace_len = positive_int("trace_len", trace_len)
-    return _restarted_filter_gap(model, window_len, trace_len, seed, None)
-
-
-def prediction_gap(
-    model: ChannelModel, window_len: int, horizon: int, seed: int
-) -> float:
-    """Max total-variation gap between erasure-pattern predictions.
-
-    The same comparison as `forgetting_check`, with the gap taken between
-    the predicted distributions of the next erasure outcome.
-    """
-    horizon = positive_int("horizon", horizon)
-    return _restarted_filter_gap(model, window_len, horizon, seed, model.emission)
-
-
-def _restarted_filter_gap(
-    model: ChannelModel,
-    window_len: int,
-    trace_len: int,
-    seed: int,
-    project: np.ndarray | None,
-) -> float:
-    if (model.emission <= 0).any():
-        raise ValueError("the windowed filter requires strictly positive emissions")
-    window_len = positive_int("window_len", window_len)
-    rng = np.random.default_rng(nonnegative_int("seed", seed))
-    pi = stationary_distribution(model)
-    n = model.num_states
-    state = int(rng.choice(n, p=pi))
-    # Row 0: full-history belief. Row k>=1: belief started k-1 slots ago;
-    # after the shift below, row window_len holds the L-window belief.
-    bank = np.tile(pi, (window_len + 1, 1))
-    worst = 0.0
-    for _ in range(trace_len):
-        state, z = sample_step(model, state, rng)
-        bank *= model.emission[:, _outcome_index(z)]
-        bank /= bank.sum(axis=1, keepdims=True)
-        bank = bank @ model.transition
-        diff = bank[0] - bank[-1]
-        if project is not None:
-            diff = diff @ project
-        worst = max(worst, 0.5 * float(np.abs(diff).sum()))
-        bank[1:] = bank[:-1].copy()
-        bank[1] = pi
-    return worst
-
-
-def sample_step(
-    model: ChannelModel, current_state: int, rng: np.random.Generator
-) -> tuple[int, tuple[int, int]]:
-    """Advance the chain one slot and emit a feedback pair."""
-    next_state = int(
-        np.searchsorted(np.cumsum(model.transition[current_state]), rng.random())
-    )
-    next_state = min(next_state, model.num_states - 1)
-    k = int(np.searchsorted(np.cumsum(model.emission[next_state]), rng.random()))
-    return next_state, OUTCOMES[min(k, 3)]
 
 
 def _ge_user_chain(eps: float, g: float) -> np.ndarray:
@@ -483,8 +420,6 @@ def load_channel(source: str | Path | dict) -> ChannelModel:
         if kind == "hidden":
             return ge_hidden(*args)
         raise ValueError(f"unknown gilbert_elliot kind {kind!r}")
-    n = _field(doc, "states")
-    if not is_int(n) or n < 1:
-        raise ValueError(f"states must be a positive integer, got {n!r}")
+    n = positive_int("states", _field(doc, "states"))
     return ChannelModel(_matrix(doc, "transition", n, n), _matrix(doc, "emission", n, 4),
                         allow_periodic=doc.get("allow_periodic", False))

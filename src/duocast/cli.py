@@ -16,7 +16,6 @@ from .channel import (
     ge_hidden,
     ge_visible,
     load_channel,
-    prediction_gap,
     stationary_distribution,
     visible_stats,
 )
@@ -28,6 +27,7 @@ from .harness import (
     sweep_to_csv,
     throughput_check,
 )
+from .kernel import prediction_gap
 from .regions import (
     ActionDistribution,
     RateRegion,
@@ -82,6 +82,12 @@ def _emit(pieces: Iterable[str], output: str | None) -> None:
 
 
 def cmd_region(args: argparse.Namespace) -> int:
+    if args.window_len is not None and args.kind != "hidden":
+        raise ValueError(f"--window-len applies only to --kind hidden, got --kind {args.kind}")
+    # The hidden windows hold feedback one slot old, and the memoryless
+    # regions read the stationary averages: neither has a delay.
+    if args.delay != 1 and args.kind in ("hidden", "memoryless-fb", "memoryless-nofb"):
+        raise ValueError(f"--delay must be 1 for --kind {args.kind}, got {args.delay}")
     model = load_channel(args.channel)
     if args.kind in ("visible", "reactive", "uncoded", "minkowski"):
         stats, pi = _visible_inputs(model, args.delay)
@@ -93,10 +99,7 @@ def cmd_region(args: argparse.Namespace) -> int:
         }[args.kind]
         region = fn(stats, pi)
     elif args.kind == "hidden":
-        # The windows hold feedback one slot old; region_hidden_L has no delay.
-        if args.delay != 1:
-            raise ValueError(f"delay must be 1 for the hidden region, got {args.delay}")
-        region = region_hidden_L(model, args.window_len)
+        region = region_hidden_L(model, 1 if args.window_len is None else args.window_len)
     else:
         e1, e2, e12 = _average_triple(model)
         if args.kind == "memoryless-fb":
@@ -172,6 +175,16 @@ def _parse_policies(labels: str | None) -> list[dict] | None:
     return policies
 
 
+def _rate_token(token: str) -> tuple[float, float]:
+    """An ``r1,r2`` token of --points as two floats; a ValueError naming the flag."""
+
+    try:
+        r1, r2 = (float(part) for part in token.split(","))
+    except ValueError:
+        raise ValueError(f"--points takes r1,r2 tokens of two numbers, got {token!r}") from None
+    return r1, r2
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     template = Scenario.from_json(
         args.scenario,
@@ -180,12 +193,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         stride=args.stride,
     )
     if args.points:
-        points = []
-        for token in args.points:
-            r1, r2 = token.split(",")
-            points.append((float(r1), float(r2)))
+        points = [_rate_token(token) for token in args.points]
     elif args.grid:
         r1min, r1max, n1, r2min, r2max, n2 = args.grid
+        for name, n in (("N1", n1), ("N2", n2)):
+            if not (n.is_integer() and n >= 1):
+                raise ValueError(f"--grid {name} must be a positive integer, got {n!r}")
         points = [
             (float(r1), float(r2))
             for r1 in np.linspace(r1min, r1max, int(n1))
@@ -359,8 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_region = sub.add_parser("region", help="compute a rate region")
     p_region.add_argument("--channel", required=True, help="channel JSON file")
     p_region.add_argument("--kind", required=True, choices=_REGION_KINDS)
-    p_region.add_argument("--delay", type=int, default=1)
-    p_region.add_argument("--window-len", type=int, default=1)
+    p_region.add_argument("--delay", type=int, default=1,
+                          help="feedback delay in slots, 1 for hidden and memoryless")
+    p_region.add_argument("--window-len", type=int,
+                          help="feedback pairs per window, --kind hidden only (default 1)")
     p_region.add_argument("--format", choices=("csv", "json"), default="csv")
     p_region.add_argument("-o", "--output")
     p_region.set_defaults(func=cmd_region)

@@ -1,4 +1,4 @@
-"""The slot stream both engines consume, the counts-level kernel, and `SimTrace`.
+"""The slot stream, the counts-level kernel, `SimTrace`, the forgetting checks.
 
 `slot_stream` is the one place that simulates what a slot shows the
 transmitter.  It draws the initial state and the per-slot random matrix,
@@ -9,7 +9,10 @@ stream and differ only in how they decide and move: `run_counts` below
 tracks queue lengths only, for long stability runs, and the packets engine
 in `harness` moves identified packets through `queuenet`.  Both return a
 `SimTrace`, built by `SimTrace.from_rows`, and their traces match slot for
-slot, which is tested.
+slot, which is tested.  The windowed-prediction diagnostics
+`forgetting_check` and `prediction_gap` read the same stream and fold its
+outcomes with the same `_fold`, so the channel is sampled and filtered only
+here.
 
 Both the stream and the counts loop `_count` work a chunk of CHUNK_SLOTS
 slots at a time.  Whatever does not depend on the queues is done per chunk
@@ -66,7 +69,7 @@ from .channel import (  # noqa: F401
     ChannelModel,
     check_window_len,
     cond_erasure_visible,
-    is_int,
+    flag,
     nonnegative_int,
     positive_int,
     stationary_distribution,
@@ -79,9 +82,11 @@ __all__ = [
     "CHUNK_SLOTS",
     "SimTrace",
     "flag",
+    "forgetting_check",
     "jit_enabled",
     "nonnegative_int",
     "positive_int",
+    "prediction_gap",
     "rate_pair",
     "record_stride",
     "run_counts",
@@ -105,14 +110,6 @@ def jit_enabled() -> bool:
     """False: the loops always run as plain Python (for backend stamps)."""
 
     return False
-
-
-def flag(name: str, value) -> bool:
-    """``value`` as a bool; a ValueError naming ``name`` unless a bool."""
-
-    if not isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{name} must be true or false, got {value!r}")
-    return bool(value)
 
 
 def rate_pair(name: str, value) -> tuple[float, float]:
@@ -295,6 +292,61 @@ def _fold(n: int):
     scope = {}
     exec(compile(src, f"<belief fold over {n} states>", "exec"), scope)
     return scope["fold"]
+
+
+def forgetting_check(
+    model: ChannelModel, window_len: int, trace_len: int, seed: int
+) -> float:
+    """Max total-variation gap between full-history and windowed predictions.
+
+    Draws one trace from `slot_stream` and compares, at every slot, the
+    filter run from the start against the filter restarted from the
+    stationary distribution window_len slots back.  The gap is taken between
+    the predicted states.
+    """
+    trace_len = positive_int("trace_len", trace_len)
+    return _window_gap(model, window_len, trace_len, seed, None)
+
+
+def prediction_gap(
+    model: ChannelModel, window_len: int, horizon: int, seed: int
+) -> float:
+    """Max total-variation gap between erasure-pattern predictions.
+
+    The same comparison as `forgetting_check`, with the gap taken between
+    the predicted distributions of the next erasure outcome.
+    """
+    horizon = positive_int("horizon", horizon)
+    return _window_gap(model, window_len, horizon, seed, model.emission)
+
+
+def _window_gap(model, window_len, trace_len, seed, project):
+    """Both diagnostics: the stream's outcomes folded by `_fold`, whole and windowed.
+
+    The belief after slot t restarted ``window_len`` slots back is the fold
+    of pairs[t + 1 - window_len : t + 1] from the stationary law; the gap is
+    half the L1 norm of its difference from the full-history belief,
+    projected by ``project`` when given.
+    """
+    if (model.emission <= 0).any():
+        raise ValueError("the windowed filter requires strictly positive emissions")
+    window_len = positive_int("window_len", window_len)
+    n = model.num_states
+    stream = slot_stream(model, seed=seed, horizon=trace_len, visible=False, delay=1)
+    pairs = [zi for _, _, zis, _, _ in stream for zi in zis.tolist()]
+    pi = stationary_distribution(model).tolist()
+    emis_t = tuple(map(tuple, model.emission.T.tolist()))
+    trans_t = model.transition.T.tolist()
+    fold = _fold(n)
+    full = fold(pairs, list(pi), emis_t, trans_t)
+    windowed = []
+    for t in range(1, len(pairs) + 1):
+        windowed += fold(pairs[max(0, t - window_len) : t], list(pi), emis_t,
+                         trans_t)[-n:]
+    diff = np.subtract(full, windowed).reshape(-1, n)
+    if project is not None:
+        diff = diff @ project
+    return float(0.5 * np.abs(diff).sum(axis=1).max())
 
 
 def _count(stream, amax, action_cdf, ratios, rates, stride, record):

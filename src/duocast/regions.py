@@ -165,9 +165,6 @@ class ActionDistribution:
             cleaned[key] = row
         self.probs = cleaned
 
-    def keys(self) -> list:
-        return list(self.probs.keys())
-
 
 @dataclass(frozen=True)
 class CutValues:

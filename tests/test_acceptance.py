@@ -26,7 +26,6 @@ from duocast.channel import (
     cond_erasure_visible,
     ge_hidden,
     ge_visible,
-    prediction_gap,
     stationary_distribution,
 )
 from duocast.harness import (
@@ -35,6 +34,7 @@ from duocast.harness import (
     stability_verdict,
     throughput_check,
 )
+from duocast.kernel import prediction_gap
 from duocast.regions import (
     RatePoint,
     cut_values,

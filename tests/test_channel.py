@@ -12,17 +12,15 @@ from duocast.channel import (
     belief_update,
     cond_erasure_hidden,
     cond_erasure_visible,
-    forgetting_check,
     ge_hidden,
     ge_visible,
     load_channel,
     memoryless,
-    prediction_gap,
-    sample_step,
     stationary_distribution,
     visible_stats,
     window_distribution,
 )
+from duocast.kernel import forgetting_check, prediction_gap, slot_stream
 from duocast.regions import hidden_window_stats
 
 THREE_STATE_P = np.array(
@@ -41,6 +39,39 @@ def random_model(rng: np.random.Generator, n: int = 3) -> ChannelModel:
     P = rng.dirichlet(np.ones(n) * 2.0, size=n)
     E = rng.dirichlet(np.ones(4) * 2.0, size=n)
     return ChannelModel(P, E)
+
+
+def stream_outcomes(model: ChannelModel, horizon: int, seed: int) -> list[int]:
+    """Each slot's outcome index 2*z1 + z2 along a `slot_stream` trace."""
+
+    stream = slot_stream(model, seed=seed, horizon=horizon, visible=False, delay=1)
+    return [zi for _, _, zis, _, _ in stream for zi in zis.tolist()]
+
+
+def filter_bank_gap(model: ChannelModel, L: int, pairs: list[int],
+                    project: np.ndarray | None) -> float:
+    """The window gap from a bank of beliefs stepped together over ``pairs``.
+
+    Row 0 is the full-history belief; row k >= 1 was restarted from the
+    stationary law k - 1 slots ago, so after each shift row L holds the
+    L-window belief.  The gap is half the L1 norm of the difference of rows
+    0 and L, projected by ``project`` when given.
+    """
+
+    pi = stationary_distribution(model)
+    bank = np.tile(pi, (L + 1, 1))
+    worst = 0.0
+    for zi in pairs:
+        bank *= model.emission[:, zi]
+        bank /= bank.sum(axis=1, keepdims=True)
+        bank = bank @ model.transition
+        diff = bank[0] - bank[-1]
+        if project is not None:
+            diff = diff @ project
+        worst = max(worst, 0.5 * float(np.abs(diff).sum()))
+        bank[1:] = bank[:-1].copy()
+        bank[1] = pi
+    return worst
 
 
 def stationary_oracle(P: np.ndarray) -> np.ndarray:
@@ -286,14 +317,9 @@ class TestCondErasureHidden:
 
     def test_window_matches_belief_on_full_history(self):
         model = three_state_model()
-        rng = np.random.default_rng(3)
-        pi = stationary_distribution(model)
-        state = int(rng.choice(3, p=pi))
-        belief = Belief(pi)
-        history = []
-        for _ in range(6):
-            state, z = sample_step(model, state, rng)
-            history.append(z)
+        belief = Belief(stationary_distribution(model))
+        history = [OUTCOMES[zi] for zi in stream_outcomes(model, 6, seed=3)]
+        for z in history:
             belief = belief_update(model, belief, z)
         windowed = hidden_window_stats(model, len(history))[0][tuple(history)]
         direct = cond_erasure_hidden(model, belief)
@@ -383,6 +409,21 @@ class TestForgettingCheck:
         with pytest.raises(ValueError, match="strictly positive"):
             forgetting_check(model, window_len=2, trace_len=10, seed=0)
 
+    @pytest.mark.parametrize("L", [1, 3, 6, 10])
+    def test_matches_the_filter_bank(self, L):
+        rng = np.random.default_rng(L)
+        models = [load_channel(noisy())] + [random_model(rng, n) for n in (2, 3, 5)]
+        for seed, model in enumerate(models, start=1):
+            assert (model.emission > 0).all()
+            pairs = stream_outcomes(model, 400, seed)
+            gaps = (forgetting_check(model, L, 400, seed),
+                    prediction_gap(model, L, 400, seed))
+            oracles = (filter_bank_gap(model, L, pairs, None),
+                       filter_bank_gap(model, L, pairs, model.emission))
+            for gap, oracle in zip(gaps, oracles):
+                assert oracle > 0.0
+                assert abs(gap - oracle) <= 1e-15
+
     @pytest.mark.parametrize(
         "fn, args, field",
         [
@@ -402,41 +443,6 @@ class TestForgettingCheck:
         kwargs = {"window_len": 2, length: 10, "seed": 0, **args}
         with pytest.raises(ValueError, match=field):
             fn(self.hidden_ge(), **kwargs)
-
-
-class TestSampleStep:
-    def test_deterministic_chain(self):
-        model = alternating_model()
-        rng = np.random.default_rng(0)
-        state = 0
-        for expected in (1, 0, 1, 0):
-            state, z = sample_step(model, state, rng)
-            assert state == expected
-        # State 0 emits (0,0) with certainty.
-        state, z = sample_step(model, 1, rng)
-        assert (state, z) == (0, (0, 0))
-
-    def test_empirical_frequencies(self):
-        model = three_state_model()
-        rng = np.random.default_rng(42)
-        steps = 200_000
-        state = 0
-        counts = np.zeros((3, 4))
-        visits = np.zeros(3)
-        for _ in range(steps):
-            prev = state
-            state, z = sample_step(model, state, rng)
-            visits[state] += 1
-            counts[state, 2 * z[0] + z[1]] += 1
-        for s in range(3):
-            freq = counts[s] / visits[s]
-            sigma = np.sqrt(model.emission[s] * (1 - model.emission[s]) / visits[s])
-            assert (np.abs(freq - model.emission[s]) <= 3 * sigma + 1e-9).all()
-        pi_hat = visits / steps
-        np.testing.assert_allclose(
-            pi_hat, np.array([5.2, 1.8, 4.0]) / 11.0, atol=0.01
-        )
-
 
 class TestGilbertElliot:
     def test_visible_average_erasure(self):

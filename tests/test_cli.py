@@ -111,6 +111,10 @@ class TestRegionCommand:
             (["--kind", "hidden", "--window-len", "-1"], "window length"),
             (["--kind", "visible", "--delay", "0"], "delay"),
             (["--kind", "hidden", "--delay", "3"], "delay"),
+            (["--kind", "memoryless-fb", "--delay", "3"], "--delay"),
+            (["--kind", "memoryless-nofb", "--delay", "2"], "--delay"),
+            (["--kind", "visible", "--window-len", "5"], "--window-len"),
+            (["--kind", "reactive", "--window-len", "1"], "--window-len"),
         ],
     )
     def test_bad_input_fails_fast(self, tmp_path, capsys, flags, field):
@@ -249,6 +253,24 @@ class TestSweepCommand:
         scenario = write_scenario(tmp_path / "sc.json")
         with pytest.raises(SystemExit):
             main(["sweep", scenario])
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--points", "0.1"], "--points"),
+            (["--points", "0.1,x"], "--points"),
+            (["--points", "0.1,0.1", "0.1,0.2,0.3"], "--points"),
+            (["--grid", "0", "0.1", "2.5", "0", "0.1", "1"], "--grid N1"),
+            (["--grid", "0", "0.1", "0", "0", "0.1", "1"], "--grid N1"),
+            (["--grid", "0", "0.1", "2", "0", "0.1", "-1"], "--grid N2"),
+        ],
+    )
+    def test_bad_points_or_grid_fail_fast(self, tmp_path, capsys, flags, field):
+        scenario = write_scenario(tmp_path / "sc.json", horizon=1000)
+        assert main(["sweep", scenario, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("duocast sweep: error: ")
+        assert field in err
 
     def test_policy_labels_parse(self):
         parsed = _parse_policies("maxweight:A3,maxweight,probabilistic,per_state")

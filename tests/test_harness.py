@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from channel_docs import alternating, bursty, noisy
-from duocast.channel import MAX_WINDOW_LEN, load_channel, prediction_gap
+from duocast.channel import MAX_WINDOW_LEN, load_channel
 from duocast.harness import (
     Scenario,
     SimTrace,
@@ -22,6 +22,7 @@ from duocast.harness import (
     sweep_to_csv,
     throughput_check,
 )
+from duocast.kernel import prediction_gap
 
 
 def clean_channel() -> dict:
