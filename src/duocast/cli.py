@@ -16,6 +16,7 @@ from .channel import (
     ge_hidden,
     ge_visible,
     load_channel,
+    positive_int,
     stationary_distribution,
     visible_stats,
 )
@@ -186,6 +187,7 @@ def _rate_token(token: str) -> tuple[float, float]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    workers = positive_int("--workers", args.workers)
     template = Scenario.from_json(
         args.scenario,
         seed=args.seed,
@@ -194,7 +196,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     if args.points:
         points = [_rate_token(token) for token in args.points]
-    elif args.grid:
+    else:
         r1min, r1max, n1, r2min, r2max, n2 = args.grid
         for name, n in (("N1", n1), ("N2", n2)):
             if not (n.is_integer() and n >= 1):
@@ -204,11 +206,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             for r1 in np.linspace(r1min, r1max, int(n1))
             for r2 in np.linspace(r2min, r2max, int(n2))
         ]
-    else:
-        raise SystemExit("sweep needs --points or --grid")
-    rows = sweep(
-        template, points, policies=_parse_policies(args.policies), workers=args.workers
-    )
+    rows = sweep(template, points, policies=_parse_policies(args.policies), workers=workers)
     _emit([sweep_to_csv(rows)], args.output)
     return 0
 
@@ -394,10 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int)
     p_sweep.add_argument("--horizon", type=int)
     p_sweep.add_argument("--stride", type=int)
-    p_sweep.add_argument(
-        "--points", nargs="+", help="rate points as r1,r2 tokens"
-    )
-    p_sweep.add_argument(
+    where = p_sweep.add_mutually_exclusive_group(required=True)
+    where.add_argument("--points", nargs="+", help="rate points as r1,r2 tokens")
+    where.add_argument(
         "--grid",
         nargs=6,
         type=float,
@@ -406,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--policies", help="comma list: maxweight:A5,maxweight:A3,probabilistic,per_state"
     )
-    p_sweep.add_argument("--workers", type=int, default=1)
+    p_sweep.add_argument("--workers", type=int, default=1,
+                         help="worker processes, at most the CPU count")
     p_sweep.add_argument("-o", "--output")
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -6,7 +6,9 @@ tracks queue lengths only, and a reference packets engine (`queuenet` +
 `policies`) that moves identified packets and supports the decodability
 audit.  Both read `kernel.slot_stream`, which simulates the channel and what
 the transmitter observes; each engine only decides and moves, so a scenario
-produces the identical trace under either engine.  Both return a
+produces the identical trace under either engine.  The probabilistic
+policy's tables are synthesized once per run here, and both engines read
+its per-chunk draw, `kernel.probabilistic_draws`.  Both return a
 `kernel.SimTrace`, re-exported here.
 """
 
@@ -65,7 +67,13 @@ __all__ = [
     "per_state_split",
 ]
 
-_POLICY_KINDS = ("maxweight", "probabilistic", "per_state")
+# Each policy kind and the keys it reads besides "kind"; window_len only on
+# a hidden model.
+_POLICY_KEYS = {
+    "maxweight": {"action_set"},
+    "probabilistic": {"target", "window_len"},
+    "per_state": set(),
+}
 _ENGINES = ("counts", "packets")
 _MOVE_FIELDS = ("packet", "receiver", "from", "to")
 
@@ -80,8 +88,9 @@ class Scenario:
 
     ``channel`` is a `load_channel` document.  ``policy`` is one of
     {"kind": "maxweight", "action_set": "A2"|"A3"|"A5"},
-    {"kind": "probabilistic", "target": [r1, r2], "window_len": L}, or
-    {"kind": "per_state"} (visible state, packets engine only).
+    {"kind": "probabilistic", "target": [r1, r2], "window_len": L} (L with
+    hidden state only), or {"kind": "per_state"} (visible state, packets
+    engine only).  A policy key its kind never reads is rejected.
     """
 
     channel: dict
@@ -112,8 +121,14 @@ class Scenario:
         if not isinstance(self.policy, dict):
             raise ValueError(f"policy must be an object with a kind, got {self.policy!r}")
         kind = self.policy.get("kind")
-        if kind not in _POLICY_KINDS:
+        if kind not in _POLICY_KEYS:
             raise ValueError(f"unknown policy kind {kind!r}")
+        reads = _POLICY_KEYS[kind] - ({"window_len"} if self.visible else set())
+        unread = sorted({"action_set", "target", "window_len"} & self.policy.keys() - reads)
+        if unread:
+            key = unread[0]
+            where = " on a visible model" if key in _POLICY_KEYS[kind] else ""
+            raise ValueError(f"policy.{key} is not read by a {kind} policy{where}")
         if kind == "maxweight":
             action_set = self.policy.get("action_set", "A5")
             if not isinstance(action_set, str) or action_set not in ACTION_SETS:
@@ -361,7 +376,8 @@ def _totals(nets: Sequence[QueueNetwork]) -> list[int]:
     return total
 
 
-def _run_packets(scenario: Scenario, model: ChannelModel, stride: int) -> SimTrace:
+def _run_packets(scenario: Scenario, model: ChannelModel, stride: int,
+                 tables: _ProbTables | None) -> SimTrace:
     horizon, delay, visible = scenario.horizon, scenario.delay, scenario.visible
     n_states = model.num_states
     policy = scenario.policy
@@ -371,9 +387,8 @@ def _run_packets(scenario: Scenario, model: ChannelModel, stride: int) -> SimTra
     per_state = kind == "per_state"
     probabilistic = kind == "probabilistic"
     if probabilistic:
-        tables = _probabilistic_tables(scenario, model)
-        action_rows = tables.action_table.tolist()
-        ratios = tables.ratio_table.ravel().tolist()
+        action_cdf, ratios = kernel.probabilistic_tables(
+            model, visible, tables.window_len, tables.action_table, tables.ratio_table)
 
     nets: dict[int, QueueNetwork]
     if per_state:
@@ -399,10 +414,10 @@ def _run_packets(scenario: Scenario, model: ChannelModel, stride: int) -> SimTra
             delay=delay, window_len=tables.window_len if probabilistic else 0,
             predict=not probabilistic,
         ):
-            # Only the columns the policy reads: the arrival coins, and the
-            # action draw and link coins of the probabilistic policy.
             eps, at = eps[0].tolist(), eps[1].tolist()  # slot i's triple: eps[at[i]]
-            draws = rows[:, 4:].tolist() if probabilistic else None
+            if probabilistic:
+                actions, coins = (draw.tolist() for draw in kernel.probabilistic_draws(
+                    rows, keys, action_cdf, ratios))
             for i, ((u1, u2), zi, obs_key) in enumerate(
                     zip(rows[:, :2].tolist(), zis.tolist(), keys.tolist())):
                 t = t0 + i
@@ -417,8 +432,7 @@ def _run_packets(scenario: Scenario, model: ChannelModel, stride: int) -> SimTra
                     action, intents = per_state_memoryless_decide(
                         nets, obs_key, eps[at[i]])
                 else:
-                    action, intents = probabilistic_decide(
-                        action_rows, ratios, obs_key, draws[i])
+                    action, intents = probabilistic_decide(actions[i], coins[i])
 
                 _, moves, slot_exits = apply_slot(serving, action, z, intents)
                 if log_fh is not None:
@@ -462,12 +476,12 @@ def run(scenario: Scenario) -> SimTrace:
 
     model = scenario.model()
     stride = kernel.record_stride(scenario.horizon, scenario.stride)
+    kind = scenario.policy["kind"]
+    tables = _probabilistic_tables(scenario, model) if kind == "probabilistic" else None
     if scenario.engine == "packets":
-        trace = _run_packets(scenario, model, stride)
+        trace = _run_packets(scenario, model, stride, tables)
     else:
-        kind = scenario.policy["kind"]
-        if kind == "probabilistic":
-            tables = _probabilistic_tables(scenario, model)
+        if tables is not None:
             policy_args = dict(action_table=tables.action_table,
                                ratio_table=tables.ratio_table,
                                window_len=tables.window_len)
@@ -518,8 +532,12 @@ def sweep(
     policies: Sequence[dict] | None = None,
     workers: int = 1,
 ) -> list[dict]:
-    """Stability map over a grid of rate points times policies."""
+    """Stability map over a grid of rate points times policies.
 
+    ``workers`` processes run the jobs, at most one per CPU; 1 runs them here.
+    """
+
+    workers = min(kernel.positive_int("workers", workers), os.cpu_count() or 1)
     policy_list = list(policies) if policies else [template.policy]
     jobs = [
         replace(template, rates=(float(r1), float(r2)), policy=policy)

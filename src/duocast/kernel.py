@@ -9,10 +9,11 @@ stream and differ only in how they decide and move: `run_counts` below
 tracks queue lengths only, for long stability runs, and the packets engine
 in `harness` moves identified packets through `queuenet`.  Both return a
 `SimTrace`, built by `SimTrace.from_rows`, and their traces match slot for
-slot, which is tested.  The windowed-prediction diagnostics
-`forgetting_check` and `prediction_gap` read the same stream and fold its
-outcomes with the same `_fold`, so the channel is sampled and filtered only
-here.
+slot, which is tested.  The probabilistic policy reads the stream alone,
+so both engines read its one draw, `probabilistic_draws`.  The
+windowed-prediction diagnostics `forgetting_check` and `prediction_gap` read
+the same stream and fold its outcomes with the same `_fold`, so the channel
+is sampled and filtered only here.
 
 Both the stream and the counts loop `_count` work a chunk of CHUNK_SLOTS
 slots at a time.  Whatever does not depend on the queues is done per chunk
@@ -34,11 +35,12 @@ loop, so every step is exact:
   from the beliefs the fold stores for each slot: elementwise products and
   sums, each starting at 0.0 and adding its terms in index order, as a
   per-slot loop does (no `@` or `.sum`, whose summation order differs);
-- in the counts loop, the arrival bits; under max-weight the five factors
-  of each row's weights (1 - eps1, eps1 - eps12, ...), one subtraction
-  each; under the probabilistic policy each slot's action (the leading run
-  of cdf entries the action draw reaches) and its twelve link coins as a
-  bit mask, all comparisons of draws with tables.
+- the probabilistic draw (`probabilistic_draws`): each slot's action (the
+  leading run of cdf entries the action draw reaches) and its twelve link
+  coins as a bit mask, all comparisons of draws with tables;
+- in the counts loop, the arrival bits and under max-weight the five
+  factors of each row's weights (1 - eps1, eps1 - eps12, ...), one
+  subtraction each.
 
 What stays serial is plain Python: the chain's state walk and the belief
 fold (unrolled by `_fold`) in the stream; the max-weight weights and the
@@ -87,6 +89,8 @@ __all__ = [
     "nonnegative_int",
     "positive_int",
     "prediction_gap",
+    "probabilistic_draws",
+    "probabilistic_tables",
     "rate_pair",
     "record_stride",
     "run_counts",
@@ -349,16 +353,69 @@ def _window_gap(model, window_len, trace_len, seed, project):
     return float(0.5 * np.abs(diff).sum(axis=1).max())
 
 
+def probabilistic_tables(model: ChannelModel, visible: bool, window_len: int,
+                         action_table, ratio_table) -> tuple[np.ndarray, np.ndarray]:
+    """The probabilistic policy's tables, checked: each key's action cdf and the ratios.
+
+    ``action_table`` needs six columns and one row per observation key (a
+    state of a visible ``model``, else a code of ``window_len`` feedback
+    pairs); a NaN row marks a key with no distribution, which
+    `probabilistic_draws` rejects once the key is observed.  ``ratio_table``
+    is 2x6, receiver j's link ratios in row j - 1; they come back flat, the
+    ratio of link bit b at index b.
+    """
+
+    if action_table is None:
+        raise ValueError("probabilistic policy needs an action_table")
+    table = np.asarray(action_table, dtype=float)
+    if table.ndim != 2 or table.shape[1] != 6:
+        raise ValueError("action table must have six columns")
+    keys = model.num_states if visible else 4 ** window_len
+    if len(table) < keys:
+        raise ValueError(f"action_table needs {keys} rows, one per observation "
+                         f"key, got {len(table)}")
+    if ratio_table is None:
+        raise ValueError("probabilistic policy needs a ratio_table")
+    ratio_arr = np.asarray(ratio_table, dtype=float)
+    if ratio_arr.shape != (2, 6):
+        raise ValueError("ratio table must be 2x6")
+    return np.cumsum(table, axis=1), ratio_arr.ravel()
+
+
+def probabilistic_draws(rows: np.ndarray, keys: np.ndarray, action_cdf: np.ndarray,
+                        ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each slot's probabilistic action and 12-bit link coin mask, for one chunk.
+
+    The draw reads the slot stream only, never the queues.  A slot's action
+    is the first whose cdf entry in its key's row exceeds the action draw
+    (column 4 of ``rows``): the leading run of entries the draw reaches, so
+    nothing is assumed of the table; it is 0 before a key is observed (key
+    -1).  Bit b of the coin mask, for receiver j's link
+    12,13,14,24,32,34 at b = 6*j + l, is set when column 5 + b falls below
+    ``ratios[b]``.  ``action_cdf`` and ``ratios`` are `probabilistic_tables`'.
+    """
+
+    seen = keys >= 0
+    cdf = action_cdf[keys]
+    # A row whose last cdf entry is not >= 0 (NaN) has no distribution.
+    missing = seen & ~(cdf[:, 5] >= 0.0)
+    if missing.any():
+        raise ValueError(f"no action distribution for observation {keys[missing.argmax()]}")
+    run = np.cumprod(rows[:, 4:5] >= cdf[:, :5], axis=1).sum(axis=1)
+    coins = ((rows[:, 5:] < ratios) << _COIN_SHIFTS).sum(axis=1)
+    return np.where(seen, run, 0), coins
+
+
 def _count(stream, amax, action_cdf, ratios, rates, stride, record):
     """Run the counts loop over ``stream``; return the end state and rows filled.
 
-    ``action_cdf`` (an array, one cdf row per observation key) is None under
-    max-weight, which reads each slot's (eps1, eps2, eps12) from the stream's
-    ``(table, at)``, visible or hidden alike.  ``ratios`` holds the 12 link
-    activation probabilities.  Each chunk first does in numpy what does not
-    depend on the queues; the slot loop then decides and moves.  Every
-    ``stride``-th slot fills the next row of ``record``; the end state is
-    laid out as a row.
+    ``action_cdf`` is None under max-weight, which reads each slot's (eps1,
+    eps2, eps12) from the stream's ``(table, at)``, visible or hidden alike;
+    otherwise it and ``ratios`` are the probabilistic policy's tables, as
+    `probabilistic_tables` gives them.  Each chunk first does in numpy what
+    does not depend on the queues; the slot loop then decides and moves.
+    Every ``stride``-th slot fills the next row of ``record``; the end state
+    is laid out as a row.
     """
 
     maxweight = action_cdf is None
@@ -367,9 +424,6 @@ def _count(stream, amax, action_cdf, ratios, rates, stride, record):
         actions = coins = repeat(0)
     else:
         weights = repeat(None)
-        # A row whose last cdf entry is not >= 0 (NaN) has no distribution.
-        missing = ~(action_cdf[:, 5] >= 0.0)
-        heads = action_cdf[:, :5]
     # Queues q1, q2, q3 of receiver 1 (a) and receiver 2 (b), arrivals, exits.
     a1 = a2 = a3 = b1 = b2 = b3 = 0
     in1 = in2 = out1 = out2 = 0
@@ -377,24 +431,17 @@ def _count(stream, amax, action_cdf, ratios, rates, stride, record):
     left = stride  # slots up to and including the next record
     for _, rows, zis, keys, eps in stream:
         # Queue-independent work, per chunk: arrival bits (1 receiver 1,
-        # 2 receiver 2); under max-weight the factors of each table row's weights;
-        # under the probabilistic policy the action, the first index whose
-        # cdf entry exceeds u (a leading run, so nothing is assumed of the
-        # table; 0 before a key is observed), and the link coins as a
-        # 12-bit mask, bit 6*j + l for receiver j's link 12,13,14,24,32,34
-        # (l 0..5) from column 5 + 6*j + l against ratios[6*j + l].
+        # 2 receiver 2); under max-weight the factors of each table row's
+        # weights; under the probabilistic policy each slot's action and coin
+        # mask.
         arrivals = ((rows[:, 0] < r1) + 2 * (rows[:, 1] < r2)).tolist()
         if maxweight:
             # Max-weight always observes (a visible key is a state, the hidden
             # belief waits for no window); slot i weighs row at[i] of the table.
             weights = map(_weight_terms(eps[0]).tolist().__getitem__, eps[1].tolist())
         else:
-            seen = keys >= 0
-            if missing[keys[seen]].any():
-                raise ValueError("no action distribution for an observed key")
-            run = np.cumprod(rows[:, 4:5] >= heads[keys], axis=1).sum(axis=1)
-            actions = np.where(seen, run, 0).tolist()
-            coins = ((rows[:, 5:] < ratios) << _COIN_SHIFTS).sum(axis=1).tolist()
+            actions, coins = (draw.tolist() for draw in
+                              probabilistic_draws(rows, keys, action_cdf, ratios))
         for zi, arrived, action, coin, terms in zip(zis.tolist(), arrivals,
                                                     actions, coins, weights):
             # A slot with every queue empty moves nothing: every max-weight
@@ -618,28 +665,13 @@ def run_counts(
     window_len = check_window_len(window_len)
     stride = record_stride(horizon, stride)
 
-    num_states = model.num_states
     maxweight = policy == "maxweight"
     action_cdf = ratios = None
     if maxweight:
         window_len = 0  # max-weight decides on the belief, never a window
     else:
-        if action_table is None:
-            raise ValueError("probabilistic policy needs an action_table")
-        table = np.asarray(action_table, dtype=float)
-        if table.ndim != 2 or table.shape[1] != 6:
-            raise ValueError("action table must have six columns")
-        keys = num_states if visible else 4 ** window_len  # observation keys
-        if len(table) < keys:
-            raise ValueError(f"action_table needs {keys} rows, one per observation "
-                             f"key, got {len(table)}")
-        action_cdf = np.cumsum(table, axis=1)
-        if ratio_table is None:
-            raise ValueError("probabilistic policy needs a ratio_table")
-        ratio_arr = np.asarray(ratio_table, dtype=float)
-        if ratio_arr.shape != (2, 6):
-            raise ValueError("ratio table must be 2x6")
-        ratios = ratio_arr.ravel()  # receiver j's link l at 6*j + l
+        action_cdf, ratios = probabilistic_tables(model, visible, window_len,
+                                                  action_table, ratio_table)
 
     record = np.zeros((horizon // stride, 10), dtype=np.int64)
     stream = slot_stream(model, seed=seed, horizon=horizon, visible=visible,

@@ -8,11 +8,12 @@ targets.  A per-state dispatcher combines independent reactive sub-policies,
 one per observable channel state.
 
 The policies take plain per-slot values, as the slot stream yields them: the
-observation key, the (eps1, eps2, eps12) triple max-weight weighs, and the
-slot's uniform draws for the probabilistic policy, which reads the counts
-kernel's own tables as lists: one action row per key and the twelve link
-ratios in link-bit order.  Each decide function returns an ``(action,
-intents)`` pair, the intents a link mask in `queuenet`'s layout.
+observation key and the (eps1, eps2, eps12) triple max-weight weighs.  The
+probabilistic policy's draw depends on the stream alone, so
+`kernel.probabilistic_draws` makes it per chunk for both engines, and
+`probabilistic_decide` only keeps the coins of the drawn action's links.
+Each decide function returns an ``(action, intents)`` pair, the intents a
+link mask in `queuenet`'s layout.
 """
 
 from __future__ import annotations
@@ -108,39 +109,13 @@ def maxweight_decide(net, eps: ErasureTriple, action_set: str = "A5") -> Decisio
     return action, link_intents(action, queues)
 
 
-def probabilistic_decide(action_rows: Sequence[Sequence[float]],
-                         ratios: Sequence[float], key: int,
-                         draws: Sequence[float]) -> Decision:
-    """Draw an action from ``action_rows[key]`` and link activations from ratios.
+def probabilistic_decide(action: int, coins: int) -> Decision:
+    """The slot's drawn action and its coin mask ANDed with the action's links.
 
-    Queue lengths are never consulted.  ``action_rows`` is the counts
-    kernel's ``action_table.tolist()``, one row per observation key, a NaN
-    row for a key with no distribution; ``ratios`` is its
-    ``ratio_table.ravel().tolist()``, the ratio of link bit b at index b.
-    ``draws`` are the slot's 13 uniforms in the stream's layout
-    (`kernel.RNG_COLUMNS` from column 4): the action draw, then the coin of
-    each link bit b at 1 + b.  The action is the first whose running sum
-    exceeds the draw, as the kernel's leading run over the cdf, and the
-    intents are the coin mask ANDed with the action's links.
+    `kernel.probabilistic_draws` draws both per chunk from the slot stream;
+    queue lengths are never consulted.
     """
 
-    if not 0 <= key < len(action_rows):
-        raise ValueError(f"no action distribution for observation {key!r}")
-    u = draws[0]
-    acc = 0.0
-    for action, p in enumerate(action_rows[key]):
-        acc += p
-        if u < acc:
-            break
-    else:
-        # No cdf entry exceeds the draw: action 5, unless the last entry is
-        # not >= 0 (a NaN row), which the kernel rejects too.
-        if not acc >= 0.0:
-            raise ValueError(f"no action distribution for observation {key!r}")
-    coins = 0
-    for b, ratio in enumerate(ratios):
-        if draws[1 + b] < ratio:
-            coins |= 1 << b
     return action, coins & ALLOWED_LINKS[action]
 
 

@@ -249,10 +249,17 @@ class TestSweepCommand:
         assert len(lines) == 5
         assert all(",true," in line for line in lines[1:])
 
-    def test_needs_points_or_grid(self, tmp_path):
+    def test_needs_points_or_grid(self, tmp_path, capsys):
+        # Exactly one of the two: a grid next to points would be dropped.
         scenario = write_scenario(tmp_path / "sc.json")
-        with pytest.raises(SystemExit):
-            main(["sweep", scenario])
+        both = ["--points", "0.1,0.1", "--grid", "0.05", "0.1", "2", "0.05", "0.1", "2"]
+        for flags in ([], both):
+            with pytest.raises(SystemExit) as exc:
+                main(["sweep", scenario, *flags])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "duocast sweep: error: " in err
+            assert "--points" in err and "--grid" in err
 
     @pytest.mark.parametrize(
         "flags, field",
@@ -263,6 +270,8 @@ class TestSweepCommand:
             (["--grid", "0", "0.1", "2.5", "0", "0.1", "1"], "--grid N1"),
             (["--grid", "0", "0.1", "0", "0", "0.1", "1"], "--grid N1"),
             (["--grid", "0", "0.1", "2", "0", "0.1", "-1"], "--grid N2"),
+            (["--points", "0.1,0.1", "--workers", "0"], "--workers"),
+            (["--points", "0.1,0.1", "--workers", "-3"], "--workers"),
         ],
     )
     def test_bad_points_or_grid_fail_fast(self, tmp_path, capsys, flags, field):

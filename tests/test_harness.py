@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from channel_docs import alternating, bursty, noisy
+from duocast import harness
 from duocast.channel import MAX_WINDOW_LEN, load_channel
 from duocast.harness import (
     Scenario,
@@ -115,6 +116,16 @@ class TestScenario:
             {"policy": {"kind": "probabilistic", "target": [0.1, 0.1, 0.1]}},
             {"policy": {"kind": "probabilistic", "target": [0.1, 1.5]}},
             {"policy": {"kind": "maxweight", "action_set": ["A5"]}},
+            # Keys the policy's kind would never read.
+            {"policy": {"kind": "probabilistic", "window_len": 5}},
+            {"policy": {"kind": "probabilistic", "action_set": "A5"}},
+            {"policy": {"kind": "probabilistic", "action_set": "A5"}, "visible": False},
+            {"policy": {"kind": "maxweight", "window_len": 5}},
+            {"policy": {"kind": "maxweight", "window_len": 5}, "visible": False},
+            {"policy": {"kind": "maxweight", "target": [0.1, 0.1]}},
+            {"policy": {"kind": "per_state", "window_len": 1}, "engine": "packets"},
+            {"policy": {"kind": "per_state", "target": [0.1, 0.1]}, "engine": "packets"},
+            {"policy": {"kind": "per_state", "action_set": "A3"}, "engine": "packets"},
             {"movement_log": 5},
             {"movement_log": True},
             {"movement_log": ["moves.jsonl"]},
@@ -327,6 +338,42 @@ class TestSweep:
         serial = sweep(template, points)
         parallel = sweep(template, points, workers=2)
         assert serial == parallel
+
+    def test_sweep_workers_are_capped_at_the_cpu_count(self, monkeypatch):
+        pools = []
+
+        class Recorder:
+            """Runs the jobs here and records the pool size asked for."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        template = Scenario(
+            channel=fair_channel(), rates=(0.1, 0.1), horizon=100_000, seed=8
+        )
+        serial = sweep(template, [(0.1, 0.1)])
+        for workers, pool in ((2, 2), (3, 3), (64, 3)):
+            assert sweep(template, [(0.1, 0.1)], workers=workers) == serial
+            assert pools.pop() == pool
+        assert sweep(template, [(0.1, 0.1)], workers=1) == serial
+        assert pools == []
+
+    @pytest.mark.parametrize("workers", [0, -3, 1.5, True, "2"])
+    def test_sweep_rejects_bad_workers(self, workers):
+        template = Scenario(channel=fair_channel(), rates=(0.1, 0.1), horizon=1000)
+        with pytest.raises(ValueError, match="workers"):
+            sweep(template, [(0.1, 0.1)], workers=workers)
 
 
 class TestPerState:

@@ -641,18 +641,33 @@ class TestChunkInvariance:
             assert other.audit_passed is True
 
 
-def coin_masks(rows, ratios):
-    """Each slot's coin mask, as the counts loop `kernel._count` builds it."""
+def scalar_draw(action_rows, ratios, key, draws):
+    """One slot's (action, coin mask) by a scalar loop over its 13 uniforms.
 
-    return ((rows[:, 5:] < ratios) << kernel._COIN_SHIFTS).sum(axis=1)
+    The oracle of `kernel.probabilistic_draws`.  ``draws`` are the slot's
+    columns 4-16: the action is the first whose running sum over
+    ``action_rows[key]`` exceeds ``draws[0]``, 0 for key -1 (no observation
+    yet), and bit b of the coin mask is set when ``draws[1 + b] < ratios[b]``.
+    """
 
-
-def kernel_actions(rows, keys, action_table):
-    """Each observed slot's action, as `kernel._count` draws it: the leading
-    run of cdf entries its action draw reaches."""
-
-    heads = np.cumsum(action_table, axis=1)[:, :5]
-    return np.cumprod(rows[:, 4:5] >= heads[keys], axis=1).sum(axis=1)
+    action = 0
+    if key >= 0:
+        u = draws[0]
+        acc = 0.0
+        for action, p in enumerate(action_rows[key]):
+            acc += p
+            if u < acc:
+                break
+        else:
+            # No running sum exceeds the draw: action 5, unless the last sum
+            # is not >= 0 (a NaN row).
+            if not acc >= 0.0:
+                raise ValueError(f"no action distribution for observation {key}")
+    coins = 0
+    for b, ratio in enumerate(ratios):
+        if draws[1 + b] < ratio:
+            coins |= 1 << b
+    return action, coins
 
 
 class TestOneLinkLayout:
@@ -679,55 +694,65 @@ class TestOneLinkLayout:
             row = np.ones((1, kernel.RNG_COLUMNS))
             row[0, 4] = 0.5  # the action draw
             row[0, 5 + b] = 0.0
-            assert coin_masks(row, ratios)[0] == bit
             action = next(a for a, allowed in enumerate(ALLOWED_LINKS) if allowed & bit)
-            onehot = [[float(a == action) for a in range(6)]]
-            decision = probabilistic_decide(onehot, ratios.tolist(), 0, row[0, 4:].tolist())
-            assert decision == (action, bit)
+            onehot_cdf = np.cumsum([[float(a == action) for a in range(6)]], axis=1)
+            actions, coins = kernel.probabilistic_draws(
+                row, np.zeros(1, dtype=np.int64), onehot_cdf, ratios)
+            assert coins[0] == bit
+            assert probabilistic_decide(int(actions[0]), int(coins[0])) == (action, bit)
 
     @staticmethod
-    def _check_stream(model, visible, window_len, action_table, ratios):
-        """Each observed slot's decision against the kernel's action and coins.
+    def _check_stream(model, visible, window_len, action_table, ratio_table):
+        """Each slot's kernel draw against the scalar oracle, with ``==``.
 
-        Returns the chunks read, the slots decided and the distinct decisions.
+        Returns the chunks read, the keys seen and the distinct decisions of
+        the observed slots.
         """
+        action_cdf, ratios = kernel.probabilistic_tables(
+            model, visible, window_len, action_table, ratio_table)
         rows_list, ratio_list = action_table.tolist(), ratios.tolist()
-        chunks = slots = 0
-        seen = set()
+        chunks = 0
+        keys_seen, decisions = set(), set()
         for _, rows, _, keys, _ in slot_stream(model, seed=3, horizon=1200,
                                                visible=visible, delay=1,
                                                window_len=window_len):
             chunks += 1
-            observed = keys >= 0
-            actions = kernel_actions(rows[observed], keys[observed], action_table)
-            coins = coin_masks(rows[observed], ratios)
-            for draws, key, action, coin in zip(rows[observed, 4:].tolist(),
-                                                keys[observed].tolist(),
+            actions, coins = kernel.probabilistic_draws(rows, keys, action_cdf, ratios)
+            for draws, key, action, coin in zip(rows[:, 4:].tolist(), keys.tolist(),
                                                 actions.tolist(), coins.tolist()):
-                decision = probabilistic_decide(rows_list, ratio_list, key, draws)
-                assert decision == (action, coin & ALLOWED_LINKS[action])
-                seen.add(decision)
-                slots += 1
-        return chunks, slots, seen
+                assert (action, coin) == scalar_draw(rows_list, ratio_list, key, draws)
+                keys_seen.add(key)
+                if key >= 0:
+                    decisions.add(probabilistic_decide(action, coin))
+        return chunks, keys_seen, decisions
 
     @pytest.mark.parametrize("visible", [True, False])
     def test_decisions_are_the_kernel_coins_under_each_action(self, monkeypatch, visible):
-        monkeypatch.setattr(kernel, "CHUNK_SLOTS", 256)
-        policy = {"kind": "probabilistic", "target": [0.2, 0.2], "window_len": 2}
+        # The kernel's draw equals the scalar oracle's, chunk after chunk.
+        for chunk in (256, 1024):
+            monkeypatch.setattr(kernel, "CHUNK_SLOTS", chunk)
+            self._check_tables(visible, chunk)
+
+    def _check_tables(self, visible, chunk):
+        if visible:
+            policy = {"kind": "probabilistic", "target": [0.2, 0.2]}
+        else:
+            policy = {"kind": "probabilistic", "target": [0.15, 0.15], "window_len": 2}
         scenario = Scenario(channel=bursty() if visible else noisy(), rates=(0.2, 0.2),
-                            horizon=1200, visible=visible,
-                            policy=policy if visible else {**policy, "target": [0.15, 0.15]})
+                            horizon=1200, visible=visible, policy=policy)
         model = scenario.model()
         tables = _probabilistic_tables(scenario, model)
-        chunks, slots, seen = self._check_stream(
-            model, visible, tables.window_len, tables.action_table,
-            tables.ratio_table.ravel())
-        assert chunks == 5 and slots >= 1190
+        chunks, keys, decisions = self._check_stream(
+            model, visible, tables.window_len, tables.action_table, tables.ratio_table)
+        assert chunks == -(-1200 // chunk)
+        # A hidden window is not observed in the first window_len slots.
+        assert (-1 in keys) == (not visible)
         # Several actions come up, and the coins vary the intents of some.
-        actions = {action for action, _ in seen}
-        assert len(actions) >= 3 and len(seen) > len(actions)
+        actions = {action for action, _ in decisions}
+        assert len(actions) >= 3 and len(decisions) > len(actions)
 
-        # Random tables, some entries zero, so that cdf entries repeat.  The
+        # Random tables, some entries zero, so that cdf entries repeat, and
+        # every other row scaled down, so that its mass falls short of 1.  The
         # second channel never erases both receivers at once, so the windows
         # holding that outcome are never observed, and their rows are NaN, as
         # synthesized tables leave a window of zero mass.
@@ -743,12 +768,30 @@ class TestOneLinkLayout:
                 table[rng.random(table.shape) < 0.3] = 0.0
                 table[:, 5] += table.sum(axis=1) == 0.0  # no empty row
                 table /= table.sum(axis=1, keepdims=True)
+                table[::2] *= 0.9
                 if case_model is never_both:
                     table[["3" in np.base_repr(k, 4) for k in range(n_keys)]] = np.nan
-                chunks, slots, seen = self._check_stream(
-                    case_model, case_visible, window_len, table, rng.random(12))
-                assert slots >= 1190
-                assert len({action for action, _ in seen}) >= 3
+                chunks, keys, decisions = self._check_stream(
+                    case_model, case_visible, window_len, table, rng.random((2, 6)))
+                assert len(keys) >= min(n_keys, 4)
+                assert len({action for action, _ in decisions}) >= 3
+
+    def test_missing_row_names_the_key_on_both_engines(self, monkeypatch):
+        build = harness._probabilistic_tables
+
+        def without_state_1(scenario, model):
+            tables = build(scenario, model)
+            tables.action_table[1] = np.nan
+            return tables
+
+        monkeypatch.setattr(harness, "_probabilistic_tables", without_state_1)
+        for engine in ("counts", "packets"):
+            scenario = Scenario(channel=bursty(), rates=(0.2, 0.2), horizon=2000,
+                                policy={"kind": "probabilistic", "target": [0.2, 0.2]},
+                                engine=engine)
+            with pytest.raises(ValueError,
+                               match=r"^no action distribution for observation 1$"):
+                run(scenario)
 
 
 class TestTraceCorpus:

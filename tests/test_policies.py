@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from channel_docs import noisy
+from duocast.channel import load_channel
+from duocast.kernel import probabilistic_draws, probabilistic_tables
 from duocast.policies import (
     ACTION_SETS,
     action_weights,
@@ -122,23 +125,52 @@ class TestMaxWeight:
         assert all(maxweight_decide(queues, stats) == first for _ in range(5))
 
 
+def draw(action_rows, ratios, draws, keys=None):
+    """Each slot's (actions, coins) from `kernel.probabilistic_draws`.
+
+    ``draws`` holds one row of 13 uniforms per slot, the stream's columns
+    4-16; every slot observes key 0 unless ``keys`` says otherwise.
+    """
+
+    draws = np.atleast_2d(np.asarray(draws, dtype=float))
+    rows = np.hstack((np.zeros((len(draws), 4)), draws))
+    keys = np.zeros(len(draws), dtype=np.int64) if keys is None else np.asarray(keys)
+    return probabilistic_draws(rows, keys, np.cumsum(action_rows, axis=1),
+                               np.asarray(ratios, dtype=float))
+
+
+def decide(action_rows, ratios, draws):
+    """One slot's decision: its kernel draw, masked by `probabilistic_decide`."""
+
+    (action,), (coins,) = draw(action_rows, ratios, draws)
+    return probabilistic_decide(int(action), int(coins))
+
+
 class TestProbabilistic:
     def test_deterministic_distribution(self):
         rows = [[0, 1, 0, 0, 0, 0]]
         ratios = [1.0] * 12
         rng = np.random.default_rng(3)
-        for _ in range(20):
-            decision = probabilistic_decide(rows, ratios, 0, rng.random(13).tolist())
+        actions, coins = draw(rows, ratios, rng.random((20, 13)))
+        for action, coin in zip(actions.tolist(), coins.tolist()):
+            decision = probabilistic_decide(action, coin)
             assert decision == (1, link_mask({(1, "14"): 1, (1, "12"): 1}))
 
     def test_missing_key_errors(self):
-        # Key 1 has a NaN row, the table's mark of a key with no distribution;
-        # a negative key is out of range, not a row counted from the end.
-        rows = [[1, 0, 0, 0, 0, 0], [float("nan")] * 6]
-        for key in (7, 1, -1):
-            with pytest.raises(ValueError, match=f"no action distribution for "
-                                                 f"observation {key}"):
-                probabilistic_decide(rows, [0.0] * 12, key, [0.5] * 13)
+        # Key 1 has a NaN row, the table's mark of a key with no distribution,
+        # and so has key 2, whose NaN is its last entry; the first observed
+        # such key is named.  Key -1 is no observation yet, which idles.
+        rows = [[1, 0, 0, 0, 0, 0], [float("nan")] * 6, [0.2] * 5 + [float("nan")]]
+        for keys, named in (([0, -1, 1, 2], 1), ([0, -1, 2, 1], 2)):
+            with pytest.raises(ValueError, match="no action distribution for "
+                                                 f"observation {named}$"):
+                draw(rows, [0.0] * 12, [[0.5] * 13] * 4, keys=keys)
+        actions, _ = draw(rows, [0.0] * 12, [[0.5] * 13] * 2, keys=[-1, 0])
+        assert actions.tolist() == [0, 0]
+        # A key past the table's end is caught when the table is checked.
+        model = load_channel(noisy())
+        with pytest.raises(ValueError, match="action_table needs 16 rows"):
+            probabilistic_tables(model, False, 2, rows, np.zeros((2, 6)))
 
     def test_consumes_thirteen_draws_regardless_of_action(self):
         # Each link's coin has its own column of the slot's 13 draws, so the
@@ -148,7 +180,7 @@ class TestProbabilistic:
         for action in range(1, 6):
             row = [0.0] * 6
             row[action] = 1.0
-            got, intents = probabilistic_decide([row], ratios, 0, [0.5] + coins)
+            got, intents = decide([row], ratios, [0.5] + coins)
             assert got == action
             assert intents & ~ALLOWED_LINKS[action] == 0
             flags = link_flags(intents)
@@ -162,7 +194,7 @@ class TestProbabilistic:
         values = [0.99] + [0.9] * 12
         values[1 + 6 + 4] = 0.1
         ratios = ratio_list({(2, "32"): 0.5})
-        decision = probabilistic_decide([[0, 0, 0, 0, 0, 1]], ratios, 0, values)
+        decision = decide([[0, 0, 0, 0, 0, 1]], ratios, values)
         assert decision == (5, link_mask({
             (1, "32"): 0, (1, "34"): 0, (2, "32"): 1, (2, "34"): 0,
         }))
@@ -171,10 +203,8 @@ class TestProbabilistic:
         row = [0.1, 0.2, 0.3, 0.15, 0.15, 0.1]
         rng = np.random.default_rng(12345)
         n = 200_000
-        counts = np.zeros(6)
-        for _ in range(n):
-            draws = rng.random(13).tolist()
-            counts[probabilistic_decide([row], [0.0] * 12, 0, draws)[0]] += 1
+        actions, _ = draw([row], [0.0] * 12, rng.random((n, 13)))
+        counts = np.bincount(actions, minlength=6)
         for a, p in enumerate(row):
             sigma = np.sqrt(p * (1 - p) / n)
             assert abs(counts[a] / n - p) < 3 * sigma + 1e-12
@@ -184,20 +214,24 @@ class TestProbabilistic:
         ratios = ratio_list({(1, "14"): 0.3})
         rng = np.random.default_rng(99)
         n = 100_000
-        hits = sum(
-            link_flags(
-                probabilistic_decide(rows, ratios, 0, rng.random(13).tolist())[1]
-            )[(1, "14")]
-            for _ in range(n)
-        )
+        actions, coins = draw(rows, ratios, rng.random((n, 13)))
+        assert (actions == 1).all()
+        hits = np.count_nonzero(coins & ALLOWED_LINKS[1] & link_mask({(1, "14"): 1}))
         sigma = np.sqrt(0.3 * 0.7 / n)
         assert abs(hits / n - 0.3) < 3 * sigma
 
     def test_row_shorter_probability_mass_falls_to_last_action(self):
         # Guard against drifting cumulative sums: mass exactly 1 picks within.
-        action, _ = probabilistic_decide([[0.5, 0.5, 0, 0, 0, 0]], [0.0] * 12, 0,
-                                         [0.999999] + [0.5] * 12)
+        action, _ = decide([[0.5, 0.5, 0, 0, 0, 0]], [0.0] * 12,
+                           [0.999999] + [0.5] * 12)
         assert action == 1
+
+    def test_draw_on_a_running_sum_takes_the_next_action(self):
+        # An action is drawn when its running sum exceeds the draw, so a draw
+        # equal to a running sum passes it, repeated sums included.
+        rows = [[0.25, 0.25, 0, 0.25, 0.25, 0]]
+        actions, _ = draw(rows, [0.0] * 12, [[u] + [0.5] * 12 for u in (0.25, 0.5, 0.75)])
+        assert actions.tolist() == [1, 3, 4]
 
 
 class TestPerState:
