@@ -85,9 +85,8 @@ def _emit(pieces: Iterable[str], output: str | None) -> None:
 def cmd_region(args: argparse.Namespace) -> int:
     if args.window_len is not None and args.kind != "hidden":
         raise ValueError(f"--window-len applies only to --kind hidden, got --kind {args.kind}")
-    # The hidden windows hold feedback one slot old, and the memoryless
-    # regions read the stationary averages: neither has a delay.
-    if args.delay != 1 and args.kind in ("hidden", "memoryless-fb", "memoryless-nofb"):
+    # The memoryless regions read the stationary averages: they have no delay.
+    if args.delay != 1 and args.kind in ("memoryless-fb", "memoryless-nofb"):
         raise ValueError(f"--delay must be 1 for --kind {args.kind}, got {args.delay}")
     model = load_channel(args.channel)
     if args.kind in ("visible", "reactive", "uncoded", "minkowski"):
@@ -100,7 +99,8 @@ def cmd_region(args: argparse.Namespace) -> int:
         }[args.kind]
         region = fn(stats, pi)
     elif args.kind == "hidden":
-        region = region_hidden_L(model, 1 if args.window_len is None else args.window_len)
+        window_len = 1 if args.window_len is None else args.window_len
+        region = region_hidden_L(model, window_len, args.delay)
     else:
         e1, e2, e12 = _average_triple(model)
         if args.kind == "memoryless-fb":
@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_region.add_argument("--channel", required=True, help="channel JSON file")
     p_region.add_argument("--kind", required=True, choices=_REGION_KINDS)
     p_region.add_argument("--delay", type=int, default=1,
-                          help="feedback delay in slots, 1 for hidden and memoryless")
+                          help="feedback delay in slots, 1 for memoryless (default 1)")
     p_region.add_argument("--window-len", type=int,
                           help="feedback pairs per window, --kind hidden only (default 1)")
     p_region.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -19,7 +19,7 @@ import os
 from bisect import bisect_right
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -90,7 +90,10 @@ class Scenario:
     {"kind": "maxweight", "action_set": "A2"|"A3"|"A5"},
     {"kind": "probabilistic", "target": [r1, r2], "window_len": L} (L with
     hidden state only), or {"kind": "per_state"} (visible state, packets
-    engine only).  A policy key its kind never reads is rejected.
+    engine only).  A policy key its kind never reads is rejected.  Every
+    policy sees the feedback (and on a visible model the state) ``delay``
+    slots late, and the probabilistic tables are synthesized for that
+    delay.
     """
 
     channel: dict
@@ -124,9 +127,9 @@ class Scenario:
         if kind not in _POLICY_KEYS:
             raise ValueError(f"unknown policy kind {kind!r}")
         reads = _POLICY_KEYS[kind] - ({"window_len"} if self.visible else set())
-        unread = sorted({"action_set", "target", "window_len"} & self.policy.keys() - reads)
+        unread = self.policy.keys() - reads - {"kind"}
         if unread:
-            key = unread[0]
+            key = min(unread, key=str)
             where = " on a visible model" if key in _POLICY_KEYS[kind] else ""
             raise ValueError(f"policy.{key} is not read by a {kind} policy{where}")
         if kind == "maxweight":
@@ -141,10 +144,6 @@ class Scenario:
                 check_window_len(self.policy.get("window_len", 1))
             except ValueError as err:
                 raise ValueError(f"policy.{err}") from None
-            if not self.visible and self.delay != 1:
-                raise ValueError(
-                    "probabilistic policy on a hidden model requires delay 1"
-                )
         elif kind == "per_state":
             if self.engine != "packets":
                 raise ValueError("per_state policy needs the packets engine")
@@ -156,12 +155,23 @@ class Scenario:
 
     @classmethod
     def from_json(cls, source: str | Path | dict, **overrides) -> "Scenario":
-        doc = dict(
-            json.loads(Path(source).read_text())
-            if isinstance(source, (str, Path))
-            else source
-        )
-        doc.update({k: v for k, v in overrides.items() if v is not None})
+        """A Scenario from a JSON file or dict, with the overrides not None.
+
+        A document that is not an object, or that lacks a field without a
+        default or names one Scenario does not have, is a ValueError naming
+        the field.
+        """
+        doc = json.loads(Path(source).read_text()) if isinstance(source, (str, Path)) else source
+        if not isinstance(doc, dict):
+            raise ValueError(f"scenario must be an object, got {doc!r}")
+        doc = {**doc, **{k: v for k, v in overrides.items() if v is not None}}
+        known = {f.name: f for f in fields(cls)}
+        for name in doc:
+            if name not in known:
+                raise ValueError(f"scenario has no field {name!r}")
+        for name, f in known.items():
+            if name not in doc and f.default is MISSING and f.default_factory is MISSING:
+                raise ValueError(f"scenario has no {name}")
         return cls(**doc)
 
     def to_json(self) -> str:
@@ -257,7 +267,7 @@ def _probabilistic_tables(scenario: Scenario, model: ChannelModel) -> _ProbTable
         keys = range(model.num_states)
     else:
         window_len = int(policy.get("window_len", 1))
-        stats, weights = hidden_window_stats(model, window_len)
+        stats, weights = hidden_window_stats(model, window_len, scenario.delay)
         kind = "hidden_L"
         keys = window_keys(window_len)
     witness = region_membership(kind, stats, weights, target)

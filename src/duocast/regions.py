@@ -34,6 +34,7 @@ from duocast.channel import (  # noqa: F401
     ChannelModel,
     ErasureStats,
     cond_erasure_hidden,
+    positive_int,
     window_joint,
     window_keys,
 )
@@ -480,17 +481,25 @@ def region_uncoded(stats_by_state: dict, pi, directions=None) -> RateRegion:
 
 
 def hidden_window_stats(
-    model: ChannelModel, window_len: int
+    model: ChannelModel, window_len: int, delay: int = 1
 ) -> tuple[dict, dict]:
     """Per-window erasure stats and window probabilities, zero-mass dropped.
 
-    Both come from the joint table alpha[w, s] = P(window w, next state s):
-    a window's law is (alpha[w] / P(w)) @ emission.
+    The window holds the last ``window_len`` feedback pairs, fed back
+    ``delay`` slots late.  Both come from the joint table alpha[w, s] =
+    P(window w, next state s): a window's law is
+    (alpha[w] / P(w)) @ T^(delay - 1) @ emission, the state after the
+    window predicted delay - 1 steps ahead by the transition T, as
+    `kernel.slot_stream` predicts it.  At delay 1 the power is skipped.
     """
+    delay = positive_int("delay", delay)
     alpha = window_joint(model, window_len)
     mass = alpha.sum(axis=1)
     kept = np.flatnonzero(mass > 0.0)
-    laws = (alpha[kept] / mass[kept, np.newaxis]) @ model.emission
+    beliefs = alpha[kept] / mass[kept, np.newaxis]
+    if delay > 1:
+        beliefs = beliefs @ np.linalg.matrix_power(model.transition, delay - 1)
+    laws = beliefs @ model.emission
     keys = window_keys(window_len)
     stats = {keys[w]: ErasureStats.from_outcome_probs(law)
              for w, law in zip(kept.tolist(), laws)}
@@ -499,10 +508,11 @@ def hidden_window_stats(
 
 
 def region_hidden_L(
-    model: ChannelModel, window_len: int, directions=None
+    model: ChannelModel, window_len: int, delay: int = 1, *, directions=None
 ) -> RateRegion:
-    """Rates supportable with policies conditioned on the last L feedback pairs."""
-    stats, weights = hidden_window_stats(model, window_len)
+    """Rates supportable with policies conditioned on the last L feedback
+    pairs, fed back ``delay`` slots late."""
+    stats, weights = hidden_window_stats(model, window_len, delay)
     return _knapsack_region("hidden_L", stats, weights)
 
 

@@ -9,7 +9,15 @@ import pytest
 from channel_docs import bursty, noisy
 from duocast.channel import cond_erasure_visible, load_channel, stationary_distribution
 from duocast.cli import _parse_policies, main
-from duocast.regions import region_minkowski, region_to_json
+from duocast.regions import (
+    RatePoint,
+    RateRegion,
+    RegionWitness,
+    diagonal_rate,
+    region_hidden_L,
+    region_minkowski,
+    region_to_json,
+)
 
 
 def write_channel(path) -> str:
@@ -92,6 +100,25 @@ class TestRegionCommand:
         assert rc == 0
         assert capsys.readouterr().out.startswith("r1,r2")
 
+    def test_hidden_kind_reads_the_delay(self, tmp_path, capsys):
+        # The window's feedback two slots late predicts the slot worse than
+        # one slot late, so the region's diagonal shrinks.
+        path = tmp_path / "hmm.json"
+        path.write_text(json.dumps(noisy()))
+        diagonal = {}
+        for delay in ("1", "2"):
+            rc = main(["region", "--channel", str(path), "--kind", "hidden",
+                       "--window-len", "3", "--delay", delay])
+            assert rc == 0
+            rows = capsys.readouterr().out.strip().splitlines()
+            assert rows[0] == "r1,r2"
+            points = [RatePoint(*map(float, row.split(","))) for row in rows[1:]]
+            witnesses = [RegionWitness(kind="hidden_L", parameters={})] * len(points)
+            diagonal[delay] = diagonal_rate(RateRegion("hidden_L", points, witnesses))
+        assert diagonal["2"] < diagonal["1"] - 1e-3
+        expected = diagonal_rate(region_hidden_L(load_channel(noisy()), 3, 2))
+        assert diagonal["2"] == pytest.approx(expected, abs=1e-9)
+
     def test_memoryless_kinds_nest(self, tmp_path, capsys):
         channel = write_channel(tmp_path / "ch.json")
         support = {}
@@ -110,7 +137,7 @@ class TestRegionCommand:
             (["--kind", "hidden", "--window-len", "9"], "window length"),
             (["--kind", "hidden", "--window-len", "-1"], "window length"),
             (["--kind", "visible", "--delay", "0"], "delay"),
-            (["--kind", "hidden", "--delay", "3"], "delay"),
+            (["--kind", "hidden", "--delay", "0"], "delay"),
             (["--kind", "memoryless-fb", "--delay", "3"], "--delay"),
             (["--kind", "memoryless-nofb", "--delay", "2"], "--delay"),
             (["--kind", "visible", "--window-len", "5"], "--window-len"),
@@ -190,6 +217,8 @@ class TestBadScenarioInput:
             ({"policy": {"kind": "maxweight", "action_set": ["A5"]}}, "policy.action_set"),
             ({"channel": {"states": 1, "emission": [1.0, 0, 0, 0]}}, "transition"),
             ({"engine": "packets", "movement_log": 5}, "movement_log"),
+            ({"horizn": 1000}, "horizn"),
+            ({"policy": {"kind": "maxweight", "actionset": "A2"}}, "policy.actionset"),
         ],
     )
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
@@ -201,6 +230,15 @@ class TestBadScenarioInput:
         err = capsys.readouterr().err
         assert err.startswith(f"duocast {command}: error: ")
         assert field in err
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_a_document_that_is_not_an_object(self, tmp_path, capsys, command):
+        scenario = tmp_path / "sc.json"
+        scenario.write_text("[1, 2]")
+        extra = ["--points", "0.1,0.1"] if command == "sweep" else []
+        assert main([command, str(scenario), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"duocast {command}: error: scenario must be an object")
 
 
 class TestSweepCommand:

@@ -24,6 +24,7 @@ from duocast.harness import (
     throughput_check,
 )
 from duocast.kernel import prediction_gap
+from duocast.regions import diagonal_rate, region_hidden_L
 
 
 def clean_channel() -> dict:
@@ -81,6 +82,31 @@ class TestScenario:
         assert Scenario.from_json(path) == scenario
 
     @pytest.mark.parametrize(
+        "doc, overrides, field",
+        [
+            ({"horizn": 1000}, {}, "'horizn'"),
+            ({"policy": {"kind": "maxweight"}, "Seed": 3}, {}, "'Seed'"),
+            ({}, {"delays": 2}, "'delays'"),
+            ({"horizon": None}, {}, "horizon"),
+            ({"rates": None}, {"horizon": 10}, "rates"),
+        ],
+    )
+    def test_from_json_names_an_unknown_or_missing_field(self, doc, overrides, field):
+        # A None entry drops that field from the base document.
+        base = {"channel": fair_channel(), "rates": [0.1, 0.1], "horizon": 100}
+        base.update(doc)
+        base = {k: v for k, v in base.items() if v is not None}
+        with pytest.raises(ValueError, match=re.escape(field)):
+            Scenario.from_json(base, **overrides)
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", '"scenario"', "null"])
+    def test_from_json_rejects_a_document_that_is_not_an_object(self, tmp_path, text):
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="scenario must be an object"):
+            Scenario.from_json(path)
+
+    @pytest.mark.parametrize(
         "kwargs",
         [
             {"rates": (1.2, 0.1)},
@@ -97,7 +123,7 @@ class TestScenario:
             {"policy": {"kind": "maxweight", "action_set": "A7"}},
             {"policy": {"kind": "per_state"}},
             {"policy": {"kind": "per_state"}, "engine": "packets", "visible": False},
-            {"policy": {"kind": "probabilistic"}, "visible": False, "delay": 2},
+            {"policy": {"kind": "maxweight", "actionset": "A2"}},
             {"rates": (0.1, 0.1, 0.1)},
             {"rates": 0.1},
             {"rates": ("0.1", 0.1)},
@@ -170,6 +196,18 @@ class TestScenario:
         )
         with pytest.raises(ValueError, match="outside"):
             run(scenario)
+
+    def test_hidden_probabilistic_target_is_checked_at_the_delay(self):
+        # A diagonal point between hidden_{2,2} and hidden_{2,1}: the tables
+        # are synthesized at the scenario's delay, so only delay 1 admits it.
+        model = load_channel(noisy())
+        r = 0.5 * (diagonal_rate(region_hidden_L(model, 2, 1))
+                   + diagonal_rate(region_hidden_L(model, 2, 2)))
+        scenario = Scenario(channel=noisy(), rates=(r, r), horizon=1000, visible=False,
+                            policy={"kind": "probabilistic", "window_len": 2})
+        run(scenario)
+        with pytest.raises(ValueError, match="outside the hidden_L region"):
+            run(replace(scenario, delay=2))
 
 
 class TestRunBasics:
@@ -503,6 +541,23 @@ class TestDelayMonotonicity:
             far = self._frontier(10, ray)
             assert far <= near
             assert far < near  # the gap is wide for this channel
+
+
+    def test_hidden_probabilistic_run_delivers_a_delay_two_target(self):
+        # Tables synthesized for the window fed back two slots late serve a
+        # target near the diagonal of hidden_{2,2}, past that of hidden_{2,3}.
+        model = load_channel(noisy())
+        edge = diagonal_rate(region_hidden_L(model, 2, 2))
+        assert diagonal_rate(region_hidden_L(model, 2, 3)) < 0.99 * edge
+        rate = 0.92 * 0.99 * edge
+        scenario = Scenario(channel=noisy(), rates=(rate, rate), horizon=400_000, seed=4,
+                            visible=False, delay=2,
+                            policy={"kind": "probabilistic", "target": [0.99 * edge] * 2,
+                                    "window_len": 2})
+        trace = run(scenario)
+        assert stability_verdict(trace).stable
+        for got in throughput_check(trace):
+            assert abs(got - rate) / rate <= 0.02
 
 
 class TestPredictionGap:

@@ -100,15 +100,17 @@ class TestEngineEquivalence:
         packets = run(replace(scenario, engine="packets"))
         assert_traces_identical(counts, packets)
 
-    def test_probabilistic_hidden_window_matches(self):
+    @pytest.mark.parametrize("delay", [1, 2])
+    def test_probabilistic_hidden_window_matches(self, delay):
         model = load_channel(noisy())
-        r = 0.85 * diagonal_rate(region_hidden_L(model, 2))
+        r = 0.85 * diagonal_rate(region_hidden_L(model, 2, delay))
         scenario = Scenario(
             channel=noisy(),
             rates=(r, r),
             horizon=3000,
             seed=13,
             visible=False,
+            delay=delay,
             policy={"kind": "probabilistic", "window_len": 2},
             stride=1,
             engine="counts",
@@ -116,6 +118,7 @@ class TestEngineEquivalence:
         counts = run(scenario)
         packets = run(replace(scenario, engine="packets"))
         assert_traces_identical(counts, packets)
+        assert packets.audit_passed is True
 
     def test_multiple_seeds_still_agree(self):
         for seed in (0, 1, 2):
@@ -584,12 +587,9 @@ def _counts_case(name, delay):
     doc = bursty() if visible else noisy()
     policy = {"kind": "probabilistic", "target": [0.2, 0.2]}
     if not visible:
-        # The window tables do not depend on the delay; hidden scenarios only
-        # admit delay 1, so build them there.
         policy["window_len"] = 2
     scenario = Scenario(channel=doc, rates=(0.15, 0.15), horizon=10,
-                        seed=0, visible=visible, delay=delay if visible else 1,
-                        policy=policy)
+                        seed=0, visible=visible, delay=delay, policy=policy)
     model = scenario.model()
     tables = _probabilistic_tables(scenario, model)
     return dict(model=model, rates=(0.15, 0.15), visible=visible,

@@ -386,6 +386,76 @@ class TestHiddenRegion:
         for hidden in ladder.values():
             vertices_inside(hidden, visible)
 
+    @pytest.fixture(scope="class")
+    def delay_ladder(self):
+        model = noisy_model()
+        return {(L, D): region_hidden_L(model, L, D) for L in range(6) for D in range(1, 5)}
+
+    def test_delay_ladder_nests(self, ge_model, delay_ladder):
+        # hidden_{L,D}: the last L pairs fed back D slots late.  On this
+        # channel it grows with L, shrinks with D and lies inside visible_D.
+        pi = stationary_distribution(ge_model)
+        for D in range(1, 5):
+            visible = region_visible(stats_for(ge_model, D), pi)
+            for L in range(6):
+                vertices_inside(delay_ladder[L, D], visible)
+                if L < 5:
+                    vertices_inside(delay_ladder[L, D], delay_ladder[L + 1, D])
+                if D < 4:
+                    vertices_inside(delay_ladder[L, D + 1], delay_ladder[L, D])
+            # No window, no information: the stationary average at any delay.
+            assert hausdorff_distance(delay_ladder[0, D], delay_ladder[0, 1]) < 1e-9
+
+    def test_delay_ladder_diagonals(self, ge_model, delay_ladder):
+        pi = stationary_distribution(ge_model)
+        visible = [diagonal_rate(region_visible(stats_for(ge_model, D), pi))
+                   for D in (1, 2, 4)]
+        hidden = [[diagonal_rate(delay_ladder[L, D]) for L in (1, 3, 5)] for D in (1, 2, 4)]
+        np.testing.assert_allclose(visible, [0.30451, 0.28950, 0.27215], rtol=0, atol=5e-6)
+        np.testing.assert_allclose(hidden, [[0.28561, 0.29157, 0.29184],
+                                            [0.27652, 0.28115, 0.28139],
+                                            [0.26587, 0.26854, 0.26866]], rtol=0, atol=5e-6)
+
+    @pytest.mark.parametrize("n", (2, 3, 4))
+    def test_delay_ladder_on_random_chains(self, n):
+        # What holds on every chain: growth in L, visible_{D+1} inside
+        # visible_D, hidden_{L,D} inside visible_D, and hidden_{L,D+1} inside
+        # hidden_{L+1,D}, because the later window is the oldest L pairs of
+        # the earlier one.
+        rng = np.random.default_rng(90 + n)
+        for model in (random_model(rng, n) for _ in range(3)):
+            pi = stationary_distribution(model)
+            visible = {D: region_visible(stats_for(model, D), pi) for D in range(1, 5)}
+            ladder = {(L, D): region_hidden_L(model, L, D)
+                      for L in range(6) for D in range(1, 5)}
+            for D in range(1, 5):
+                if D < 4:
+                    vertices_inside(visible[D + 1], visible[D])
+                for L in range(6):
+                    vertices_inside(ladder[L, D], visible[D])
+                    if L < 5:
+                        vertices_inside(ladder[L, D], ladder[L + 1, D])
+                        if D < 4:
+                            vertices_inside(ladder[L, D + 1], ladder[L + 1, D])
+                assert hausdorff_distance(ladder[0, D], ladder[0, 1]) < 1e-9
+
+    def test_a_longer_delay_can_grow_a_fixed_window(self):
+        # At a fixed L, the pair fed back two slots late is not a garbling of
+        # the pair fed back one slot late: on this chain hidden_{1,2} reaches
+        # 1e-3 past hidden_{1,1} in some direction.
+        model = random_model(np.random.default_rng(9), 3)
+        near, far = region_hidden_L(model, 1, 1), region_hidden_L(model, 1, 2)
+        theta = np.linspace(0.0, math.pi / 2, 2001)
+        gap = max(far.support(c, s) - near.support(c, s)
+                  for c, s in zip(np.cos(theta), np.sin(theta)))
+        assert gap > 1e-3
+        vertices_inside(far, region_hidden_L(model, 2, 1))
+
+    def test_delay_guard(self, ge_model):
+        for bad in (0, -1, 1.5, True):
+            with pytest.raises(ValueError, match="delay"):
+                region_hidden_L(ge_model, 2, bad)
+
     def test_window_length_guard(self, ge_model):
         with pytest.raises(ValueError, match="window length"):
             region_hidden_L(ge_model, 9)
