@@ -419,8 +419,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        # Bad input found past argparse: report it the way argparse does.
+    except (ValueError, OSError) as exc:
+        # Bad input found past argparse, or a file that cannot be read or
+        # written: report it the way argparse does.
         print(f"duocast {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,16 +7,17 @@ tracks queue lengths only, and a reference packets engine (`queuenet` +
 audit.  Both read `kernel.slot_stream`, which simulates the channel and what
 the transmitter observes; each engine only decides and moves, so a scenario
 produces the identical trace under either engine.  The probabilistic
-policy's tables are synthesized once per run here, and both engines read
-its per-chunk draw, `kernel.probabilistic_draws`.  Both return a
-`kernel.SimTrace`, re-exported here.
+policy's tables and the per_state policy's arrival shares are made once per
+run here; both engines read the one per-chunk draw,
+`kernel.probabilistic_draws`, and the one arrival routing,
+`kernel.arrival_routes`.  Both return a `kernel.SimTrace`, re-exported
+here.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from bisect import bisect_right
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -89,11 +90,12 @@ class Scenario:
     ``channel`` is a `load_channel` document.  ``policy`` is one of
     {"kind": "maxweight", "action_set": "A2"|"A3"|"A5"},
     {"kind": "probabilistic", "target": [r1, r2], "window_len": L} (L with
-    hidden state only), or {"kind": "per_state"} (visible state, packets
-    engine only).  A policy key its kind never reads is rejected.  Every
-    policy sees the feedback (and on a visible model the state) ``delay``
-    slots late, and the probabilistic tables are synthesized for that
-    delay.
+    hidden state only), or {"kind": "per_state"} (visible state only).  A
+    policy key its kind never reads is rejected.  Every policy sees the
+    feedback (and on a visible model the state) ``delay`` slots late, and
+    the probabilistic tables and per-state split are made for that delay.
+    ``movement_log`` is a JSONL file of each slot's moves, which only the
+    packets engine writes.
     """
 
     channel: dict
@@ -121,6 +123,9 @@ class Scenario:
                 self.movement_log, (str, os.PathLike)):
             raise ValueError(f"movement_log must be a file path, got "
                              f"{self.movement_log!r}")
+        if self.movement_log is not None and self.engine != "packets":
+            raise ValueError("movement_log is written only by the packets engine, "
+                             f"got engine {self.engine!r}")
         if not isinstance(self.policy, dict):
             raise ValueError(f"policy must be an object with a kind, got {self.policy!r}")
         kind = self.policy.get("kind")
@@ -144,11 +149,8 @@ class Scenario:
                 check_window_len(self.policy.get("window_len", 1))
             except ValueError as err:
                 raise ValueError(f"policy.{err}") from None
-        elif kind == "per_state":
-            if self.engine != "packets":
-                raise ValueError("per_state policy needs the packets engine")
-            if not self.visible:
-                raise ValueError("per_state policy needs a visible state")
+        elif kind == "per_state" and not self.visible:
+            raise ValueError("per_state policy needs a visible state")
 
     def model(self) -> ChannelModel:
         return load_channel(self.channel)
@@ -354,23 +356,7 @@ def per_state_split(
     return SplitAllocation(x=x, y=y, margin=float(sol.value))
 
 
-def _arrival_bins(shares: np.ndarray, rate: float) -> np.ndarray:
-    """Cumulative coin thresholds that route an arrival coin u < rate."""
-
-    total = float(shares.sum())
-    if total <= 1e-15 or rate <= 0.0:
-        n = len(shares)
-        return rate * np.arange(1, n + 1) / n
-    return rate * np.cumsum(shares) / total
-
-
 # -- engines -------------------------------------------------------------------
-
-
-def _route(bins: list[float], u: float, n_states: int) -> int:
-    """Subsystem of an arrival coin ``u``: ``searchsorted(bins, u, "right")``."""
-
-    return min(bisect_right(bins, u), n_states - 1)
 
 
 def _totals(nets: Sequence[QueueNetwork]) -> list[int]:
@@ -387,9 +373,9 @@ def _totals(nets: Sequence[QueueNetwork]) -> list[int]:
 
 
 def _run_packets(scenario: Scenario, model: ChannelModel, stride: int,
-                 tables: _ProbTables | None) -> SimTrace:
+                 tables: _ProbTables | None,
+                 shares: tuple[np.ndarray, np.ndarray] | None) -> SimTrace:
     horizon, delay, visible = scenario.horizon, scenario.delay, scenario.visible
-    n_states = model.num_states
     policy = scenario.policy
     kind = policy["kind"]
     action_set = policy.get("action_set", "A5")
@@ -400,15 +386,7 @@ def _run_packets(scenario: Scenario, model: ChannelModel, stride: int,
         action_cdf, ratios = kernel.probabilistic_tables(
             model, visible, tables.window_len, tables.action_table, tables.ratio_table)
 
-    nets: dict[int, QueueNetwork]
-    if per_state:
-        split = per_state_split(model, scenario.rates, delay)
-        bins1 = _arrival_bins(split.x, scenario.rates[0]).tolist()
-        bins2 = _arrival_bins(split.y, scenario.rates[1]).tolist()
-        nets = {s: QueueNetwork() for s in range(n_states)}
-    else:
-        bins1 = bins2 = []
-        nets = {0: QueueNetwork()}
+    nets = {s: QueueNetwork() for s in range(model.num_states if per_state else 1)}
     net = nets[0]
     net_list = list(nets.values())
 
@@ -428,6 +406,8 @@ def _run_packets(scenario: Scenario, model: ChannelModel, stride: int,
             if probabilistic:
                 actions, coins = (draw.tolist() for draw in kernel.probabilistic_draws(
                     rows, keys, action_cdf, ratios))
+            if per_state:
+                routes = kernel.arrival_routes(rows, scenario.rates, shares).tolist()
             for i, ((u1, u2), zi, obs_key) in enumerate(
                     zip(rows[:, :2].tolist(), zis.tolist(), keys.tolist())):
                 t = t0 + i
@@ -460,10 +440,10 @@ def _run_packets(scenario: Scenario, model: ChannelModel, stride: int,
                     )
 
                 if u1 < r1:
-                    target = nets[_route(bins1, u1, n_states)] if per_state else net
+                    target = nets[routes[i][0]] if per_state else net
                     target.new_arrival(1)
                 if u2 < r2:
-                    target = nets[_route(bins2, u2, n_states)] if per_state else net
+                    target = nets[routes[i][1]] if per_state else net
                     target.new_arrival(2)
 
                 if (t + 1) % stride == 0:
@@ -488,13 +468,19 @@ def run(scenario: Scenario) -> SimTrace:
     stride = kernel.record_stride(scenario.horizon, scenario.stride)
     kind = scenario.policy["kind"]
     tables = _probabilistic_tables(scenario, model) if kind == "probabilistic" else None
+    shares = None
+    if kind == "per_state":
+        split = per_state_split(model, scenario.rates, scenario.delay)
+        shares = (split.x, split.y)
     if scenario.engine == "packets":
-        trace = _run_packets(scenario, model, stride, tables)
+        trace = _run_packets(scenario, model, stride, tables, shares)
     else:
         if tables is not None:
             policy_args = dict(action_table=tables.action_table,
                                ratio_table=tables.ratio_table,
                                window_len=tables.window_len)
+        elif shares is not None:
+            policy_args = dict(shares=shares)
         else:
             policy_args = dict(action_set=scenario.policy.get("action_set", "A5"))
         trace = kernel.run_counts(
@@ -545,9 +531,14 @@ def sweep(
     """Stability map over a grid of rate points times policies.
 
     ``workers`` processes run the jobs, at most one per CPU; 1 runs them here.
+    A template with a ``movement_log`` is rejected, as every job would write
+    that one file.
     """
 
     workers = min(kernel.positive_int("workers", workers), os.cpu_count() or 1)
+    if template.movement_log is not None:
+        raise ValueError("sweep writes no movement_log: every job would write the "
+                         f"template's one path {os.fspath(template.movement_log)!r}")
     policy_list = list(policies) if policies else [template.policy]
     jobs = [
         replace(template, rates=(float(r1), float(r2)), policy=policy)

@@ -10,10 +10,14 @@ tracks queue lengths only, for long stability runs, and the packets engine
 in `harness` moves identified packets through `queuenet`.  Both return a
 `SimTrace`, built by `SimTrace.from_rows`, and their traces match slot for
 slot, which is tested.  The probabilistic policy reads the stream alone,
-so both engines read its one draw, `probabilistic_draws`.  The
-windowed-prediction diagnostics `forgetting_check` and `prediction_gap` read
-the same stream and fold its outcomes with the same `_fold`, so the channel
-is sampled and filtered only here.
+so both engines read its one draw, `probabilistic_draws`, and for the
+same reason one per_state arrival routing, `arrival_routes`.  The counts
+loop runs per_state as one max-weight pass per state, each over its own
+copy of the stream in which the other states' slots and arrivals are
+masked out (`_served`).  The windowed-prediction diagnostics
+`forgetting_check` and `prediction_gap` read the same stream and fold its
+outcomes with the same `_fold`, so the channel is sampled and filtered
+only here.
 
 Both the stream and the counts loop `_count` work a chunk of CHUNK_SLOTS
 slots at a time.  Whatever does not depend on the queues is done per chunk
@@ -38,6 +42,8 @@ loop, so every step is exact:
 - the probabilistic draw (`probabilistic_draws`): each slot's action (the
   leading run of cdf entries the action draw reaches) and its twelve link
   coins as a bit mask, all comparisons of draws with tables;
+- the per_state routing (`arrival_routes`): each arrival coin's state, a
+  searchsorted in its receiver's bins;
 - in the counts loop, the arrival bits and under max-weight the five
   factors of each row's weights (1 - eps1, eps1 - eps12, ...), one
   subtraction each.
@@ -83,6 +89,7 @@ __all__ = [
     "RNG_COLUMNS",
     "CHUNK_SLOTS",
     "SimTrace",
+    "arrival_routes",
     "flag",
     "forgetting_check",
     "jit_enabled",
@@ -332,8 +339,6 @@ def _window_gap(model, window_len, trace_len, seed, project):
     half the L1 norm of its difference from the full-history belief,
     projected by ``project`` when given.
     """
-    if (model.emission <= 0).any():
-        raise ValueError("the windowed filter requires strictly positive emissions")
     window_len = positive_int("window_len", window_len)
     n = model.num_states
     stream = slot_stream(model, seed=seed, horizon=trace_len, visible=False, delay=1)
@@ -404,6 +409,48 @@ def probabilistic_draws(rows: np.ndarray, keys: np.ndarray, action_cdf: np.ndarr
     run = np.cumprod(rows[:, 4:5] >= cdf[:, :5], axis=1).sum(axis=1)
     coins = ((rows[:, 5:] < ratios) << _COIN_SHIFTS).sum(axis=1)
     return np.where(seen, run, 0), coins
+
+
+def _arrival_bins(shares: np.ndarray, rate: float) -> np.ndarray:
+    """Cumulative coin thresholds that route an arrival coin u < rate."""
+
+    total = float(shares.sum())
+    if total <= 1e-15 or rate <= 0.0:
+        n = len(shares)
+        return rate * np.arange(1, n + 1) / n
+    return rate * np.cumsum(shares) / total
+
+
+def arrival_routes(rows: np.ndarray, rates: tuple[float, float],
+                   shares: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Each slot's per-state subsystem for both arrival coins, for one chunk.
+
+    Column j - 1 routes receiver j's coin, ``rows[:, j - 1]``, to
+    ``min(searchsorted(bins, u, "right"), n - 1)``, the bins cutting
+    [0, rates[j - 1]) in proportion to the n entries of ``shares[j - 1]``.
+    Only a coin below its rate is an arrival, so only its route counts.
+    """
+
+    return np.minimum(np.stack(
+        [np.searchsorted(_arrival_bins(share, rate), rows[:, j], "right")
+         for j, (share, rate) in enumerate(zip(shares, rates))], axis=1),
+        len(shares[0]) - 1)
+
+
+def _served(stream, s, rates, shares):
+    """``stream`` as per-state subsystem ``s`` sees it, for a max-weight pass.
+
+    A slot whose observed state is not ``s`` reads an appended all-erased
+    row (1, 1, 1): its max-weight factors are all 0.0, so every weight is
+    0.0 and the subsystem idles.  An arrival coin routed to another state
+    becomes 1.0, which no rate exceeds.
+    """
+
+    for t0, rows, zis, keys, (table, at) in stream:
+        mine = arrival_routes(rows, rates, shares) == s
+        rows[:, :2] = np.where(mine, rows[:, :2], 1.0)
+        yield t0, rows, zis, keys, (np.vstack((table, np.ones(3))),
+                                    np.where(keys == s, at, len(table)))
 
 
 def _count(stream, amax, action_cdf, ratios, rates, stride, record):
@@ -641,15 +688,22 @@ def run_counts(
     action_table: np.ndarray | None = None,
     ratio_table: np.ndarray | None = None,
     window_len: int = 0,
+    shares: tuple[np.ndarray, np.ndarray] | None = None,
     stride: int | None = None,
 ) -> SimTrace:
     """Simulate the queue counts of a coding scheme over `horizon` slots.
 
-    ``policy`` is "maxweight" (with ``action_set``) or "probabilistic" (with
+    ``policy`` is "maxweight" (with ``action_set``), "probabilistic" (with
     ``action_table`` rows indexed by observation key and ``ratio_table`` of
-    per-link activation probabilities).  For a hidden model, the observation
-    key of the probabilistic policy is the base-4 code of the last
-    ``window_len`` feedback pairs, oldest pair in the highest digit.
+    per-link activation probabilities) or "per_state" (with ``shares``).
+    For a hidden model, the observation key of the probabilistic policy is
+    the base-4 code of the last ``window_len`` feedback pairs, oldest pair
+    in the highest digit.  per_state needs a visible model: it runs one A3
+    max-weight subsystem per state, served when the observed state is its
+    own, and ``shares`` holds each state's share of receiver 1's and 2's
+    arrivals, routed by `arrival_routes`.  Each subsystem is one pass of the
+    counts loop over its own copy of the stream, drawn from the same seed,
+    and the passes' counts are summed.
     """
 
     rates = rate_pair("rates", rates)
@@ -657,7 +711,7 @@ def run_counts(
     horizon = positive_int("horizon", horizon)
     visible = flag("visible", visible)
     delay = positive_int("delay", delay)
-    if policy not in ("maxweight", "probabilistic"):
+    if policy not in ("maxweight", "probabilistic", "per_state"):
         raise ValueError(f"unknown policy {policy!r}")
     if action_set not in ACTION_SETS:
         raise ValueError(
@@ -665,7 +719,14 @@ def run_counts(
     window_len = check_window_len(window_len)
     stride = record_stride(horizon, stride)
 
-    maxweight = policy == "maxweight"
+    per_state = policy == "per_state"
+    if per_state:
+        shares = _per_state_shares(model, visible, action_table, ratio_table,
+                                   window_len, shares)
+        action_set = "A3"
+    elif shares is not None:
+        raise ValueError(f"shares are read only by the per_state policy, not {policy}")
+    maxweight = policy != "probabilistic"
     action_cdf = ratios = None
     if maxweight:
         window_len = 0  # max-weight decides on the belief, never a window
@@ -673,12 +734,41 @@ def run_counts(
         action_cdf, ratios = probabilistic_tables(model, visible, window_len,
                                                   action_table, ratio_table)
 
+    def stream():
+        return slot_stream(model, seed=seed, horizon=horizon, visible=visible,
+                           delay=delay, window_len=window_len, predict=maxweight)
+
+    passes = ([_served(stream(), s, rates, shares) for s in range(model.num_states)]
+              if per_state else [stream()])
     record = np.zeros((horizon // stride, 10), dtype=np.int64)
-    stream = slot_stream(model, seed=seed, horizon=horizon, visible=visible,
-                         delay=delay, window_len=window_len, predict=maxweight)
-    end, rows = _count(
-        stream, max(ACTION_SETS[action_set]), action_cdf, ratios, rates, stride, record)
+    end = np.zeros(10, dtype=np.int64)
+    for part in passes:
+        counts = np.zeros_like(record)
+        part_end, rows = _count(part, max(ACTION_SETS[action_set]), action_cdf, ratios,
+                                rates, stride, counts)
+        record += counts
+        end += part_end
     if sum(end[6:8]) != sum(end[:6]) + sum(end[8:]):
         raise AssertionError("conservation violated in counts kernel")
     return SimTrace.from_rows(horizon, stride, record[:rows], end)
 
+
+def _per_state_shares(model, visible, action_table, ratio_table, window_len, shares):
+    """The per_state policy's arrival shares, checked: two rows of n numbers >= 0."""
+
+    if not visible:
+        raise ValueError("per_state policy needs a visible model, got visible=False")
+    for name, value in (("action_table", action_table), ("ratio_table", ratio_table),
+                        ("window_len", window_len or None)):
+        if value is not None:
+            raise ValueError(f"{name} is not read by the per_state policy")
+    if shares is None:
+        raise ValueError("per_state policy needs shares, one row per receiver")
+    try:
+        arr = np.asarray(shares, dtype=float)
+    except (TypeError, ValueError):
+        arr = np.empty(0)
+    if arr.shape != (2, model.num_states) or not (np.isfinite(arr) & (arr >= 0.0)).all():
+        raise ValueError(f"shares must be two rows of {model.num_states} nonnegative "
+                         f"numbers, one per state, got {shares!r}")
+    return arr

@@ -241,6 +241,20 @@ class TestBadScenarioInput:
         assert err.startswith(f"duocast {command}: error: scenario must be an object")
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "{missing}"],
+    ["sweep", "{missing}", "--points", "0.1,0.1"],
+    ["region", "--channel", "{missing}", "--kind", "visible"],
+])
+def test_a_missing_file_fails_fast(tmp_path, capsys, argv):
+    missing = str(tmp_path / "missing.json")
+    assert main([arg.format(missing=missing) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"duocast {argv[0]}: error: ")
+    assert missing in captured.err
+
+
 class TestSweepCommand:
     def test_points_to_csv(self, tmp_path):
         scenario = write_scenario(tmp_path / "sc.json")
@@ -318,6 +332,16 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.startswith("duocast sweep: error: ")
         assert field in err
+
+    def test_a_movement_log_fails_fast(self, tmp_path, capsys):
+        log = tmp_path / "moves.jsonl"
+        scenario = write_scenario(tmp_path / "sc.json", horizon=1000, engine="packets",
+                                  movement_log=str(log))
+        assert main(["sweep", scenario, "--points", "0.1,0.1", "0.2,0.2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("duocast sweep: error: ")
+        assert "movement_log" in err
+        assert not log.exists()
 
     def test_policy_labels_parse(self):
         parsed = _parse_policies("maxweight:A3,maxweight,probabilistic,per_state")

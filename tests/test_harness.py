@@ -2,6 +2,7 @@
 
 import json
 import re
+from bisect import bisect_right
 from dataclasses import replace
 
 import numpy as np
@@ -9,13 +10,16 @@ import pytest
 
 from channel_docs import alternating, bursty, noisy
 from duocast import harness
-from duocast.channel import MAX_WINDOW_LEN, load_channel
+from duocast.channel import (
+    MAX_WINDOW_LEN,
+    load_channel,
+    stationary_distribution,
+    visible_stats,
+)
 from duocast.harness import (
     Scenario,
     SimTrace,
     StabilityVerdict,
-    _arrival_bins,
-    _route,
     per_state_split,
     run,
     stability_verdict,
@@ -23,8 +27,9 @@ from duocast.harness import (
     sweep_to_csv,
     throughput_check,
 )
-from duocast.kernel import prediction_gap
-from duocast.regions import diagonal_rate, region_hidden_L
+from duocast.kernel import _arrival_bins, arrival_routes, prediction_gap
+from duocast.regions import diagonal_rate, region_hidden_L, region_minkowski
+from window_fold import filter_bank_gap, stream_outcomes
 
 
 def clean_channel() -> dict:
@@ -121,7 +126,7 @@ class TestScenario:
             {"stride": 2.5},
             {"policy": {"kind": "greedy"}},
             {"policy": {"kind": "maxweight", "action_set": "A7"}},
-            {"policy": {"kind": "per_state"}},
+            {"movement_log": "m.jsonl"},
             {"policy": {"kind": "per_state"}, "engine": "packets", "visible": False},
             {"policy": {"kind": "maxweight", "actionset": "A2"}},
             {"rates": (0.1, 0.1, 0.1)},
@@ -407,6 +412,15 @@ class TestSweep:
         assert sweep(template, [(0.1, 0.1)], workers=1) == serial
         assert pools == []
 
+    def test_sweep_rejects_a_movement_log(self, tmp_path):
+        # Every job would write the one path.
+        path = tmp_path / "moves.jsonl"
+        template = Scenario(channel=fair_channel(), rates=(0.1, 0.1), horizon=1000,
+                            engine="packets", movement_log=path)
+        with pytest.raises(ValueError, match="movement_log"):
+            sweep(template, [(0.1, 0.1), (0.2, 0.2)])
+        assert not path.exists()
+
     @pytest.mark.parametrize("workers", [0, -3, 1.5, True, "2"])
     def test_sweep_rejects_bad_workers(self, workers):
         template = Scenario(channel=fair_channel(), rates=(0.1, 0.1), horizon=1000)
@@ -436,17 +450,40 @@ class TestPerState:
         uniform = _arrival_bins(np.zeros(4), 0.4)
         np.testing.assert_allclose(uniform, [0.1, 0.2, 0.3, 0.4])
 
-    def test_bisect_routing_matches_searchsorted(self):
+    def test_routing_matches_the_scalar_bisect(self):
+        # The oracle: bisect_right over the bins as a list, capped at n - 1,
+        # one coin at a time, for both receivers and split and even shares.
         model = load_channel(bursty())
         n = model.num_states
         split = per_state_split(model, (0.15, 0.15))
         rng = np.random.default_rng(4)
-        for bins in (_arrival_bins(split.x, 0.15), _arrival_bins(np.zeros(n), 0.2)):
-            as_list = bins.tolist()
-            coins = np.concatenate([rng.random(10_000), bins, np.nextafter(bins, 0)])
-            for u in coins.tolist():
-                expected = min(int(np.searchsorted(bins, u, side="right")), n - 1)
-                assert _route(as_list, u, n) == expected
+        for rates, shares in (((0.15, 0.15), (split.x, split.y)),
+                              ((0.2, 0.1), (np.zeros(n), split.y))):
+            bins = [_arrival_bins(share, rate) for share, rate in zip(shares, rates)]
+            coins = np.concatenate([rng.random((10_000, 2)),
+                                    np.transpose(bins),
+                                    np.nextafter(np.transpose(bins), 0)])
+            routes = arrival_routes(coins, rates, shares).tolist()
+            for j in (0, 1):
+                as_list = bins[j].tolist()
+                for u, route in zip(coins[:, j].tolist(), routes):
+                    assert route[j] == min(bisect_right(as_list, u), n - 1)
+
+    def test_counts_run_of_a_million_slots_meets_the_minkowski_diagonal(self):
+        # Each state's subsystem serves a share of the arrivals, so the
+        # per-state scheme's region is the Minkowski sum of the per-state
+        # regions; 1e6 slots on the counts engine tell 5% inside its diagonal
+        # from 5% outside.
+        model = load_channel(bursty())
+        edge = diagonal_rate(region_minkowski(visible_stats(model, 1),
+                                              stationary_distribution(model)))
+        assert edge == pytest.approx(0.3236770, abs=1e-7)
+        verdicts = [stability_verdict(run(Scenario(
+            channel=bursty(), rates=(scale * edge, scale * edge), horizon=1_000_000,
+            seed=4, policy={"kind": "per_state"}))) for scale in (0.95, 1.05)]
+        assert verdicts[0].stable
+        assert not verdicts[1].stable
+        assert verdicts[1].final_backlog_over_n > 1e-2
 
     def test_per_state_run_is_stable_inside(self):
         scenario = Scenario(
@@ -572,10 +609,18 @@ class TestPredictionGap:
         long = prediction_gap(model, window_len=8, horizon=2000, seed=4)
         assert long <= short + 1e-9
 
-    def test_requires_positive_emissions(self):
-        model = load_channel(alternating())
-        with pytest.raises(ValueError, match="positive"):
-            prediction_gap(model, window_len=2, horizon=100, seed=0)
+    def test_zero_emissions_match_the_filter_bank(self):
+        # A window that occurred has positive probability, zero emissions or
+        # not; here one feedback pair names the state, so the gap is 0 up to
+        # rounding.
+        for doc in (alternating(), bursty()):
+            model = load_channel(doc)
+            assert (model.emission == 0).any()
+            pairs = stream_outcomes(model, 400, 7)
+            for L in (1, 3, 6):
+                gap = prediction_gap(model, L, 400, 7)
+                oracle = filter_bank_gap(model, L, pairs, model.emission)
+                assert abs(gap - oracle) <= 1e-15
 
     def test_bad_args(self):
         model = load_channel(noisy())

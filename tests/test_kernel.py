@@ -38,6 +38,14 @@ def assert_traces_identical(a, b):
     assert np.array_equal(a.times, b.times)
 
 
+def three_state_chain() -> dict:
+    """A seeded three-state chain with a visible state, as a channel document."""
+
+    model = lp_corpus._random_chain(np.random.default_rng(5), 3)
+    return {"states": 3, "transition": model.transition.tolist(),
+            "emission": model.emission.tolist()}
+
+
 class TestEngineEquivalence:
     """Both engines consume the same randomness and must agree exactly."""
 
@@ -119,6 +127,25 @@ class TestEngineEquivalence:
         packets = run(replace(scenario, engine="packets"))
         assert_traces_identical(counts, packets)
         assert packets.audit_passed is True
+
+    @pytest.mark.parametrize("channel,delay,rates", [
+        (bursty(), 1, (0.15, 0.15)),
+        (bursty(), 2, (0.12, 0.14)),
+        (bursty(), 3, (0.16, 0.13)),
+        (three_state_chain(), 1, (0.12, 0.12)),
+    ])
+    def test_per_state_counts_match_packets(self, channel, delay, rates):
+        # Both engines route arrivals by one helper, kernel.arrival_routes;
+        # TestPerState in tests/test_harness.py checks it against a scalar
+        # bisect.
+        for seed in (0, 1, 2):
+            base = Scenario(channel=channel, rates=rates, horizon=2000, seed=seed,
+                            delay=delay, policy={"kind": "per_state"}, stride=1)
+            counts = run(base)
+            packets = run(replace(base, engine="packets"))
+            assert_traces_identical(counts, packets)
+            assert packets.audit_passed is True
+            assert counts.exits.min() > 0
 
     def test_multiple_seeds_still_agree(self):
         for seed in (0, 1, 2):
@@ -259,6 +286,29 @@ class TestKernelValidation:
     def test_bad_stride(self):
         with pytest.raises(ValueError):
             run_counts(self.model, rates=(0.1, 0.1), horizon=10, seed=0, stride=0)
+
+    @pytest.mark.parametrize("kwargs,field", [
+        (dict(policy="maxweight", shares=([1.0], [1.0])), "shares"),
+        (dict(policy="probabilistic", shares=([1.0], [1.0]),
+              action_table=np.full((1, 6), 1 / 6), ratio_table=np.zeros((2, 6))),
+         "shares"),
+        (dict(policy="per_state"), "shares"),
+        (dict(policy="per_state", shares=([1.0], [1.0]), visible=False), "visible"),
+        (dict(policy="per_state", shares=([1.0], [1.0]),
+              action_table=np.full((1, 6), 1 / 6)), "action_table"),
+        (dict(policy="per_state", shares=([1.0], [1.0]), ratio_table=np.zeros((2, 6))),
+         "ratio_table"),
+        (dict(policy="per_state", shares=([1.0], [1.0]), window_len=2), "window_len"),
+        (dict(policy="per_state", shares=([1.0, 0.0], [1.0, 0.0])), "shares"),
+        (dict(policy="per_state", shares=([1.0], [1.0], [1.0])), "shares"),
+        (dict(policy="per_state", shares=([-0.1], [1.0])), "shares"),
+        (dict(policy="per_state", shares=([np.nan], [1.0])), "shares"),
+        (dict(policy="per_state", shares=([1.0], [1.0, 2.0])), "shares"),
+        (dict(policy="per_state", shares="ab"), "shares"),
+    ])
+    def test_per_state_fields_are_named(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            run_counts(self.model, rates=(0.1, 0.1), horizon=10, seed=0, **kwargs)
 
     def test_unknown_action_set_names_the_field(self):
         with pytest.raises(ValueError, match="action_set"):
@@ -583,6 +633,11 @@ def _counts_case(name, delay):
     if name == "hidden_mw_3_states":
         return dict(model=lp_corpus._random_chain(np.random.default_rng(3), 3),
                     rates=(0.15, 0.15), visible=False)
+    if name == "per_state":
+        model = load_channel(bursty())
+        split = harness.per_state_split(model, (0.15, 0.15), delay)
+        return dict(model=model, rates=(0.15, 0.15), policy="per_state",
+                    shares=(split.x, split.y))
     visible = name == "prob_visible"
     doc = bursty() if visible else noisy()
     policy = {"kind": "probabilistic", "target": [0.2, 0.2]}
@@ -600,13 +655,13 @@ def _counts_case(name, delay):
 class TestChunkInvariance:
     """Where the stream cuts its chunks cannot change a trace."""
 
-    # Each kernel path at delays 1 and 3, and the fold of a three-state chain
-    # (noisy() has four states) at delay 2.
+    # Each kernel path at delays 1 and 3, the fold of a three-state chain
+    # (noisy() has four states) and the per-state passes at delay 2.
     @pytest.mark.parametrize("name,delay", [
         (name, delay)
         for name in ("visible_mw", "hidden_mw", "prob_visible", "prob_hidden")
         for delay in (1, 3)
-    ] + [("hidden_mw_3_states", 2)])
+    ] + [("hidden_mw_3_states", 2), ("per_state", 2)])
     def test_counts_equal_for_every_chunk_length(self, monkeypatch, name, delay):
         case = _counts_case(name, delay)
         model = case.pop("model")
@@ -811,6 +866,19 @@ class TestTraceCorpus:
                 if bitwise:
                     assert trace_corpus.entry(trace) == doc["groups"][group][name], \
                         (group, name)
+
+    @pytest.mark.parametrize("name", ["per_state_d1", "per_state_d2"])
+    def test_per_state_counts_reproduce_the_packets_digests(self, name):
+        # Only the packet engine runs the decodability audit.
+        doc = json.loads(trace_corpus.CORPUS_PATH.read_text())
+        scenario = trace_corpus.corpus()["packets"][name]
+        trace = run(replace(scenario, engine="counts"))
+        assert trace.audit_passed is None
+        if lp_corpus.compares_bits(doc["environment"]):
+            pinned = doc["groups"]["packets"][name]
+            got = trace_corpus.entry(trace)
+            for field in trace_corpus.FIELDS[:-1]:
+                assert got[field] == pinned[field], field
 
     def test_movement_logs_reproduce_the_recorded_digests(self, tmp_path):
         doc = json.loads(trace_corpus.CORPUS_PATH.read_text())
