@@ -21,6 +21,7 @@ from .channel import (
     visible_stats,
 )
 from .harness import (
+    POLICY_LABELS,
     Scenario,
     run,
     stability_verdict,
@@ -157,23 +158,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _parse_policies(labels: str | None) -> list[dict] | None:
+    """The policies a --policies list names, each label a key of `POLICY_LABELS`."""
+
     if not labels:
         return None
-    policies = []
-    for label in labels.split(","):
-        label = label.strip()
-        if label.startswith("maxweight"):
-            _, _, action_set = label.partition(":")
-            policies.append(
-                {"kind": "maxweight", "action_set": action_set or "A5"}
-            )
-        elif label == "probabilistic":
-            policies.append({"kind": "probabilistic"})
-        elif label == "per_state":
-            policies.append({"kind": "per_state"})
-        else:
-            raise ValueError(f"unknown policy label {label!r}")
-    return policies
+    names = [label.strip() for label in labels.split(",")]
+    for name in names:
+        if name not in POLICY_LABELS:
+            raise ValueError(f"--policies takes labels from {', '.join(POLICY_LABELS)}, "
+                             f"got {name!r}")
+    return [dict(POLICY_LABELS[name]) for name in names]
 
 
 def _rate_token(token: str) -> tuple[float, float]:

@@ -1,17 +1,16 @@
 """Scenario-driven simulation: engines, stability diagnostics, sweeps.
 
 A Scenario bundles a channel, arrival rates, a policy choice, and run
-parameters.  Two engines execute it: a fast counts engine (`kernel`) that
-tracks queue lengths only, and a reference packets engine (`queuenet` +
-`policies`) that moves identified packets and supports the decodability
-audit.  Both read `kernel.slot_stream`, which simulates the channel and what
-the transmitter observes; each engine only decides and moves, so a scenario
-produces the identical trace under either engine.  The probabilistic
-policy's tables and the per_state policy's arrival shares are made once per
-run here; both engines read the one per-chunk draw,
-`kernel.probabilistic_draws`, and the one arrival routing,
-`kernel.arrival_routes`.  Both return a `kernel.SimTrace`, re-exported
-here.
+parameters.  Two engines execute it: a fast counts engine
+(`kernel.run_counts`) that tracks queue lengths only, and the reference
+packets engine `run_packets` (`queuenet` + `policies`), which moves
+identified packets and runs the decodability audit.  Both take the same
+keyword arguments, checked by `kernel.check_run`, and read the slot stream
+it opens; each engine only decides and moves, so a scenario produces the
+identical trace under either engine.  `run` turns the scenario's policy
+into those arguments once (the action set, the probabilistic tables or the
+per_state arrival shares) and makes one engine call.  Both return a
+`kernel.SimTrace`, re-exported here.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ import os
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +61,7 @@ __all__ = [
     "StabilityVerdict",
     "SplitAllocation",
     "run",
+    "run_packets",
     "stability_verdict",
     "throughput_check",
     "sweep",
@@ -244,15 +245,8 @@ def throughput_check(trace: SimTrace) -> tuple[float, float]:
 # -- probabilistic-policy synthesis ------------------------------------------
 
 
-@dataclass(frozen=True)
-class _ProbTables:
-    action_table: np.ndarray
-    ratio_table: np.ndarray
-    window_len: int
-
-
-def _probabilistic_tables(scenario: Scenario, model: ChannelModel) -> _ProbTables:
-    """The kernel's tables of a probabilistic policy for the scenario's target.
+def _probabilistic_tables(scenario: Scenario, model: ChannelModel) -> dict:
+    """The engines' probabilistic policy fields for the scenario's target.
 
     Row k of ``action_table`` belongs to observation key k: the state for a
     visible model, else the window at code k in `window_keys` order, a NaN
@@ -283,7 +277,7 @@ def _probabilistic_tables(scenario: Scenario, model: ChannelModel) -> _ProbTable
     for key, row in dist.probs.items():
         table[row_of[key]] = row
     ratio_table = np.array([[ratios[j][l] for l in LINK_NAMES] for j in (1, 2)])
-    return _ProbTables(table, ratio_table, window_len)
+    return dict(action_table=table, ratio_table=ratio_table, window_len=window_len)
 
 
 # -- per-state dispatch -------------------------------------------------------
@@ -372,42 +366,39 @@ def _totals(nets: Sequence[QueueNetwork]) -> list[int]:
     return total
 
 
-def _run_packets(scenario: Scenario, model: ChannelModel, stride: int,
-                 tables: _ProbTables | None,
-                 shares: tuple[np.ndarray, np.ndarray] | None) -> SimTrace:
-    horizon, delay, visible = scenario.horizon, scenario.delay, scenario.visible
-    policy = scenario.policy
-    kind = policy["kind"]
-    action_set = policy.get("action_set", "A5")
-    maxweight = kind == "maxweight"
-    per_state = kind == "per_state"
-    probabilistic = kind == "probabilistic"
-    if probabilistic:
-        action_cdf, ratios = kernel.probabilistic_tables(
-            model, visible, tables.window_len, tables.action_table, tables.ratio_table)
+def run_packets(model: ChannelModel, *, movement_log: str | os.PathLike | None = None,
+                **fields) -> SimTrace:
+    """The packet engine: `kernel.run_counts`' run, moving identified packets.
 
+    ``fields`` are `kernel.check_run`'s keyword arguments, as for
+    `kernel.run_counts`, and the trace matches its trace slot for slot; this
+    engine also runs the decodability audit, and writes each slot's moves as
+    a JSON line to ``movement_log`` when given.
+    """
+
+    run = kernel.check_run(model, **fields)
+    if movement_log is not None and not isinstance(movement_log, (str, os.PathLike)):
+        # open() would take an int as a file descriptor, and close it.
+        raise ValueError(f"movement_log must be a file path, got {movement_log!r}")
+    maxweight, per_state = run.policy == "maxweight", run.policy == "per_state"
     nets = {s: QueueNetwork() for s in range(model.num_states if per_state else 1)}
     net = nets[0]
     net_list = list(nets.values())
 
-    n_records = horizon // stride
-    record = np.zeros((n_records, 10), dtype=np.int64)
+    horizon, stride, action_set = run.horizon, run.stride, run.action_set
+    record = np.zeros((horizon // stride, 10), dtype=np.int64)
     rec_idx = 0
-    r1, r2 = scenario.rates
-    log_fh = open(scenario.movement_log, "w") if scenario.movement_log else None
+    r1, r2 = run.rates
+    log_fh = open(movement_log, "w") if movement_log else None
 
     try:
-        for t0, rows, zis, keys, eps in kernel.slot_stream(
-            model, seed=scenario.seed, horizon=horizon, visible=visible,
-            delay=delay, window_len=tables.window_len if probabilistic else 0,
-            predict=not probabilistic,
-        ):
+        for t0, rows, zis, keys, eps in run.stream():
             eps, at = eps[0].tolist(), eps[1].tolist()  # slot i's triple: eps[at[i]]
-            if probabilistic:
+            if run.action_cdf is not None:
                 actions, coins = (draw.tolist() for draw in kernel.probabilistic_draws(
-                    rows, keys, action_cdf, ratios))
+                    rows, keys, run.action_cdf, run.ratios))
             if per_state:
-                routes = kernel.arrival_routes(rows, scenario.rates, shares).tolist()
+                routes = kernel.arrival_routes(rows, run.rates, run.shares).tolist()
             for i, ((u1, u2), zi, obs_key) in enumerate(
                     zip(rows[:, :2].tolist(), zis.tolist(), keys.tolist())):
                 t = t0 + i
@@ -465,35 +456,19 @@ def run(scenario: Scenario) -> SimTrace:
     """Execute a scenario with its configured engine and verify conservation."""
 
     model = scenario.model()
-    stride = kernel.record_stride(scenario.horizon, scenario.stride)
     kind = scenario.policy["kind"]
-    tables = _probabilistic_tables(scenario, model) if kind == "probabilistic" else None
-    shares = None
-    if kind == "per_state":
-        split = per_state_split(model, scenario.rates, scenario.delay)
-        shares = (split.x, split.y)
-    if scenario.engine == "packets":
-        trace = _run_packets(scenario, model, stride, tables, shares)
+    if kind == "maxweight":
+        fields = dict(action_set=scenario.policy.get("action_set", "A5"))
+    elif kind == "probabilistic":
+        fields = _probabilistic_tables(scenario, model)
     else:
-        if tables is not None:
-            policy_args = dict(action_table=tables.action_table,
-                               ratio_table=tables.ratio_table,
-                               window_len=tables.window_len)
-        elif shares is not None:
-            policy_args = dict(shares=shares)
-        else:
-            policy_args = dict(action_set=scenario.policy.get("action_set", "A5"))
-        trace = kernel.run_counts(
-            model,
-            rates=scenario.rates,
-            horizon=scenario.horizon,
-            seed=scenario.seed,
-            visible=scenario.visible,
-            delay=scenario.delay,
-            policy=kind,
-            stride=stride,
-            **policy_args,
-        )
+        split = per_state_split(model, scenario.rates, scenario.delay)
+        fields = dict(shares=(split.x, split.y))
+    engine = (kernel.run_counts if scenario.engine == "counts"
+              else partial(run_packets, movement_log=scenario.movement_log))
+    trace = engine(model, rates=scenario.rates, horizon=scenario.horizon,
+                   seed=scenario.seed, visible=scenario.visible, delay=scenario.delay,
+                   stride=scenario.stride, policy=kind, **fields)
     trace.check_conservation()
     if trace.audit_passed is False:
         raise AssertionError("a delivered packet was not decodable")
@@ -503,11 +478,22 @@ def run(scenario: Scenario) -> SimTrace:
 # -- sweeps --------------------------------------------------------------------
 
 
+# Each sweep label and the policy it names; bare "maxweight" names A5 too.
+POLICY_LABELS = {
+    **{f"maxweight:{a}": {"kind": "maxweight", "action_set": a} for a in ACTION_SETS},
+    "maxweight": {"kind": "maxweight", "action_set": "A5"},
+    "probabilistic": {"kind": "probabilistic"},
+    "per_state": {"kind": "per_state"},
+}
+
+
 def _policy_label(policy: dict) -> str:
-    kind = policy["kind"]
-    if kind == "maxweight":
-        return f"maxweight:{policy.get('action_set', 'A5')}"
-    return kind
+    """The first label of `POLICY_LABELS` naming ``policy``'s kind and action set."""
+
+    named = {"kind": policy["kind"]}
+    if policy["kind"] == "maxweight":
+        named["action_set"] = policy.get("action_set", "A5")
+    return next(label for label, value in POLICY_LABELS.items() if value == named)
 
 
 def _sweep_job(scenario: Scenario) -> dict:

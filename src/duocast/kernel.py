@@ -7,11 +7,14 @@ belief or a window code, and gives max-weight its erasure triple for every
 slot.  None of this depends on the queues, so both engines read the same
 stream and differ only in how they decide and move: `run_counts` below
 tracks queue lengths only, for long stability runs, and the packets engine
-in `harness` moves identified packets through `queuenet`.  Both return a
-`SimTrace`, built by `SimTrace.from_rows`, and their traces match slot for
-slot, which is tested.  The probabilistic policy reads the stream alone,
-so both engines read its one draw, `probabilistic_draws`, and for the
-same reason one per_state arrival routing, `arrival_routes`.  The counts
+`harness.run_packets` moves identified packets through `queuenet`.  Both
+take the same keyword arguments, checked by `check_run`, which alone says
+which fields each policy reads (`POLICY_FIELDS`) and opens the run's
+stream.  Both return a `SimTrace`, built by `SimTrace.from_rows`, and
+their traces match slot for slot, which is tested.  The probabilistic
+policy reads the stream alone, so both engines read its one draw,
+`probabilistic_draws`, and for the same reason one per_state arrival
+routing, `arrival_routes`.  The counts
 loop runs per_state as one max-weight pass per state, each over its own
 copy of the stream in which the other states' slots and arrivals are
 masked out (`_served`).  The windowed-prediction diagnostics
@@ -65,8 +68,9 @@ belief, queues) is exactly what a per-slot loop would carry.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import repeat
 
 import numpy as np
@@ -90,6 +94,7 @@ __all__ = [
     "CHUNK_SLOTS",
     "SimTrace",
     "arrival_routes",
+    "check_run",
     "flag",
     "forgetting_check",
     "jit_enabled",
@@ -99,7 +104,6 @@ __all__ = [
     "probabilistic_draws",
     "probabilistic_tables",
     "rate_pair",
-    "record_stride",
     "run_counts",
     "slot_stream",
 ]
@@ -134,14 +138,6 @@ def rate_pair(name: str, value) -> tuple[float, float]:
     if not (0 <= r1 <= 1 and 0 <= r2 <= 1):
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
     return r1, r2
-
-
-def record_stride(horizon: int, stride: int | None) -> int:
-    """Slots between recorded rows: ``stride``, or about 512 rows per run."""
-
-    if stride is None:
-        return max(1, horizon // 512)
-    return positive_int("stride", stride)
 
 
 def slot_stream(model: ChannelModel, *, seed: int, horizon: int, visible: bool,
@@ -675,35 +671,53 @@ class SimTrace:
         return "\n".join(lines) + "\n"
 
 
-def run_counts(
-    model: ChannelModel,
-    *,
-    rates: tuple[float, float],
-    horizon: int,
-    seed: int,
-    visible: bool = True,
-    delay: int = 1,
-    policy: str = "maxweight",
-    action_set: str = "A5",
-    action_table: np.ndarray | None = None,
-    ratio_table: np.ndarray | None = None,
-    window_len: int = 0,
-    shares: tuple[np.ndarray, np.ndarray] | None = None,
-    stride: int | None = None,
-) -> SimTrace:
-    """Simulate the queue counts of a coding scheme over `horizon` slots.
+# The fields each policy reads.  Both engines take `check_run`'s keyword
+# arguments, and a policy given a field it does not read rejects it.
+POLICY_FIELDS = {
+    "maxweight": ("action_set",),
+    "probabilistic": ("action_table", "ratio_table", "window_len"),
+    "per_state": ("shares",),
+}
 
-    ``policy`` is "maxweight" (with ``action_set``), "probabilistic" (with
-    ``action_table`` rows indexed by observation key and ``ratio_table`` of
-    per-link activation probabilities) or "per_state" (with ``shares``).
-    For a hidden model, the observation key of the probabilistic policy is
-    the base-4 code of the last ``window_len`` feedback pairs, oldest pair
-    in the highest digit.  per_state needs a visible model: it runs one A3
-    max-weight subsystem per state, served when the observed state is its
-    own, and ``shares`` holds each state's share of receiver 1's and 2's
-    arrivals, routed by `arrival_routes`.  Each subsystem is one pass of the
-    counts loop over its own copy of the stream, drawn from the same seed,
-    and the passes' counts are summed.
+
+@dataclass(frozen=True)
+class CheckedRun:
+    """What an engine reads of its keyword arguments, checked by `check_run`.
+
+    ``stream()`` opens the run's `slot_stream`, which codes the window the
+    policy reads and predicts max-weight's triples for every other policy.
+    """
+
+    rates: tuple[float, float]
+    horizon: int
+    stride: int
+    policy: str
+    action_set: str
+    action_cdf: np.ndarray | None
+    ratios: np.ndarray | None
+    shares: np.ndarray | None
+    stream: Callable
+
+
+def check_run(model: ChannelModel, *, rates: tuple[float, float], horizon: int, seed: int,
+              visible: bool = True, delay: int = 1, policy: str = "maxweight",
+              action_set: str | None = None, action_table: np.ndarray | None = None,
+              ratio_table: np.ndarray | None = None, window_len: int | None = None,
+              shares: tuple[np.ndarray, np.ndarray] | None = None,
+              stride: int | None = None) -> CheckedRun:
+    """Both engines' keyword arguments, checked; a ValueError names a bad field.
+
+    ``policy`` is "maxweight" (with ``action_set``, A5 by default),
+    "probabilistic" (with ``action_table`` rows indexed by observation key
+    and ``ratio_table`` of per-link activation probabilities) or
+    "per_state" (with ``shares``).  For a hidden model, the probabilistic
+    policy's observation key is the base-4 code of the last ``window_len``
+    feedback pairs, oldest pair in the highest digit; a visible model
+    observes its state and takes no window.  per_state needs a visible
+    model: it runs one A3 max-weight subsystem per state, served when the
+    observed state is its own, and ``shares`` holds each state's share of
+    receiver 1's and 2's arrivals, routed by `arrival_routes`.  A record
+    is kept every ``stride`` slots, by default about 512 per run.
     """
 
     rates = rate_pair("rates", rates)
@@ -711,64 +725,67 @@ def run_counts(
     horizon = positive_int("horizon", horizon)
     visible = flag("visible", visible)
     delay = positive_int("delay", delay)
-    if policy not in ("maxweight", "probabilistic", "per_state"):
+    stride = max(1, horizon // 512) if stride is None else positive_int("stride", stride)
+    if policy not in POLICY_FIELDS:
         raise ValueError(f"unknown policy {policy!r}")
-    if action_set not in ACTION_SETS:
-        raise ValueError(
-            f"action_set must be one of {', '.join(ACTION_SETS)}, got {action_set!r}")
-    window_len = check_window_len(window_len)
-    stride = record_stride(horizon, stride)
-
-    per_state = policy == "per_state"
-    if per_state:
-        shares = _per_state_shares(model, visible, action_table, ratio_table,
-                                   window_len, shares)
-        action_set = "A3"
-    elif shares is not None:
-        raise ValueError(f"shares are read only by the per_state policy, not {policy}")
-    maxweight = policy != "probabilistic"
+    given = dict(action_set=action_set, action_table=action_table,
+                 ratio_table=ratio_table, window_len=window_len, shares=shares)
+    for name, value in given.items():
+        if value is not None and name not in POLICY_FIELDS[policy]:
+            raise ValueError(f"{name} is not read by the {policy} policy")
+    window_len = check_window_len(0 if window_len is None else window_len)
+    action_set = "A5" if action_set is None else action_set
     action_cdf = ratios = None
-    if maxweight:
-        window_len = 0  # max-weight decides on the belief, never a window
+    if policy == "maxweight":
+        if action_set not in ACTION_SETS:
+            raise ValueError(
+                f"action_set must be one of {', '.join(ACTION_SETS)}, got {action_set!r}")
+    elif policy == "per_state":
+        if not visible:
+            raise ValueError("per_state policy needs a visible model, got visible=False")
+        if shares is None:
+            raise ValueError("per_state policy needs shares, one row per receiver")
+        try:
+            arr = np.asarray(shares, dtype=float)
+        except (TypeError, ValueError):
+            arr = np.empty(0)
+        n = model.num_states
+        if arr.shape != (2, n) or not (np.isfinite(arr) & (arr >= 0.0)).all():
+            raise ValueError(f"shares must be two rows of {n} nonnegative numbers, "
+                             f"one per state, got {shares!r}")
+        action_set, shares = "A3", arr
     else:
+        if visible and window_len:
+            raise ValueError("window_len is not read on a visible model")
         action_cdf, ratios = probabilistic_tables(model, visible, window_len,
                                                   action_table, ratio_table)
+    stream = partial(slot_stream, model, seed=seed, horizon=horizon, visible=visible,
+                     delay=delay, window_len=window_len, predict=action_cdf is None)
+    return CheckedRun(rates, horizon, stride, policy, action_set, action_cdf, ratios,
+                      shares, stream)
 
-    def stream():
-        return slot_stream(model, seed=seed, horizon=horizon, visible=visible,
-                           delay=delay, window_len=window_len, predict=maxweight)
 
-    passes = ([_served(stream(), s, rates, shares) for s in range(model.num_states)]
-              if per_state else [stream()])
-    record = np.zeros((horizon // stride, 10), dtype=np.int64)
+def run_counts(model: ChannelModel, **fields) -> SimTrace:
+    """Simulate the queue counts of a coding scheme over ``horizon`` slots.
+
+    ``fields`` are `check_run`'s keyword arguments, which `harness.run_packets`
+    takes too.  per_state runs one pass of the counts loop per state, each
+    over its own copy of the stream, drawn from the same seed, and the
+    passes' counts are summed.
+    """
+
+    run = check_run(model, **fields)
+    passes = ([_served(run.stream(), s, run.rates, run.shares)
+               for s in range(model.num_states)]
+              if run.shares is not None else [run.stream()])
+    record = np.zeros((run.horizon // run.stride, 10), dtype=np.int64)
     end = np.zeros(10, dtype=np.int64)
     for part in passes:
         counts = np.zeros_like(record)
-        part_end, rows = _count(part, max(ACTION_SETS[action_set]), action_cdf, ratios,
-                                rates, stride, counts)
+        part_end, rows = _count(part, max(ACTION_SETS[run.action_set]), run.action_cdf,
+                                run.ratios, run.rates, run.stride, counts)
         record += counts
         end += part_end
     if sum(end[6:8]) != sum(end[:6]) + sum(end[8:]):
         raise AssertionError("conservation violated in counts kernel")
-    return SimTrace.from_rows(horizon, stride, record[:rows], end)
-
-
-def _per_state_shares(model, visible, action_table, ratio_table, window_len, shares):
-    """The per_state policy's arrival shares, checked: two rows of n numbers >= 0."""
-
-    if not visible:
-        raise ValueError("per_state policy needs a visible model, got visible=False")
-    for name, value in (("action_table", action_table), ("ratio_table", ratio_table),
-                        ("window_len", window_len or None)):
-        if value is not None:
-            raise ValueError(f"{name} is not read by the per_state policy")
-    if shares is None:
-        raise ValueError("per_state policy needs shares, one row per receiver")
-    try:
-        arr = np.asarray(shares, dtype=float)
-    except (TypeError, ValueError):
-        arr = np.empty(0)
-    if arr.shape != (2, model.num_states) or not (np.isfinite(arr) & (arr >= 0.0)).all():
-        raise ValueError(f"shares must be two rows of {model.num_states} nonnegative "
-                         f"numbers, one per state, got {shares!r}")
-    return arr
+    return SimTrace.from_rows(run.horizon, run.stride, record[:rows], end)

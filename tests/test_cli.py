@@ -9,6 +9,7 @@ import pytest
 from channel_docs import bursty, noisy
 from duocast.channel import cond_erasure_visible, load_channel, stationary_distribution
 from duocast.cli import _parse_policies, main
+from duocast.harness import POLICY_LABELS, _policy_label
 from duocast.regions import (
     RatePoint,
     RateRegion,
@@ -352,8 +353,29 @@ class TestSweepCommand:
             {"kind": "per_state"},
         ]
         assert _parse_policies(None) is None
-        with pytest.raises(ValueError):
-            _parse_policies("greedy")
+        assert _parse_policies(" maxweight:A2 ") == [{"kind": "maxweight", "action_set": "A2"}]
+        for label in ("greedy", "maxweightA3", "maxweight:A4", "maxweight:", "per_state:A3",
+                      "probabilistic:A5", ""):
+            with pytest.raises(ValueError, match=f"got {label!r}"):
+                _parse_policies(f"maxweight,{label}")
+
+    def test_policy_labels_are_the_sweep_labels(self):
+        # The sweep's label of each parsed policy reads back as that policy.
+        for label, policy in POLICY_LABELS.items():
+            assert _parse_policies(_policy_label(policy)) == [policy]
+        assert _policy_label(_parse_policies("maxweight")[0]) == "maxweight:A5"
+
+    @pytest.mark.parametrize("label", ["maxweightA3", "maxweight:a3", "per-state"])
+    def test_a_misspelt_policy_label_fails_fast(self, tmp_path, capsys, label):
+        # Once, "maxweightA3" ran and labelled an A5 sweep.
+        scenario = write_scenario(tmp_path / "sc.json", horizon=1000)
+        out = tmp_path / "map.csv"
+        assert main(["sweep", scenario, "--points", "0.1,0.1", "--policies", label,
+                     "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("duocast sweep: error: --policies ")
+        assert repr(label) in err
+        assert not out.exists()
 
 
 class TestVerifyCommand:

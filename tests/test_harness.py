@@ -186,6 +186,13 @@ class TestScenario:
         assert len(path.read_text().splitlines()) == 100
         assert json.loads(scenario.to_json())["movement_log"] == str(path)
 
+    @pytest.mark.parametrize("log", [5, True, ["moves.jsonl"]])
+    def test_run_packets_takes_only_a_log_path(self, log):
+        # An int would be opened as a file descriptor, written and closed.
+        with pytest.raises(ValueError, match="^movement_log must be a file path"):
+            harness.run_packets(load_channel(fair_channel()), rates=(0.1, 0.1),
+                                horizon=100, seed=0, movement_log=log)
+
     def test_channel_without_transition_names_it(self):
         channel = {"states": 1, "emission": [[1.0, 0.0, 0.0, 0.0]]}
         scenario = Scenario(channel=channel, rates=(0.1, 0.1), horizon=100)

@@ -46,6 +46,35 @@ def three_state_chain() -> dict:
             "emission": model.emission.tolist()}
 
 
+def never_both_channel() -> dict:
+    """Two states that never erase both receivers at once (no outcome 3)."""
+
+    return {"states": 2, "transition": [[0.8, 0.2], [0.3, 0.7]],
+            "emission": [[0.5, 0.3, 0.2, 0.0], [0.1, 0.4, 0.5, 0.0]]}
+
+
+def random_action_table(rng, model, visible, window_len):
+    """A random probabilistic action table, one row per observation key.
+
+    Some entries are zero, so that cdf entries repeat, and every other row
+    is scaled down, so that its mass falls short of 1.  A window holding an
+    outcome that ``model`` never emits is never observed, and its row is
+    NaN, as synthesized tables leave a window of zero mass.
+    """
+
+    n_keys = model.num_states if visible else 4 ** window_len
+    table = rng.dirichlet(np.ones(6), size=n_keys)
+    table[rng.random(table.shape) < 0.3] = 0.0
+    table[:, 5] += table.sum(axis=1) == 0.0  # no empty row
+    table /= table.sum(axis=1, keepdims=True)
+    table[::2] *= 0.9
+    if not visible:
+        never = [str(z) for z in range(4) if not model.emission[:, z].any()]
+        table[[any(z in np.base_repr(k, 4) for z in never)
+               for k in range(n_keys)]] = np.nan
+    return table
+
+
 class TestEngineEquivalence:
     """Both engines consume the same randomness and must agree exactly."""
 
@@ -147,6 +176,30 @@ class TestEngineEquivalence:
             assert packets.audit_passed is True
             assert counts.exits.min() > 0
 
+    @pytest.mark.parametrize("name,delay", [
+        (name, delay) for name in ("bursty", "noisy_L2", "never_both_L2")
+        for delay in (1, 2)])
+    def test_random_probabilistic_tables_match(self, name, delay):
+        # Random tables reach both engines through their shared arguments,
+        # so this checks the probabilistic moves apart from synthesis.
+        doc = {"bursty": bursty, "noisy_L2": noisy,
+               "never_both_L2": never_both_channel}[name]()
+        model = load_channel(doc)
+        visible = name == "bursty"
+        window_len = 0 if visible else 2
+        rng = np.random.default_rng(40 + delay)
+        for seed in (0, 1):
+            args = dict(
+                rates=(0.2, 0.2), horizon=2000, seed=seed, visible=visible,
+                delay=delay, stride=1, policy="probabilistic", window_len=window_len,
+                action_table=random_action_table(rng, model, visible, window_len),
+                ratio_table=rng.random((2, 6)))
+            counts = run_counts(model, **args)
+            packets = harness.run_packets(model, **args)
+            assert_traces_identical(counts, packets)
+            assert packets.audit_passed is True
+            assert counts.exits.min() > 0
+
     def test_multiple_seeds_still_agree(self):
         for seed in (0, 1, 2):
             base = Scenario(
@@ -214,21 +267,35 @@ class TestKernelBasics:
         assert out.record.shape == (10, 10)
 
 
+def assert_engines_reject(model, field, **kwargs):
+    """Both engines raise one ValueError message, and it names ``field``."""
+
+    messages = []
+    for engine in (run_counts, harness.run_packets):
+        with pytest.raises(ValueError, match=field) as err:
+            engine(model, **kwargs)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
 class TestKernelValidation:
+    """Each engine checks its fields by one `kernel.check_run`: one message on both."""
+
     def setup_method(self):
         self.model = memoryless(np.array([0.7, 0.1, 0.1, 0.1]))
 
+    def rejects(self, field, **kwargs):
+        assert_engines_reject(self.model, field, **{
+            "rates": (0.1, 0.1), "horizon": 10, "seed": 0, **kwargs})
+
     def test_bad_horizon(self):
-        with pytest.raises(ValueError):
-            run_counts(self.model, rates=(0.1, 0.1), horizon=0, seed=0)
+        self.rejects("horizon", horizon=0)
 
     def test_bad_delay(self):
-        with pytest.raises(ValueError):
-            run_counts(self.model, rates=(0.1, 0.1), horizon=10, seed=0, delay=0)
+        self.rejects("delay", delay=0)
 
     def test_bad_rates(self):
-        with pytest.raises(ValueError):
-            run_counts(self.model, rates=(1.2, 0.1), horizon=10, seed=0)
+        self.rejects("rates", rates=(1.2, 0.1))
 
     @pytest.mark.parametrize("field,value", [
         ("rates", (0.1,)),
@@ -238,54 +305,29 @@ class TestKernelValidation:
         ("visible", "no"),
     ])
     def test_bad_field_is_named(self, field, value):
-        kwargs = dict(rates=(0.1, 0.1), horizon=10, seed=0)
-        kwargs[field] = value
-        with pytest.raises(ValueError, match=field):
-            run_counts(self.model, **kwargs)
+        self.rejects(field, **{field: value})
 
     def test_bad_policy_name(self):
-        with pytest.raises(ValueError):
-            run_counts(self.model, rates=(0.1, 0.1), horizon=10, seed=0, policy="greedy")
+        self.rejects("unknown policy 'greedy'", policy="greedy")
 
     def test_probabilistic_needs_table(self):
-        with pytest.raises(ValueError):
-            run_counts(
-                self.model, rates=(0.1, 0.1), horizon=10, seed=0, policy="probabilistic"
-            )
+        self.rejects("action_table", policy="probabilistic")
 
     def test_bad_table_shape(self):
-        with pytest.raises(ValueError):
-            run_counts(
-                self.model,
-                rates=(0.1, 0.1),
-                horizon=10,
-                seed=0,
-                policy="probabilistic",
-                action_table=np.ones((1, 5)),
-            )
+        self.rejects("action table must have six columns", policy="probabilistic",
+                     action_table=np.ones((1, 5)))
 
     def test_probabilistic_needs_ratio_table(self):
         # Without it no link would ever activate.
-        with pytest.raises(ValueError, match="ratio_table"):
-            run_counts(self.model, rates=(0.1, 0.1), horizon=10, seed=0,
-                       policy="probabilistic", action_table=np.full((1, 6), 1 / 6))
+        self.rejects("ratio_table", policy="probabilistic",
+                     action_table=np.full((1, 6), 1 / 6))
 
     def test_missing_observation_row_raises(self):
-        table = np.full((1, 6), np.nan)
-        with pytest.raises(ValueError, match="no action distribution"):
-            run_counts(
-                self.model,
-                rates=(0.1, 0.1),
-                horizon=10,
-                seed=0,
-                policy="probabilistic",
-                action_table=table,
-                ratio_table=np.zeros((2, 6)),
-            )
+        self.rejects("no action distribution", policy="probabilistic",
+                     action_table=np.full((1, 6), np.nan), ratio_table=np.zeros((2, 6)))
 
     def test_bad_stride(self):
-        with pytest.raises(ValueError):
-            run_counts(self.model, rates=(0.1, 0.1), horizon=10, seed=0, stride=0)
+        self.rejects("stride", stride=0)
 
     @pytest.mark.parametrize("kwargs,field", [
         (dict(policy="maxweight", shares=([1.0], [1.0])), "shares"),
@@ -307,29 +349,45 @@ class TestKernelValidation:
         (dict(policy="per_state", shares="ab"), "shares"),
     ])
     def test_per_state_fields_are_named(self, kwargs, field):
-        with pytest.raises(ValueError, match=field):
-            run_counts(self.model, rates=(0.1, 0.1), horizon=10, seed=0, **kwargs)
+        self.rejects(field, **kwargs)
+
+    @pytest.mark.parametrize("policy,kwargs,field", [
+        # Each policy names the first field it does not read, in the order
+        # of check_run's keywords.
+        ("maxweight", dict(window_len=3, action_table=np.ones((1, 6)),
+                           ratio_table=np.zeros((2, 6))), "action_table"),
+        ("maxweight", dict(window_len=3), "window_len"),
+        ("maxweight", dict(window_len=0), "window_len"),
+        ("maxweight", dict(ratio_table=np.zeros((2, 6))), "ratio_table"),
+        ("probabilistic", dict(action_set="A3", action_table=np.full((4, 6), 1 / 6),
+                               ratio_table=np.zeros((2, 6))), "action_set"),
+        ("probabilistic", dict(action_set="A5", action_table=np.full((4, 6), 1 / 6),
+                               ratio_table=np.zeros((2, 6))), "action_set"),
+        ("per_state", dict(action_set="A3", shares=np.full((2, 4), 0.25)), "action_set"),
+    ])
+    def test_unread_fields_are_named(self, policy, kwargs, field):
+        # Once, max-weight ran the plain A5 trace under the first case, and the
+        # probabilistic policy took an action_set without a word.
+        model = load_channel(bursty())
+        assert_engines_reject(model, f"^{field} is not read by the {policy} policy$",
+                              rates=(0.2, 0.2), horizon=3000, seed=1, policy=policy,
+                              **kwargs)
+
+    def test_a_visible_model_takes_no_window(self):
+        assert_engines_reject(load_channel(bursty()), "window_len", rates=(0.2, 0.2),
+                              horizon=100, seed=0, policy="probabilistic",
+                              action_table=np.full((16, 6), 1 / 6),
+                              ratio_table=np.zeros((2, 6)), window_len=2)
 
     def test_unknown_action_set_names_the_field(self):
-        with pytest.raises(ValueError, match="action_set"):
-            run_counts(self.model, rates=(0.1, 0.1), horizon=10, seed=0, action_set="A4")
+        self.rejects("action_set", action_set="A4")
 
     def test_negative_window_len_names_the_field(self):
-        with pytest.raises(ValueError, match="window_len"):
-            run_counts(
-                self.model,
-                rates=(0.1, 0.1),
-                horizon=10,
-                seed=0,
-                visible=False,
-                policy="probabilistic",
-                action_table=np.full((1, 6), 1 / 6),
-                window_len=-1,
-            )
+        self.rejects("window_len", visible=False, policy="probabilistic",
+                     action_table=np.full((1, 6), 1 / 6), window_len=-1)
 
     def test_fractional_horizon_names_the_field(self):
-        with pytest.raises(ValueError, match="horizon"):
-            run_counts(self.model, rates=(0.1, 0.1), horizon=10.5, seed=0)
+        self.rejects("horizon", horizon=10.5)
 
     @pytest.mark.parametrize("field,value", [
         ("delay", 1.5),
@@ -338,10 +396,7 @@ class TestKernelValidation:
         ("stride", 2.0),
     ])
     def test_non_integer_field_names_the_field(self, field, value):
-        kwargs = dict(rates=(0.1, 0.1), horizon=10, seed=0)
-        kwargs[field] = value
-        with pytest.raises(ValueError, match=field):
-            run_counts(self.model, **kwargs)
+        self.rejects(field, **{field: value})
 
     @pytest.mark.parametrize("field,value", [
         ("horizon", 10.5),
@@ -369,17 +424,11 @@ class TestKernelValidation:
     def test_short_action_table_names_the_field(self, visible, window_len, rows,
                                                 needed):
         model = load_channel(bursty() if visible else noisy())
-        with pytest.raises(ValueError, match=f"action_table needs {needed} rows"):
-            run_counts(
-                model,
-                rates=(0.1, 0.1),
-                horizon=100,
-                seed=0,
-                visible=visible,
-                policy="probabilistic",
-                action_table=np.full((rows, 6), 1 / 6),
-                window_len=window_len,
-            )
+        assert_engines_reject(model, f"action_table needs {needed} rows",
+                              rates=(0.1, 0.1), horizon=100, seed=0, visible=visible,
+                              policy="probabilistic",
+                              action_table=np.full((rows, 6), 1 / 6),
+                              window_len=window_len)
 
 
 def _stream_arrays(model, horizon, seed, **kwargs):
@@ -646,10 +695,8 @@ def _counts_case(name, delay):
     scenario = Scenario(channel=doc, rates=(0.15, 0.15), horizon=10,
                         seed=0, visible=visible, delay=delay, policy=policy)
     model = scenario.model()
-    tables = _probabilistic_tables(scenario, model)
     return dict(model=model, rates=(0.15, 0.15), visible=visible,
-                policy="probabilistic", action_table=tables.action_table,
-                ratio_table=tables.ratio_table, window_len=tables.window_len)
+                policy="probabilistic", **_probabilistic_tables(scenario, model))
 
 
 class TestChunkInvariance:
@@ -741,7 +788,7 @@ class TestOneLinkLayout:
         scenario = Scenario(channel=bursty(), rates=(0.2, 0.2), horizon=100,
                             policy={"kind": "probabilistic", "target": [0.2, 0.2]})
         tables = _probabilistic_tables(scenario, scenario.model())
-        ratios = tables.ratio_table.ravel()
+        ratios = tables["ratio_table"].ravel()
         for (j, link), bit in LINK_BITS.items():
             b = bit.bit_length() - 1
             assert ratios[b] == (6 * (j - 1) + LINK_NAMES.index(link) + 1) / 16
@@ -797,8 +844,7 @@ class TestOneLinkLayout:
                             horizon=1200, visible=visible, policy=policy)
         model = scenario.model()
         tables = _probabilistic_tables(scenario, model)
-        chunks, keys, decisions = self._check_stream(
-            model, visible, tables.window_len, tables.action_table, tables.ratio_table)
+        chunks, keys, decisions = self._check_stream(model, visible, **tables)
         assert chunks == -(-1200 // chunk)
         # A hidden window is not observed in the first window_len slots.
         assert (-1 in keys) == (not visible)
@@ -806,29 +852,17 @@ class TestOneLinkLayout:
         actions = {action for action, _ in decisions}
         assert len(actions) >= 3 and len(decisions) > len(actions)
 
-        # Random tables, some entries zero, so that cdf entries repeat, and
-        # every other row scaled down, so that its mass falls short of 1.  The
-        # second channel never erases both receivers at once, so the windows
-        # holding that outcome are never observed, and their rows are NaN, as
-        # synthesized tables leave a window of zero mass.
+        # Random tables, and a channel whose windows holding outcome 3 are
+        # never observed (see random_action_table).
         rng = np.random.default_rng(18)
-        never_both = load_channel({
-            "states": 2, "transition": [[0.8, 0.2], [0.3, 0.7]],
-            "emission": [[0.5, 0.3, 0.2, 0.0], [0.1, 0.4, 0.5, 0.0]]})
-        cases = [(model, visible, tables.window_len)] + [(never_both, False, 2)]
+        never_both = load_channel(never_both_channel())
+        cases = [(model, visible, tables["window_len"])] + [(never_both, False, 2)]
         for case_model, case_visible, window_len in cases:
-            n_keys = case_model.num_states if case_visible else 4 ** window_len
             for _ in range(3):
-                table = rng.dirichlet(np.ones(6), size=n_keys)
-                table[rng.random(table.shape) < 0.3] = 0.0
-                table[:, 5] += table.sum(axis=1) == 0.0  # no empty row
-                table /= table.sum(axis=1, keepdims=True)
-                table[::2] *= 0.9
-                if case_model is never_both:
-                    table[["3" in np.base_repr(k, 4) for k in range(n_keys)]] = np.nan
+                table = random_action_table(rng, case_model, case_visible, window_len)
                 chunks, keys, decisions = self._check_stream(
                     case_model, case_visible, window_len, table, rng.random((2, 6)))
-                assert len(keys) >= min(n_keys, 4)
+                assert len(keys) >= min(len(table), 4)
                 assert len({action for action, _ in decisions}) >= 3
 
     def test_missing_row_names_the_key_on_both_engines(self, monkeypatch):
@@ -836,7 +870,7 @@ class TestOneLinkLayout:
 
         def without_state_1(scenario, model):
             tables = build(scenario, model)
-            tables.action_table[1] = np.nan
+            tables["action_table"][1] = np.nan
             return tables
 
         monkeypatch.setattr(harness, "_probabilistic_tables", without_state_1)

@@ -64,10 +64,11 @@ def _equivalence() -> dict[str, Scenario]:
     cases["prob_bursty_d3"] = Scenario(
         channel=bursty(), rates=(0.2, 0.2), horizon=2000, seed=7, delay=3, stride=1,
         policy={"kind": "probabilistic", "target": [0.2, 0.2]})
-    r = 0.85 * diagonal_rate(region_hidden_L(load_channel(noisy()), 2))
-    cases["prob_noisy_L2"] = Scenario(
-        channel=noisy(), rates=(r, r), horizon=3000, seed=13, visible=False,
-        stride=1, policy={"kind": "probabilistic", "window_len": 2})
+    for name, delay in (("prob_noisy_L2", 1), ("prob_noisy_L2_d2", 2)):
+        r = 0.85 * diagonal_rate(region_hidden_L(load_channel(noisy()), 2, delay))
+        cases[name] = Scenario(
+            channel=noisy(), rates=(r, r), horizon=3000, seed=13, visible=False,
+            delay=delay, stride=1, policy={"kind": "probabilistic", "window_len": 2})
     for seed in (0, 1, 2):
         cases[f"bursty_A5_seed{seed}"] = Scenario(
             channel=bursty(), rates=(0.31, 0.33), horizon=1500, seed=seed,
