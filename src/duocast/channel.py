@@ -307,15 +307,11 @@ def _tensor_two_users(P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
 def ge_visible(eps1: float, g1: float, eps2: float, g2: float) -> ChannelModel:
     """Gilbert-Elliot channel whose state reveals the erasures deterministically.
 
-    Per-user chains over good/bad; a user in the bad state is erased.  State
-    index 2*u1 + u2 with u_j = 0 for good.
+    Per-user chains over good/bad; a user in the bad state is erased: the
+    `ge_hidden` channel that erases with probability 0 when good and 1 when
+    bad.  State index 2*u1 + u2 with u_j = 0 for good.
     """
-    P = _tensor_two_users(_ge_user_chain(eps1, g1), _ge_user_chain(eps2, g2))
-    E = np.zeros((4, 4))
-    for u1 in (0, 1):
-        for u2 in (0, 1):
-            E[2 * u1 + u2, _outcome_index((u1, u2))] = 1.0
-    return ChannelModel(P, E)
+    return ge_hidden(eps1, g1, eps2, g2, 0.0, 1.0, 0.0, 1.0)
 
 
 def ge_hidden(

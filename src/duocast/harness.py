@@ -7,10 +7,10 @@ packets engine `run_packets` (`queuenet` + `policies`), which moves
 identified packets and runs the decodability audit.  Both take the same
 keyword arguments, checked by `kernel.check_run`, and read the slot stream
 it opens; each engine only decides and moves, so a scenario produces the
-identical trace under either engine.  `run` turns the scenario's policy
-into those arguments once (the action set, the probabilistic tables or the
-per_state arrival shares) and makes one engine call.  Both return a
-`kernel.SimTrace`, re-exported here.
+identical trace under either engine; what reads only the stream is done
+once, in `kernel`.  `run` turns the scenario's policy into those arguments
+once (the action set, the probabilistic tables or the per_state arrival
+shares) and makes one engine call.  Both return a `kernel.SimTrace`.
 """
 
 from __future__ import annotations
@@ -21,13 +21,15 @@ from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import kernel
-# cond_erasure_visible is imported for perfbench/layers.py, which wraps it in
-# this module's namespace to count its calls.
+# cond_erasure_visible and per_state_memoryless_decide are imported for
+# perfbench/layers.py, which wraps them in this module's namespace to count
+# their calls.
 from .channel import (  # noqa: F401
     OUTCOMES,
     ChannelModel,
@@ -40,7 +42,7 @@ from .channel import (  # noqa: F401
 )
 from .kernel import SimTrace
 from .lp import LinearProgram, solve
-from .policies import (
+from .policies import (  # noqa: F401
     ACTION_SETS,
     maxweight_decide,
     per_state_memoryless_decide,
@@ -373,82 +375,72 @@ def run_packets(model: ChannelModel, *, movement_log: str | os.PathLike | None =
     ``fields`` are `kernel.check_run`'s keyword arguments, as for
     `kernel.run_counts`, and the trace matches its trace slot for slot; this
     engine also runs the decodability audit, and writes each slot's moves as
-    a JSON line to ``movement_log`` when given.
+    a JSON line to ``movement_log`` when given.  Each slot makes one decision
+    call (`probabilistic_decide` with tables, else `maxweight_decide`) and
+    one `apply_slot`, on one queue network; per_state keeps one per state
+    and serves the observed state's by A3 max-weight.
     """
 
     run = kernel.check_run(model, **fields)
     if movement_log is not None and not isinstance(movement_log, (str, os.PathLike)):
         # open() would take an int as a file descriptor, and close it.
         raise ValueError(f"movement_log must be a file path, got {movement_log!r}")
-    maxweight, per_state = run.policy == "maxweight", run.policy == "per_state"
-    nets = {s: QueueNetwork() for s in range(model.num_states if per_state else 1)}
-    net = nets[0]
-    net_list = list(nets.values())
+    tables, per_state = run.action_cdf is not None, run.shares is not None
+    nets = [QueueNetwork() for _ in range(model.num_states if per_state else 1)]
 
     horizon, stride, action_set = run.horizon, run.stride, run.action_set
     record = np.zeros((horizon // stride, 10), dtype=np.int64)
     rec_idx = 0
-    r1, r2 = run.rates
     log_fh = open(movement_log, "w") if movement_log else None
 
     try:
         for t0, rows, zis, keys, eps in run.stream():
             eps, at = eps[0].tolist(), eps[1].tolist()  # slot i's triple: eps[at[i]]
-            if run.action_cdf is not None:
+            arrivals = kernel.arrival_bits(rows, run.rates).tolist()
+            # Each slot's subsystem and each arrival's: under per_state the
+            # observed state and the coin's route, else the one network.
+            if per_state:
+                served = keys.tolist()
+                routes = kernel.arrival_routes(rows, run.rates, run.shares).tolist()
+            else:
+                served, routes = repeat(0), repeat((0, 0))
+            if tables:
                 actions, coins = (draw.tolist() for draw in kernel.probabilistic_draws(
                     rows, keys, run.action_cdf, run.ratios))
-            if per_state:
-                routes = kernel.arrival_routes(rows, run.rates, run.shares).tolist()
-            for i, ((u1, u2), zi, obs_key) in enumerate(
-                    zip(rows[:, :2].tolist(), zis.tolist(), keys.tolist())):
+            for i, (zi, arrived, s, (s1, s2)) in enumerate(
+                    zip(zis.tolist(), arrivals, served, routes)):
                 t = t0 + i
                 z = OUTCOMES[zi]
-                serving = net
-                if obs_key < 0:
-                    action, intents = 0, 0
-                elif maxweight:
-                    action, intents = maxweight_decide(net, eps[at[i]], action_set)
-                elif per_state:
-                    serving = nets[obs_key]
-                    action, intents = per_state_memoryless_decide(
-                        nets, obs_key, eps[at[i]])
-                else:
+                net = nets[s]
+                if tables:
                     action, intents = probabilistic_decide(actions[i], coins[i])
+                else:
+                    action, intents = maxweight_decide(net, eps[at[i]], action_set)
 
-                _, moves, slot_exits = apply_slot(serving, action, z, intents)
+                _, moves, slot_exits = apply_slot(net, action, z, intents)
                 if log_fh is not None:
-                    log_fh.write(
-                        json.dumps(
-                            {
-                                "t": t,
-                                "action": action,
-                                "z": list(z),
-                                "moves": [dict(zip(_MOVE_FIELDS, m)) for m in moves],
-                                "exits": [[p.pid, j] for p, j in slot_exits],
-                            }
-                        )
-                        + "\n"
-                    )
+                    log_fh.write(json.dumps({
+                        "t": t, "action": action, "z": list(z),
+                        "moves": [dict(zip(_MOVE_FIELDS, m)) for m in moves],
+                        "exits": [[p.pid, j] for p, j in slot_exits]}) + "\n")
 
-                if u1 < r1:
-                    target = nets[routes[i][0]] if per_state else net
-                    target.new_arrival(1)
-                if u2 < r2:
-                    target = nets[routes[i][1]] if per_state else net
-                    target.new_arrival(2)
+                if arrived & 1:
+                    nets[s1].new_arrival(1)
+                if arrived & 2:
+                    nets[s2].new_arrival(2)
 
                 if (t + 1) % stride == 0:
-                    record[rec_idx] = _totals(net_list)
+                    record[rec_idx] = _totals(nets)
                     rec_idx += 1
     finally:
         if log_fh is not None:
             log_fh.close()
 
-    for nn in net_list:
+    for nn in nets:
         nn.check_invariants()
-    audit = all(audit_decodability(nn) for nn in net_list)
+    audit = all(audit_decodability(nn) for nn in nets)
 
-    return SimTrace.from_rows(horizon, stride, record[:rec_idx], _totals(net_list),
+    return SimTrace.from_rows(horizon, stride, record[:rec_idx], _totals(nets),
                               audit_passed=audit)
 
 

@@ -12,15 +12,14 @@ take the same keyword arguments, checked by `check_run`, which alone says
 which fields each policy reads (`POLICY_FIELDS`) and opens the run's
 stream.  Both return a `SimTrace`, built by `SimTrace.from_rows`, and
 their traces match slot for slot, which is tested.  The probabilistic
-policy reads the stream alone, so both engines read its one draw,
-`probabilistic_draws`, and for the same reason one per_state arrival
-routing, `arrival_routes`.  The counts
-loop runs per_state as one max-weight pass per state, each over its own
-copy of the stream in which the other states' slots and arrivals are
-masked out (`_served`).  The windowed-prediction diagnostics
-`forgetting_check` and `prediction_gap` read the same stream and fold its
-outcomes with the same `_fold`, so the channel is sampled and filtered
-only here.
+draw, the arrival bits and the per_state routing read the stream alone, so
+both engines read one of each: `probabilistic_draws`, `arrival_bits` and
+`arrival_routes`.  The counts loop runs per_state as one max-weight pass
+per state, each over its own copy of the stream in which the other states'
+slots and arrivals are masked out (`_served`).  The windowed-prediction
+diagnostics `forgetting_check` and `prediction_gap` read the same stream
+and fold its outcomes with the same `_fold`, so the channel is sampled and
+filtered only here.
 
 Both the stream and the counts loop `_count` work a chunk of CHUNK_SLOTS
 slots at a time.  Whatever does not depend on the queues is done per chunk
@@ -45,11 +44,11 @@ loop, so every step is exact:
 - the probabilistic draw (`probabilistic_draws`): each slot's action (the
   leading run of cdf entries the action draw reaches) and its twelve link
   coins as a bit mask, all comparisons of draws with tables;
-- the per_state routing (`arrival_routes`): each arrival coin's state, a
-  searchsorted in its receiver's bins;
-- in the counts loop, the arrival bits and under max-weight the five
-  factors of each row's weights (1 - eps1, eps1 - eps12, ...), one
-  subtraction each.
+- the arrival bits (`arrival_bits`), and the per_state routing
+  (`arrival_routes`): each arrival coin's state, a searchsorted in its
+  receiver's bins;
+- in the counts loop, under max-weight the five factors of each row's
+  weights (1 - eps1, eps1 - eps12, ...), one subtraction each.
 
 What stays serial is plain Python: the chain's state walk and the belief
 fold (unrolled by `_fold`) in the stream; the max-weight weights and the
@@ -93,6 +92,7 @@ __all__ = [
     "RNG_COLUMNS",
     "CHUNK_SLOTS",
     "SimTrace",
+    "arrival_bits",
     "arrival_routes",
     "check_run",
     "flag",
@@ -358,9 +358,9 @@ def probabilistic_tables(model: ChannelModel, visible: bool, window_len: int,
                          action_table, ratio_table) -> tuple[np.ndarray, np.ndarray]:
     """The probabilistic policy's tables, checked: each key's action cdf and the ratios.
 
-    ``action_table`` needs six columns and one row per observation key (a
-    state of a visible ``model``, else a code of ``window_len`` feedback
-    pairs); a NaN row marks a key with no distribution, which
+    ``action_table`` needs six columns and exactly one row per observation
+    key (a state of a visible ``model``, else a code of ``window_len``
+    feedback pairs); a NaN row marks a key with no distribution, which
     `probabilistic_draws` rejects once the key is observed.  ``ratio_table``
     is 2x6, receiver j's link ratios in row j - 1; they come back flat, the
     ratio of link bit b at index b.
@@ -372,7 +372,7 @@ def probabilistic_tables(model: ChannelModel, visible: bool, window_len: int,
     if table.ndim != 2 or table.shape[1] != 6:
         raise ValueError("action table must have six columns")
     keys = model.num_states if visible else 4 ** window_len
-    if len(table) < keys:
+    if len(table) != keys:
         raise ValueError(f"action_table needs {keys} rows, one per observation "
                          f"key, got {len(table)}")
     if ratio_table is None:
@@ -405,6 +405,12 @@ def probabilistic_draws(rows: np.ndarray, keys: np.ndarray, action_cdf: np.ndarr
     run = np.cumprod(rows[:, 4:5] >= cdf[:, :5], axis=1).sum(axis=1)
     coins = ((rows[:, 5:] < ratios) << _COIN_SHIFTS).sum(axis=1)
     return np.where(seen, run, 0), coins
+
+
+def arrival_bits(rows: np.ndarray, rates: tuple[float, float]) -> np.ndarray:
+    """Each slot's arrivals in a chunk: bit j when coin ``rows[:, j - 1]`` < its rate."""
+
+    return (rows[:, 0] < rates[0]) + 2 * (rows[:, 1] < rates[1])
 
 
 def _arrival_bins(shares: np.ndarray, rate: float) -> np.ndarray:
@@ -462,7 +468,6 @@ def _count(stream, amax, action_cdf, ratios, rates, stride, record):
     """
 
     maxweight = action_cdf is None
-    r1, r2 = rates
     if maxweight:
         actions = coins = repeat(0)
     else:
@@ -477,7 +482,7 @@ def _count(stream, amax, action_cdf, ratios, rates, stride, record):
         # 2 receiver 2); under max-weight the factors of each table row's
         # weights; under the probabilistic policy each slot's action and coin
         # mask.
-        arrivals = ((rows[:, 0] < r1) + 2 * (rows[:, 1] < r2)).tolist()
+        arrivals = arrival_bits(rows, rates).tolist()
         if maxweight:
             # Max-weight always observes (a visible key is a state, the hidden
             # belief waits for no window); slot i weighs row at[i] of the table.
@@ -691,7 +696,6 @@ class CheckedRun:
     rates: tuple[float, float]
     horizon: int
     stride: int
-    policy: str
     action_set: str
     action_cdf: np.ndarray | None
     ratios: np.ndarray | None
@@ -761,8 +765,8 @@ def check_run(model: ChannelModel, *, rates: tuple[float, float], horizon: int, 
                                                   action_table, ratio_table)
     stream = partial(slot_stream, model, seed=seed, horizon=horizon, visible=visible,
                      delay=delay, window_len=window_len, predict=action_cdf is None)
-    return CheckedRun(rates, horizon, stride, policy, action_set, action_cdf, ratios,
-                      shares, stream)
+    return CheckedRun(rates, horizon, stride, action_set, action_cdf, ratios, shares,
+                      stream)
 
 
 def run_counts(model: ChannelModel, **fields) -> SimTrace:

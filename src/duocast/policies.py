@@ -4,8 +4,8 @@ Two families are provided: a probabilistic policy that draws actions from a
 precomputed conditional distribution and activates links by Bernoulli coins
 (never looking at queue lengths), and a max-weight backpressure policy that
 scores each action by its expected backlog relief and never needs the rate
-targets.  A per-state dispatcher combines independent reactive sub-policies,
-one per observable channel state.
+targets.  Per state, the reactive policy is A3 max-weight on the observed
+state's own subsystem, as the packet engine and the dispatcher run it.
 
 The policies take plain per-slot values, as the slot stream yields them: the
 observation key and the (eps1, eps2, eps12) triple max-weight weighs.  The

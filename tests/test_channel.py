@@ -9,6 +9,9 @@ from duocast.channel import (
     ChannelModel,
     ErasureStats,
     OUTCOMES,
+    _ge_user_chain,
+    _outcome_index,
+    _tensor_two_users,
     belief_update,
     cond_erasure_hidden,
     cond_erasure_visible,
@@ -181,6 +184,25 @@ class TestCondErasureVisible:
         bad = cond_erasure_visible(model, 2)
         assert good.eps1 == pytest.approx(0.15, abs=1e-12)
         assert bad.eps1 == pytest.approx(0.9, abs=1e-12)
+
+    @pytest.mark.parametrize("eps1,g1,eps2,g2", [
+        (0.6, 0.1, 0.5, 0.2),
+        (0.6, 0.1, 0.4, 0.2),
+        (0.5, 0.5, 0.5, 0.5),
+        (0.3, 0.7, 0.8, 0.05),
+        (0.9, 0.05, 0.1, 0.9),
+    ])
+    def test_ge_visible_is_ge_hidden_with_certain_erasures(self, eps1, g1, eps2, g2):
+        # The direct construction, the oracle: state 2*u1 + u2 emits outcome
+        # (u1, u2) with probability 1.
+        P = _tensor_two_users(_ge_user_chain(eps1, g1), _ge_user_chain(eps2, g2))
+        E = np.zeros((4, 4))
+        for u1 in (0, 1):
+            for u2 in (0, 1):
+                E[2 * u1 + u2, _outcome_index((u1, u2))] = 1.0
+        model = ge_visible(eps1, g1, eps2, g2)
+        assert model.transition.tobytes() == P.tobytes()
+        assert model.emission.tobytes() == E.tobytes()
 
     def test_three_state_average_erasures(self):
         # Exact fractions: pi.(eps per state) = 5.46/11, 4.88/11, 3.6/11.

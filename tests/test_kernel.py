@@ -420,6 +420,10 @@ class TestKernelValidation:
     @pytest.mark.parametrize("visible,window_len,rows,needed", [
         (True, 0, 1, 4),     # the bursty channel has four states
         (False, 2, 4, 16),   # two feedback pairs have 16 window codes
+        # A table with extra rows is rejected too: a window-2 table on an
+        # unset window would run as one key's memoryless policy.
+        (False, None, 16, 1),
+        (True, 0, 9, 4),
     ])
     def test_short_action_table_names_the_field(self, visible, window_len, rows,
                                                 needed):
@@ -924,3 +928,12 @@ class TestTraceCorpus:
             assert (tmp_path / f"{name}.jsonl").stat().st_size > 0
             if bitwise:
                 assert digest == doc["movement_logs"][name], name
+
+    def test_hidden_probabilistic_log_idles_before_the_first_window(self, tmp_path):
+        # A window of 2 pairs fed back 2 slots late is first full at slot 3.
+        scenario = trace_corpus.movement_logs()["hidden_probabilistic"]
+        path = tmp_path / "moves.jsonl"
+        trace_corpus.log_digest(scenario, path)
+        slots = [json.loads(line) for line in path.read_text().splitlines()[:3]]
+        assert [(s["t"], s["action"], s["moves"], s["exits"]) for s in slots] == [
+            (t, 0, [], []) for t in range(3)]

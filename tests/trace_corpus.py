@@ -8,7 +8,7 @@ long enough to cross several chunks of the slot stream.  Each entry records a
 digest of each field of the run's `SimTrace`: ``record``, ``times``,
 ``final_queues``, ``arrivals``, ``exits`` and ``audit_passed``.  Apart from
 the groups, ``movement_logs`` holds a digest of the JSONL movement log of
-four packets runs, byte for byte, so the packet moves are pinned as well as
+five packets runs, byte for byte, so the packet moves are pinned as well as
 the queue counts they add up to.  The
 recorded digests come from a kernel whose traces are the reference;
 ``tests/test_kernel.py`` checks that the current code reproduces them.  The
@@ -131,6 +131,11 @@ def movement_logs() -> dict[str, Scenario]:
                                   **common),
         "per_state": Scenario(channel=bursty(), rates=(0.15, 0.15), seed=44,
                               policy={"kind": "per_state"}, **common),
+        # A hidden window of 2 pairs fed back 2 slots late: no key is observed
+        # before slot 3, so the first three slots idle.
+        "hidden_probabilistic": Scenario(
+            channel=noisy(), rates=(0.2, 0.2), seed=45, visible=False, delay=2,
+            policy={"kind": "probabilistic", "window_len": 2}, **common),
     }
 
 
