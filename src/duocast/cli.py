@@ -7,6 +7,7 @@ import json
 import sys
 import time
 from collections.abc import Iterable
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -311,11 +312,15 @@ def _suite_fuzz(rng: np.random.Generator) -> tuple[bool, str]:
         )
         try:
             trace = run(scenario)
+            replay = run(replace(scenario, engine="counts"))
         except Exception as exc:  # noqa: BLE001 - report any failure
             return False, f"run {k} failed: {exc}"
         if trace.audit_passed is not True:
             return False, f"run {k} failed the decodability audit"
-    return True, "40 randomized packet runs"
+        for field in ("record", "times", "final_queues", "arrivals", "exits"):
+            if not np.array_equal(getattr(replay, field), getattr(trace, field)):
+                return False, f"run {k}: the counts replay's {field} differs"
+    return True, "40 randomized packet runs, each equal to its counts replay"
 
 
 def _suite_forgetting(rng: np.random.Generator) -> tuple[bool, str]:

@@ -21,7 +21,7 @@ diagnostics `forgetting_check` and `prediction_gap` read the same stream
 and fold its outcomes with the same `_fold`, so the channel is sampled and
 filtered only here.
 
-Both the stream and the counts loop `_count` work a chunk of CHUNK_SLOTS
+Both the stream and the counts loop work a chunk of CHUNK_SLOTS
 slots at a time.  Whatever does not depend on the queues is done per chunk
 in numpy, with the same float operations in the same order as a per-slot
 loop, so every step is exact:
@@ -47,17 +47,21 @@ loop, so every step is exact:
 - the arrival bits (`arrival_bits`), and the per_state routing
   (`arrival_routes`): each arrival coin's state, a searchsorted in its
   receiver's bins;
-- in the counts loop, under max-weight the five factors of each row's
-  weights (1 - eps1, eps1 - eps12, ...), one subtraction each.
+- in the counts loop, under max-weight the five `policies.weight_factors`
+  of each table row (1 - eps1, eps1 - eps12, ...), one subtraction each.
 
 What stays serial is plain Python: the chain's state walk and the belief
-fold (unrolled by `_fold`) in the stream; the max-weight weights and the
-moves in the counts loop, which keeps the six queues, four totals, record
-index and record countdown in Python int locals for the whole run (a numpy
-scalar in a local sends each mixed ``float * int`` through numpy's slow
-scalar path).  The slot loop reads lists made per chunk by ``tolist()``.  A
-slot with every queue empty skips the decision and the moves: each
-max-weight weight is 0.0 there, and each move is guarded by its queue.
+fold (unrolled by `_fold`) in the stream; the decision and the moves in the
+counts loop.  Neither is written here: `_count_loop` compiles one loop per
+policy and largest action from the tables the packet engine reads, the
+max-weight weights of `policies.WEIGHTS` and the links of
+`queuenet.ACTION_LINKS`, `_CAPACITY_TABLE`, `LINK_ENDS` and `LINK_BITS`.
+The loop keeps the six queues, four totals, record index and record
+countdown in Python int locals for the whole run (a numpy scalar in a local
+sends each mixed ``float * int`` through numpy's slow scalar path), and
+reads lists made per chunk by ``tolist()``.  A slot with every queue empty
+skips the decision and the moves: each max-weight weight is 0.0 there, and
+each move is guarded by its queue.
 
 The chunk length cannot change a trace: ``Generator.random`` fills the
 matrix row by row, so stacked small draws equal one large draw, and what
@@ -70,7 +74,6 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import repeat
 
 import numpy as np
 
@@ -86,7 +89,8 @@ from .channel import (  # noqa: F401
     stationary_distribution,
     visible_stats,
 )
-from .policies import ACTION_SETS
+from .policies import ACTION_SETS, WEIGHTS, weight_factors
+from .queuenet import _CAPACITY_TABLE, ACTION_LINKS, LINK_BITS, LINK_ENDS
 
 __all__ = [
     "RNG_COLUMNS",
@@ -455,159 +459,89 @@ def _served(stream, s, rates, shares):
                                     np.where(keys == s, at, len(table)))
 
 
-def _count(stream, amax, action_cdf, ratios, rates, stride, record):
-    """Run the counts loop over ``stream``; return the end state and rows filled.
+@cache
+def _count_loop(maxweight: bool, amax: int):
+    """The counts loop of one policy up to action ``amax``, compiled once.
 
-    ``action_cdf`` is None under max-weight, which reads each slot's (eps1,
-    eps2, eps12) from the stream's ``(table, at)``, visible or hidden alike;
-    otherwise it and ``ratios`` are the probabilistic policy's tables, as
-    `probabilistic_tables` gives them.  Each chunk first does in numpy what
-    does not depend on the queues; the slot loop then decides and moves.
-    Every ``stride``-th slot fills the next row of ``record``; the end state
-    is laid out as a row.
+    ``count(stream, action_cdf, ratios, rates, stride, record)`` runs it over
+    ``stream`` and returns the end state, laid out as a row, and the number
+    of rows of ``record`` it filled, one every ``stride``-th slot.  Each
+    chunk first does in numpy what does not depend on the queues; the slot
+    loop then decides and moves.  Under max-weight (``action_cdf`` None) a
+    slot's (eps1, eps2, eps12) is row ``at[i]`` of the stream's ``(table,
+    at)``, visible or hidden alike, and its action the first of largest
+    positive `WEIGHTS` entry; otherwise ``action_cdf`` and ``ratios`` are
+    `probabilistic_tables`', and the action is drawn.
+
+    An action moves a count over each of its `ACTION_LINKS` that
+    `_CAPACITY_TABLE` admits under the slot's outcome and that the policy
+    activates from a nonempty source: under max-weight when the source
+    exceeds the destination (`LINK_ENDS`, the exit counting 0), otherwise
+    when the link's coin bit is set.  The links of one receiver admit
+    disjoint outcomes (tested), so at most one of them moves, and one `if`
+    per link reads the queues as they were before the slot's moves.  The
+    loop names receiver 1's queues q1, q2, q3 a1, a2, a3 and receiver 2's
+    b1, b2, b3, as `WEIGHTS` does; arrivals join at the end of the slot.
     """
 
-    maxweight = action_cdf is None
+    def move(action, j, link):
+        q = [f"{'ab'[j - 1]}{i}" for i in (1, 2, 3)]
+        src, dst = LINK_ENDS[link]
+        bit = LINK_BITS[j, link]
+        admits = tuple(zi for zi in range(4) if _CAPACITY_TABLE[action][zi] & bit)
+        intent = (f"{q[src]} > {0 if dst is None else q[dst]}" if maxweight
+                  else f"{q[src]} > 0 and coin & {bit}")
+        return [f"if zi in {admits} and {intent}:", f"    {q[src]} -= 1",
+                f"    {f'out{j}' if dst is None else q[dst]} += 1"]
+
     if maxweight:
-        actions = coins = repeat(0)
+        draw = ("weights = map(np.stack(weight_factors(*eps[0].T), axis=1).tolist()"
+                ".__getitem__, eps[1].tolist())")
+        slot = "zi, arrived, terms in zip(zis.tolist(), arrivals, weights)"
+        body = ["c1, g1, c2, g2, c12 = terms", "action = 0", "best = 0.0"]
+        for action in range(1, amax + 1):
+            body += [f"w = {WEIGHTS[action]}", "if w > best:", "    best = w",
+                     f"    action = {action}"]
     else:
-        weights = repeat(None)
-    # Queues q1, q2, q3 of receiver 1 (a) and receiver 2 (b), arrivals, exits.
-    a1 = a2 = a3 = b1 = b2 = b3 = 0
-    in1 = in2 = out1 = out2 = 0
-    idx = 0
-    left = stride  # slots up to and including the next record
-    for _, rows, zis, keys, eps in stream:
-        # Queue-independent work, per chunk: arrival bits (1 receiver 1,
-        # 2 receiver 2); under max-weight the factors of each table row's
-        # weights; under the probabilistic policy each slot's action and coin
-        # mask.
-        arrivals = arrival_bits(rows, rates).tolist()
-        if maxweight:
-            # Max-weight always observes (a visible key is a state, the hidden
-            # belief waits for no window); slot i weighs row at[i] of the table.
-            weights = map(_weight_terms(eps[0]).tolist().__getitem__, eps[1].tolist())
-        else:
-            actions, coins = (draw.tolist() for draw in
-                              probabilistic_draws(rows, keys, action_cdf, ratios))
-        for zi, arrived, action, coin, terms in zip(zis.tolist(), arrivals,
-                                                    actions, coins, weights):
-            # A slot with every queue empty moves nothing: every max-weight
-            # weight is 0.0 and every move below is guarded by its queue.
-            if a1 or a2 or a3 or b1 or b2 or b3:
-                if maxweight:
-                    # The first action of largest positive weight.
-                    c1, g1, c2, g2, c12 = terms
-                    best = 0.0
-                    w = c1 * a1 + g1 * (a1 - a2 if a1 > a2 else 0)
-                    if w > best:
-                        best = w
-                        action = 1
-                    w = c2 * b1 + g2 * (b1 - b2 if b1 > b2 else 0)
-                    if w > best:
-                        best = w
-                        action = 2
-                    if amax >= 3:
-                        w = c1 * a2 + c2 * b2
-                        if w > best:
-                            best = w
-                            action = 3
-                        if amax >= 5:
-                            w = c12 * ((a1 - a3 if a1 > a3 else 0)
-                                       + (b1 - b3 if b1 > b3 else 0))
-                            if w > best:
-                                best = w
-                                action = 4
-                            w = (g1 * (a3 - a2 if a3 > a2 else 0) + c1 * a3
-                                 + g2 * (b3 - b2 if b3 > b2 else 0) + c2 * b3)
-                            if w > best:
-                                action = 5
-
-                # Move counts along the activated admissible links.  A
-                # link's intent is read only when the move needs it: under
-                # the probabilistic policy it is the link's coin; under
-                # max-weight it is the backpressure test on the pre-move
-                # queues.
-                if action != 0:
-                    z1 = zi >> 1
-                    z2 = zi & 1
-                    if action == 1:
-                        if a1 > 0:
-                            if z1 == 0:
-                                if maxweight or coin & 4:
-                                    a1 -= 1
-                                    out1 += 1
-                            elif z2 == 0 and (a1 > a2 if maxweight else coin & 1):
-                                a1 -= 1
-                                a2 += 1
-                    elif action == 2:
-                        if b1 > 0:
-                            if z2 == 0:
-                                if maxweight or coin & 256:
-                                    b1 -= 1
-                                    out2 += 1
-                            elif z1 == 0 and (b1 > b2 if maxweight else coin & 64):
-                                b1 -= 1
-                                b2 += 1
-                    elif action == 3:
-                        if z1 == 0 and a2 > 0 and (maxweight or coin & 8):
-                            a2 -= 1
-                            out1 += 1
-                        if z2 == 0 and b2 > 0 and (maxweight or coin & 512):
-                            b2 -= 1
-                            out2 += 1
-                    elif action == 4:
-                        if z1 == 0 or z2 == 0:
-                            if a1 > 0 and (a1 > a3 if maxweight else coin & 2):
-                                a1 -= 1
-                                a3 += 1
-                            if b1 > 0 and (b1 > b3 if maxweight else coin & 128):
-                                b1 -= 1
-                                b3 += 1
-                    else:
-                        if a3 > 0:
-                            if z1 == 0:
-                                if maxweight or coin & 32:
-                                    a3 -= 1
-                                    out1 += 1
-                            elif z2 == 0 and (a3 > a2 if maxweight else coin & 16):
-                                a3 -= 1
-                                a2 += 1
-                        if b3 > 0:
-                            if z2 == 0:
-                                if maxweight or coin & 2048:
-                                    b3 -= 1
-                                    out2 += 1
-                            elif z1 == 0 and (b3 > b2 if maxweight else coin & 1024):
-                                b3 -= 1
-                                b2 += 1
-
-            # Arrivals join at the end of the slot.
-            if arrived:
-                if arrived & 1:
-                    a1 += 1
-                    in1 += 1
-                if arrived & 2:
-                    b1 += 1
-                    in2 += 1
-
-            left -= 1
-            if left == 0:
-                left = stride
-                record[idx] = (a1, a2, a3, b1, b2, b3, in1, in2, out1, out2)
-                idx += 1
-    return (a1, a2, a3, b1, b2, b3, in1, in2, out1, out2), idx
-
-
-def _weight_terms(eps: np.ndarray) -> np.ndarray:
-    """Each (eps1, eps2, eps12) row's max-weight factors, as the weights use them.
-
-    The columns are 1 - eps1, eps1 - eps12, 1 - eps2, eps2 - eps12 and
-    1 - eps12; numpy subtracts as Python floats do, so the weights are exact.
-    """
-
-    e1, e2, e12 = eps[:, 0], eps[:, 1], eps[:, 2]
-    return np.stack((1.0 - e1, e1 - e12, 1.0 - e2, e2 - e12, 1.0 - e12), axis=1)
+        draw = ("actions, coins = (draw.tolist() for draw in "
+                "probabilistic_draws(rows, keys, action_cdf, ratios))")
+        slot = "zi, arrived, action, coin in zip(zis.tolist(), arrivals, actions, coins)"
+        body = []
+    for action in range(1, amax + 1):
+        body.append(f"{'el' if action > 1 else ''}if action == {action}:")
+        body += ["    " + line for j, link in ACTION_LINKS[action]
+                 for line in move(action, j, link)]
+    src = "\n".join([
+        "def count(stream, action_cdf, ratios, rates, stride, record):",
+        "    a1 = a2 = a3 = b1 = b2 = b3 = 0",
+        "    in1 = in2 = out1 = out2 = 0",
+        "    idx = 0",
+        "    left = stride",
+        "    for _, rows, zis, keys, eps in stream:",
+        "        arrivals = arrival_bits(rows, rates).tolist()",
+        f"        {draw}",
+        f"        for {slot}:",
+        "            if a1 or a2 or a3 or b1 or b2 or b3:",
+        *("                " + line for line in body),
+        "            if arrived:",
+        "                if arrived & 1:",
+        "                    a1 += 1",
+        "                    in1 += 1",
+        "                if arrived & 2:",
+        "                    b1 += 1",
+        "                    in2 += 1",
+        "            left -= 1",
+        "            if left == 0:",
+        "                left = stride",
+        "                record[idx] = (a1, a2, a3, b1, b2, b3, in1, in2, out1, out2)",
+        "                idx += 1",
+        "    return (a1, a2, a3, b1, b2, b3, in1, in2, out1, out2), idx",
+    ])
+    scope = dict(np=np, weight_factors=weight_factors, arrival_bits=arrival_bits,
+                 probabilistic_draws=probabilistic_draws)
+    policy = "max-weight" if maxweight else "probabilistic"
+    exec(compile(src, f"<{policy} counts loop up to action {amax}>", "exec"), scope)
+    return scope["count"]
 
 
 @dataclass
@@ -784,10 +718,11 @@ def run_counts(model: ChannelModel, **fields) -> SimTrace:
               if run.shares is not None else [run.stream()])
     record = np.zeros((run.horizon // run.stride, 10), dtype=np.int64)
     end = np.zeros(10, dtype=np.int64)
+    count = _count_loop(run.action_cdf is None, max(ACTION_SETS[run.action_set]))
     for part in passes:
         counts = np.zeros_like(record)
-        part_end, rows = _count(part, max(ACTION_SETS[run.action_set]), run.action_cdf,
-                                run.ratios, run.rates, run.stride, counts)
+        part_end, rows = count(part, run.action_cdf, run.ratios, run.rates, run.stride,
+                               counts)
         record += counts
         end += part_end
     if sum(end[6:8]) != sum(end[:6]) + sum(end[8:]):

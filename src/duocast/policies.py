@@ -14,21 +14,29 @@ probabilistic policy's draw depends on the stream alone, so
 `probabilistic_decide` only keeps the coins of the drawn action's links.
 Each decide function returns an ``(action, intents)`` pair, the intents a
 link mask in `queuenet`'s layout.
+
+Max-weight's weights are written once, as the expressions of `WEIGHTS`
+over the queues and `weight_factors`, and its intents are the backpressure
+test on each link's `queuenet.LINK_ENDS`.  `action_weights` evaluates the
+table per packet slot, and `kernel` compiles the same expressions and link
+tables into the counts loop.
 """
 
 from __future__ import annotations
 
 from typing import Hashable, Mapping, Sequence
 
-from .queuenet import ACTION_LINKS, ALLOWED_LINKS, LINK_BITS
+from .queuenet import ACTION_LINKS, ALLOWED_LINKS, LINK_BITS, LINK_ENDS
 
 __all__ = [
     "ACTION_SETS",
+    "WEIGHTS",
     "action_weights",
     "link_intents",
     "maxweight_decide",
     "probabilistic_decide",
     "per_state_memoryless_decide",
+    "weight_factors",
 ]
 
 ACTION_SETS: dict[str, tuple[int, ...]] = {
@@ -42,44 +50,44 @@ ErasureTriple = Sequence[float]  # (eps1, eps2, eps12)
 Decision = tuple[int, int]  # (action, intents as a link mask)
 
 
-def action_weights(queues: QueueLengths, eps: ErasureTriple) -> list[float]:
-    """Expected backlog relief of each action, indexed 0..5.
-
-    ``eps`` is the slot's (eps1, eps2, eps12).  Each bracket
-    ``(a - b if a > b else 0)`` is the positive part of ``a - b``.
-    """
-
-    (q11, q21, q31), (q12, q22, q32) = queues
-    e1, e2, e12 = eps
-    w1 = (1 - e1) * q11 + (e1 - e12) * (q11 - q21 if q11 > q21 else 0)
-    w2 = (1 - e2) * q12 + (e2 - e12) * (q12 - q22 if q12 > q22 else 0)
-    w3 = (1 - e1) * q21 + (1 - e2) * q22
-    w4 = (1 - e12) * (
-        (q11 - q31 if q11 > q31 else 0) + (q12 - q32 if q12 > q32 else 0)
-    )
-    w5 = (
-        (e1 - e12) * (q31 - q21 if q31 > q21 else 0)
-        + (1 - e1) * q31
-        + (e2 - e12) * (q32 - q22 if q32 > q22 else 0)
-        + (1 - e2) * q32
-    )
-    return [0.0, w1, w2, w3, w4, w5]
-
-
-# Positive differential backlog per link, as (from, to) indices into one
-# receiver's (q1, q2, q3); None stands for the empty q4.
-_LINK_TESTS: dict[str, tuple[int, int | None]] = {
-    "12": (0, 1),
-    "13": (0, 2),
-    "14": (0, None),
-    "24": (1, None),
-    "32": (2, 1),
-    "34": (2, None),
+# Each max-weight action's weight: its expected backlog relief, one
+# expression over receiver 1's queues a1, a2, a3, receiver 2's b1, b2, b3
+# and the slot's `weight_factors` c1, g1, c2, g2, c12.  Each bracket
+# ``(a - b if a > b else 0)`` is the positive part of ``a - b``.
+WEIGHTS: dict[int, str] = {
+    1: "c1 * a1 + g1 * (a1 - a2 if a1 > a2 else 0)",
+    2: "c2 * b1 + g2 * (b1 - b2 if b1 > b2 else 0)",
+    3: "c1 * a2 + c2 * b2",
+    4: "c12 * ((a1 - a3 if a1 > a3 else 0) + (b1 - b3 if b1 > b3 else 0))",
+    5: "g1 * (a3 - a2 if a3 > a2 else 0) + c1 * a3 + g2 * (b3 - b2 if b3 > b2 else 0)"
+       " + c2 * b3",
 }
 
-# One (bit, receiver index, test) rule per link of each action.
+
+def weight_factors(eps1, eps2, eps12):
+    """The weights' factors c1, g1, c2, g2, c12 of (eps1, eps2, eps12).
+
+    They are 1 - eps1, eps1 - eps12, 1 - eps2, eps2 - eps12 and 1 - eps12,
+    of floats or, elementwise and with the same bits, of numpy columns.
+    """
+
+    return 1 - eps1, eps1 - eps12, 1 - eps2, eps2 - eps12, 1 - eps12
+
+
+_weigh = eval(compile(
+    "lambda a1, a2, a3, b1, b2, b3, c1, g1, c2, g2, c12: [0.0, "
+    + ", ".join(WEIGHTS.values()) + "]", "<max-weight weights>", "eval"))
+
+
+def action_weights(queues: QueueLengths, eps: ErasureTriple) -> list[float]:
+    """Each action's `WEIGHTS` entry at ``queues`` and the slot's ``eps``, indexed 0..5."""
+
+    return _weigh(*queues[0], *queues[1], *weight_factors(*eps))
+
+
+# One (bit, receiver index, ends) rule per link of each action.
 _INTENT_RULES: dict[int, tuple[tuple[int, int, tuple[int, int | None]], ...]] = {
-    action: tuple((LINK_BITS[j, link], j - 1, _LINK_TESTS[link]) for j, link in links)
+    action: tuple((LINK_BITS[j, link], j - 1, LINK_ENDS[link]) for j, link in links)
     for action, links in ACTION_LINKS.items()
 }
 

@@ -23,6 +23,7 @@ from typing import Mapping
 
 __all__ = [
     "LINK_NAMES",
+    "LINK_ENDS",
     "LINK_BITS",
     "ACTION_LINKS",
     "ALLOWED_LINKS",
@@ -40,7 +41,18 @@ __all__ = [
     "audit_decodability",
 ]
 
-LINK_NAMES = ("12", "13", "14", "24", "32", "34")
+# Each link's (source, destination) as indices into one receiver's
+# (q1, q2, q3); None stands for the exit q4.  The order is the bit order.
+LINK_ENDS: dict[str, tuple[int, int | None]] = {
+    "12": (0, 1),
+    "13": (0, 2),
+    "14": (0, None),
+    "24": (1, None),
+    "32": (2, 1),
+    "34": (2, None),
+}
+
+LINK_NAMES = tuple(LINK_ENDS)
 
 # Each (receiver, link) key's bit in a link mask.
 LINK_BITS: dict[tuple[int, str], int] = {

@@ -8,6 +8,7 @@ import pytest
 
 from channel_docs import bursty, noisy
 from duocast.channel import cond_erasure_visible, load_channel, stationary_distribution
+from duocast import cli
 from duocast.cli import _parse_policies, main
 from duocast.harness import POLICY_LABELS, _policy_label
 from duocast.regions import (
@@ -390,3 +391,16 @@ class TestVerifyCommand:
         suite_lines = [line for line in out.splitlines() if ": PASS (" in line]
         assert len(suite_lines) == 5
         assert all(re.search(r"\) in \d+\.\d\d s$", line) for line in suite_lines)
+
+    def test_fuzz_names_the_run_whose_counts_replay_differs(self, monkeypatch):
+        simulate = cli.run
+
+        def one_more_exit(scenario):
+            trace = simulate(scenario)
+            if scenario.engine == "counts":
+                trace.exits = trace.exits + 1
+            return trace
+
+        monkeypatch.setattr(cli, "run", one_more_exit)
+        assert cli._suite_fuzz(np.random.default_rng(0)) == (
+            False, "run 0: the counts replay's exits differs")

@@ -26,6 +26,7 @@ from duocast.policies import probabilistic_decide
 from duocast.queuenet import ALLOWED_LINKS, LINK_BITS, LINK_NAMES
 from duocast.regions import diagonal_rate, region_hidden_L
 from channel_docs import alternating, bursty, memoryless_chain, noisy
+import count_oracle
 import lp_corpus
 import trace_corpus
 
@@ -745,6 +746,59 @@ class TestChunkInvariance:
         for other in runs[1:]:
             assert_traces_identical(other, runs[0])
             assert other.audit_passed is True
+
+
+class TestCountOracle:
+    """The compiled counts loops equal the hand-written `count_oracle._count`."""
+
+    @pytest.mark.parametrize("chunk", (1, 7, 1024))
+    @pytest.mark.parametrize("policy,action_set,visible", [
+        ("maxweight", action_set, visible)
+        for action_set in ("A2", "A3", "A5") for visible in (True, False)
+    ] + [("probabilistic", None, True), ("probabilistic", None, False),
+         ("per_state", None, True)])
+    def test_compiled_loop_equals_the_hand_written_one(self, monkeypatch, chunk, policy,
+                                                       action_set, visible):
+        monkeypatch.setattr(kernel, "CHUNK_SLOTS", chunk)
+        rng = np.random.default_rng([chunk, len(policy), visible, len(action_set or "")])
+        for _ in range(2):
+            n = int(rng.integers(1, 6))
+            model = lp_corpus._random_chain(rng, n)
+            fields = dict(action_set=action_set)
+            if policy == "probabilistic":
+                window_len = 0 if visible else int(rng.integers(0, 3))
+                fields = dict(action_table=random_action_table(rng, model, visible,
+                                                               window_len),
+                              ratio_table=rng.random((2, 6)),
+                              window_len=None if visible else window_len)
+            elif policy == "per_state":
+                fields = dict(shares=rng.random((2, n)))
+            run = kernel.check_run(
+                model, rates=tuple(rng.uniform(0.05, 0.5, 2)), horizon=1500,
+                seed=int(rng.integers(1 << 31)), visible=visible,
+                delay=int(rng.integers(1, 4)), policy=policy,
+                stride=int(rng.integers(1, 8)), **fields)
+            amax = max(kernel.ACTION_SETS[run.action_set])
+            compiled = kernel._count_loop(run.action_cdf is None, amax)
+
+            def passes():
+                if run.shares is None:
+                    return [run.stream()]
+                return [kernel._served(run.stream(), s, run.rates, run.shares)
+                        for s in range(n)]
+
+            moved = 0
+            for part, again in zip(passes(), passes()):
+                want = np.zeros((run.horizon // run.stride, 10), dtype=np.int64)
+                got = np.zeros_like(want)
+                end, rows = count_oracle._count(part, amax, run.action_cdf, run.ratios,
+                                                run.rates, run.stride, want)
+                assert compiled(again, run.action_cdf, run.ratios, run.rates,
+                                run.stride, got) == (end, rows)
+                assert rows == len(want)
+                assert all((g == w).all() for g, w in zip(got, want))
+                moved += sum(end[8:])
+            assert moved > 0
 
 
 def scalar_draw(action_rows, ratios, key, draws):

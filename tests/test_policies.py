@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import count_oracle
 from channel_docs import noisy
 from duocast.channel import load_channel
 from duocast.kernel import probabilistic_draws, probabilistic_tables
@@ -117,6 +118,20 @@ class TestMaxWeight:
             first, _ = maxweight_decide(queues, stats, action_set)
             second, _ = maxweight_decide(scaled, stats, action_set)
             assert first == second
+
+    def test_weights_have_the_hand_formulas_bits(self):
+        # Random queues with many ties and random outcome laws, the triple
+        # as Python floats and as the numpy row the packet engine reads.
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            queues = tuple(tuple(int(v) for v in rng.integers(0, 12, size=3))
+                           for _ in range(2))
+            p = rng.dirichlet(np.ones(4))
+            row = np.array([p[2] + p[3], p[1] + p[3], p[3]])
+            for eps in (tuple(row.tolist()), row):
+                got = action_weights(queues, eps)
+                want = count_oracle.action_weights(queues, eps)
+                assert list(map(float.hex, got)) == list(map(float.hex, want))
 
     def test_determinism(self):
         queues = ((4, 1, 2), (3, 5, 0))

@@ -113,6 +113,20 @@ class TestCapacityTable:
             assert compute_capacities(action, z) == expected
             assert link_flags(_CAPACITY_TABLE[action][2 * z[0] + z[1]]) == expected
 
+    def test_each_receivers_links_admit_disjoint_outcomes(self):
+        # The counts loop tests each link of an action with a plain `if`
+        # on the queues before the slot's moves; that equals one move per
+        # receiver only when no outcome admits two of its links.
+        for action, links in ACTION_LINKS.items():
+            for j in (1, 2):
+                seen = 0
+                for _, link in (key for key in links if key[0] == j):
+                    admits = sum(1 << zi for zi in range(4)
+                                 if _CAPACITY_TABLE[action][zi] & LINK_BITS[j, link])
+                    assert admits, (action, j, link)
+                    assert not seen & admits, (action, j, link)
+                    seen |= admits
+
     def test_returned_dict_is_not_shared(self):
         first = compute_capacities(1, (0, 0))
         first[(1, "14")] = 0
