@@ -289,19 +289,20 @@ def window_distribution(
     return dict(zip(window_keys(window_len), probs.tolist()))
 
 
-def _ge_user_chain(eps: float, g: float) -> np.ndarray:
-    """Two-state good/bad chain with recovery rate g and average erasure eps."""
-    if not 0 < eps < 1 or not 0 < g < 1:
-        raise ValueError("need 0 < eps < 1 and 0 < g < 1")
+def _ge_user_chain(eps: float, g: float, user: int) -> np.ndarray:
+    """Two-state good/bad chain with recovery rate g and average erasure eps.
+
+    A ValueError names the user's field, eps1 or g2, say.
+    """
+    for name, value in ((f"eps{user}", eps), (f"g{user}", g)):
+        if not 0 < value < 1:
+            raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
     b = g * eps / (1.0 - eps)
     if b >= 1:
-        raise ValueError(f"derived bad-ward rate b={b:.4f} is not a probability")
+        raise ValueError(f"g{user} must be below (1 - eps{user}) / eps{user} = "
+                         f"{(1.0 - eps) / eps:.4f}: the derived bad-ward rate "
+                         f"b={b:.4f} is not a probability")
     return np.array([[1.0 - b, b], [g, 1.0 - g]])
-
-
-def _tensor_two_users(P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
-    """Joint chain over (user1 state, user2 state), index = 2*u1 + u2."""
-    return np.kron(P1, P2)
 
 
 def ge_visible(eps1: float, g1: float, eps2: float, g2: float) -> ChannelModel:
@@ -327,25 +328,20 @@ def ge_hidden(
     """Gilbert-Elliot channel with noisy per-state erasure probabilities.
 
     Each user erases with probability eps_good in the good state and
-    eps_bad in the bad state, independently across users.
+    eps_bad in the bad state, independently across users.  A ValueError
+    starts with the name of the parameter it is about.
     """
-    P = _tensor_two_users(_ge_user_chain(eps1, g1), _ge_user_chain(eps2, g2))
-    per_user = (
-        np.array([eps1_good, eps1_bad]),
-        np.array([eps2_good, eps2_bad]),
-    )
-    for e in per_user:
-        if e.min() < 0 or e.max() > 1:
-            raise ValueError("per-state erasure probabilities must be in [0,1]")
-    E = np.zeros((4, 4))
-    for u1 in (0, 1):
-        for u2 in (0, 1):
-            p1, p2 = per_user[0][u1], per_user[1][u2]
-            for z1 in (0, 1):
-                for z2 in (0, 1):
-                    pz1 = p1 if z1 else 1.0 - p1
-                    pz2 = p2 if z2 else 1.0 - p2
-                    E[2 * u1 + u2, _outcome_index((z1, z2))] = pz1 * pz2
+    P = np.kron(_ge_user_chain(eps1, g1, 1), _ge_user_chain(eps2, g2, 2))
+    per_state = {"eps1_good": eps1_good, "eps1_bad": eps1_bad,
+                 "eps2_good": eps2_good, "eps2_bad": eps2_bad}
+    for name, value in per_state.items():
+        if not 0 <= value <= 1:
+            raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+    # Each user's table has a row per state and columns (clear, erased).  The
+    # joint state is 2*u1 + u2 and the outcome 2*z1 + z2, so the joint law is
+    # the kron of the two tables, as the joint chain is of the two chains.
+    E = np.kron([[1.0 - eps1_good, eps1_good], [1.0 - eps1_bad, eps1_bad]],
+                [[1.0 - eps2_good, eps2_good], [1.0 - eps2_bad, eps2_bad]])
     return ChannelModel(P, E)
 
 
@@ -387,14 +383,29 @@ def _matrix(doc: dict, name: str, rows: int, cols: int) -> np.ndarray:
     return matrix.reshape(rows, cols)
 
 
+def _only(doc: dict, reads, prefix: str, form: str) -> None:
+    """A ValueError naming the first key of ``doc`` that ``form`` does not read."""
+
+    unread = doc.keys() - reads
+    if unread:
+        raise ValueError(f"{prefix}{min(unread, key=str)} is not read by {form}")
+
+
+# The fields each kind of gilbert_elliot channel reads besides "kind".
+_GE_CHAIN = ("eps1", "g1", "eps2", "g2")
+_GE_FIELDS = {"visible": _GE_CHAIN,
+              "hidden": _GE_CHAIN + ("eps1_good", "eps1_bad", "eps2_good", "eps2_bad")}
+
+
 def load_channel(source: str | Path | dict) -> ChannelModel:
     """Build a ChannelModel from a JSON document or an equivalent dict.
 
     Either {"states": n, "transition": [...], "emission": [...]} with
-    row-major matrices, or {"gilbert_elliot": {"kind": "visible"|"hidden",
+    row-major matrices and an optional "allow_periodic" that admits
+    periodic chains, or {"gilbert_elliot": {"kind": "visible"|"hidden",
     "eps1", "g1", "eps2", "g2"[, "eps1_good", "eps1_bad", "eps2_good",
-    "eps2_bad"]}}.  An optional top-level "allow_periodic" admits periodic
-    chains.
+    "eps2_bad"]}}, the last four for the hidden kind only.  A key the
+    document's form does not read is a ValueError naming it.
     """
     if isinstance(source, (str, Path)):
         doc = json.loads(Path(source).read_text())
@@ -403,19 +414,22 @@ def load_channel(source: str | Path | dict) -> ChannelModel:
     if not isinstance(doc, dict):
         raise ValueError(f"channel must be an object, got {doc!r}")
     if "gilbert_elliot" in doc:
+        _only(doc, ("gilbert_elliot",), "", "a gilbert_elliot channel document")
         ge = doc["gilbert_elliot"]
         if not isinstance(ge, dict):
             raise ValueError(f"gilbert_elliot must be an object, got {ge!r}")
         kind = ge.get("kind", "visible")
-        names = ("eps1", "g1", "eps2", "g2")
-        if kind == "hidden":
-            names += ("eps1_good", "eps1_bad", "eps2_good", "eps2_bad")
-        args = [_number(ge, name, "gilbert_elliot.") for name in names]
-        if kind == "visible":
-            return ge_visible(*args)
-        if kind == "hidden":
-            return ge_hidden(*args)
-        raise ValueError(f"unknown gilbert_elliot kind {kind!r}")
+        if kind not in ("visible", "hidden"):
+            raise ValueError(f"unknown gilbert_elliot kind {kind!r}")
+        _only(ge, ("kind", *_GE_FIELDS[kind]), "gilbert_elliot.",
+              f"a {kind} gilbert_elliot channel")
+        args = [_number(ge, name, "gilbert_elliot.") for name in _GE_FIELDS[kind]]
+        try:
+            return ge_visible(*args) if kind == "visible" else ge_hidden(*args)
+        except ValueError as err:
+            raise ValueError(f"gilbert_elliot.{err}") from None
+    _only(doc, ("states", "transition", "emission", "allow_periodic"), "",
+          "a matrix channel document")
     n = positive_int("states", _field(doc, "states"))
     return ChannelModel(_matrix(doc, "transition", n, n), _matrix(doc, "emission", n, 4),
                         allow_periodic=doc.get("allow_periodic", False))

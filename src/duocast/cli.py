@@ -14,6 +14,7 @@ import numpy as np
 
 from .channel import (
     ChannelModel,
+    ErasureStats,
     ge_hidden,
     ge_visible,
     load_channel,
@@ -36,12 +37,12 @@ from .regions import (
     RateRegion,
     cut_values,
     flow_optimum,
+    hidden_window_stats,
     iter_region_json,
     link_capacities,
     redundancy_transform,
     region_hidden_L,
     region_memoryless_fb,
-    region_memoryless_nofb,
     region_minkowski,
     region_reactive,
     region_to_csv,
@@ -62,16 +63,6 @@ _REGION_KINDS = (
 
 def _visible_inputs(model: ChannelModel, delay: int):
     return visible_stats(model, delay), stationary_distribution(model)
-
-
-def _average_triple(model: ChannelModel) -> tuple[float, float, float]:
-    pi = stationary_distribution(model)
-    e = model.emission
-    return (
-        float(pi @ (e[:, 2] + e[:, 3])),
-        float(pi @ (e[:, 1] + e[:, 3])),
-        float(pi @ e[:, 3]),
-    )
 
 
 def _emit(pieces: Iterable[str], output: str | None) -> None:
@@ -104,11 +95,12 @@ def cmd_region(args: argparse.Namespace) -> int:
         window_len = 1 if args.window_len is None else args.window_len
         region = region_hidden_L(model, window_len, args.delay)
     else:
-        e1, e2, e12 = _average_triple(model)
+        # The stationary average law, as the only key 0.
+        (law,) = hidden_window_stats(model, 0)[0].values()
         if args.kind == "memoryless-fb":
-            region = region_memoryless_fb(e1, e2, e12)
+            region = region_memoryless_fb(law.eps1, law.eps2, law.eps12)
         else:
-            region = region_memoryless_nofb(e1, e2)
+            region = region_uncoded({0: law}, [1.0])
     if args.format == "json":
         _emit(iter_region_json(region), args.output)
     else:
@@ -244,9 +236,12 @@ def _suite_inclusions(rng: np.random.Generator) -> tuple[bool, str]:
             return False, "region inclusion violated"
     for _ in range(15):
         e1, e2 = rng.uniform(0.05, 0.9, size=2)
-        e12 = min(e1, e2) * rng.uniform(0.2, 1.0)
+        # Both receive with probability 1 - e1 - e2 + e12 >= 0.
+        e12 = max(min(e1, e2) * rng.uniform(0.2, 1.0), e1 + e2 - 1.0)
+        law = ErasureStats.from_outcome_probs([1.0 - e1 - e2 + e12, e2 - e12, e1 - e12, e12])
         if not _vertices_inside(
-            region_memoryless_nofb(e1, e2), region_memoryless_fb(e1, e2, e12)
+            region_uncoded({0: law}, [1.0]),
+            region_memoryless_fb(law.eps1, law.eps2, law.eps12),
         ):
             return False, "no-feedback region escaped the feedback region"
     return True, f"{len(models)} channels, 15 memoryless triples"

@@ -52,8 +52,8 @@ from .queuenet import LINK_NAMES, QueueNetwork, apply_slot, audit_decodability
 from .regions import (
     RatePoint,
     hidden_window_stats,
+    memoryless_facets,
     region_membership,
-    region_memoryless_fb,
     synthesize_policy,
 )
 
@@ -310,19 +310,7 @@ def per_state_split(
 
     pi = stationary_distribution(model)
     n = model.num_states
-    facets: list[list[tuple[float, float, float]]] = []
-    for st in visible_stats(model, delay).values():
-        region = region_memoryless_fb(st.eps1, st.eps2, st.eps12)
-        rows = []
-        boundary = region.boundary
-        for p, q in zip(boundary, boundary[1:]):
-            a, b = q.r2 - p.r2, p.r1 - q.r1
-            if abs(a) < 1e-15 and abs(b) < 1e-15:
-                continue
-            rows.append((a, b, a * p.r1 + b * p.r2))
-        if not rows:
-            rows = [(1.0, 0.0, boundary[0].r1), (0.0, 1.0, boundary[-1].r2)]
-        facets.append(rows)
+    facets = [memoryless_facets(st) for st in visible_stats(model, delay).values()]
 
     # Variables: x_0..x_{n-1}, y_0..y_{n-1}, margin.
     m = 2 * n + 1

@@ -12,11 +12,16 @@ an optimal basic solution for every direction, in boundary order.  The
 visible and hidden_L LP separates into two fractional knapsacks, each
 solved by a greedy fill after one sort; their candidates are the
 breakpoints and crossings of the two frontiers' lower envelope.  The
-uncoded region's candidates are a greedy fill, and the Minkowski region's
-are its summands' edges merged by slope.  The memoryless regions are closed
-forms.  Membership and policy synthesis always solve the LP cold.  Every
-evaluator reads the per-key gains a1 = w(1 - eps1), a2 = w(1 - eps2) and
-g = w(1 - eps12) from one `_key_table`.
+uncoded and Minkowski regions are sums of per-key convex pieces, and one
+greedy fill over the pieces' edges, `_edge_fill`, lists both's candidates:
+an uncoded piece is one edge, from all at receiver 1 to all at receiver 2;
+a Minkowski piece is the key's memoryless feedback region.  That region is
+one closed form, `_memoryless_piece`, which `region_memoryless_fb` returns
+as it is and `memoryless_facets` writes as LP rows.  The memoryless region
+without feedback is the one-key uncoded region.  Membership and policy
+synthesis always solve the LP cold.  Every evaluator reads the per-key
+gains a1 = w(1 - eps1), a2 = w(1 - eps2) and g = w(1 - eps12) from one
+`_key_table`.
 """
 
 from __future__ import annotations
@@ -46,7 +51,6 @@ REGION_KINDS = (
     "reactive",
     "hidden_L",
     "memoryless_fb",
-    "memoryless_nofb",
     "minkowski",
     "uncoded",
 )
@@ -159,6 +163,8 @@ class ActionDistribution:
             row = np.asarray(row, dtype=float)
             if row.shape != (N_ACTIONS,):
                 raise ValueError(f"row for {key!r} must have {N_ACTIONS} entries")
+            if not np.isfinite(row).all():
+                raise ValueError(f"row for {key!r} must be finite")
             if row.min() < -1e-12:
                 raise ValueError(f"negative probability for {key!r}")
             if abs(row.sum() - 1.0) > 1e-12:
@@ -456,25 +462,45 @@ def region_reactive(stats_by_state: dict, pi, directions=None) -> RateRegion:
     return _trace("reactive", np.array(points), witnesses.__getitem__)
 
 
+def _edge_fill(key_of: np.ndarray, cost: np.ndarray, gain: np.ndarray):
+    """Candidates of a sum of convex pieces, one per key, by one greedy fill.
+
+    Each key's piece is a polyline from its (R1max, 0) end to its (0, R2max)
+    end.  Edge e, of key key_of[e], gives up cost[e] of R1 for gain[e] of R2;
+    each key's edges are listed in boundary order, and every key has one.  So
+    the sum starts at R1 = sum(cost), and its boundary takes the edges least
+    cost per unit of gain first: the greedy fill of the knapsack with the
+    roles of a and g taken by gain and cost.  Candidate i has taken the first
+    i edges, and reached(i) lists the vertex each key stands at in it: a
+    convex piece's edges cost no less per unit of gain as they go, so the
+    stable fill takes each key's edges in order.  An edge without gain is
+    never taken; `_trace` places the (0, R2max) end itself.
+    """
+    order, gained, spent = _greedy_fill(gain, cost)
+    points = np.maximum(np.column_stack([cost.sum() - spent, gained]), 0.0)
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.arange(order.size)
+    n_keys = int(key_of[-1]) + 1
+
+    def reached(i: int) -> list[int]:
+        return np.bincount(key_of[rank < i], minlength=n_keys).tolist()
+
+    return points, reached
+
+
 def region_uncoded(stats_by_state: dict, pi, directions=None) -> RateRegion:
     """Plain per-state time sharing between the two uncoded transmissions.
 
     The region is the sum of per-state triangles with legs w(1 - eps1) and
-    w(1 - eps2).  Its vertices hand the states to receiver 2 one at a time,
-    starting from all at receiver 1, in the order of least w(1 - eps1) given
-    up per unit of w(1 - eps2) gained: the greedy fill of the knapsack with
-    the roles of a and g taken by a2 and a1.
+    w(1 - eps2): each state's piece is one edge from all at receiver 1 to all
+    at receiver 2, giving up a1 of R1 for a2 of R2.
     """
     table = _key_table(stats_by_state, pi)
     keys = table.keys
-    order, gain, spent = _greedy_fill(table.a2, table.a1)
-    points = np.maximum(np.column_stack([table.a1.sum() - spent, gain]), 0.0)
-    rank = np.empty(len(keys), dtype=np.int64)
-    rank[order] = np.arange(len(keys))
+    points, reached = _edge_fill(np.arange(len(keys)), table.a1, table.a2)
 
     def witness(i: int) -> RegionWitness:
-        params = {key: ((0.0, 1.0) if r < i else (1.0, 0.0))
-                  for key, r in zip(keys, rank.tolist())}
+        params = {key: ((1.0, 0.0), (0.0, 1.0))[v] for key, v in zip(keys, reached(i))}
         return RegionWitness(kind="uncoded", parameters=params)
 
     return _trace("uncoded", points, witness)
@@ -516,74 +542,80 @@ def region_hidden_L(
     return _knapsack_region("hidden_L", stats, weights)
 
 
-def region_memoryless_fb(eps1: float, eps2: float, eps12: float) -> RateRegion:
-    """Closed-form two-segment feedback region of a memoryless channel."""
-    if not 0 <= eps12 <= min(eps1, eps2) <= 1:
-        raise ValueError("need 0 <= eps12 <= min(eps1, eps2) <= 1")
+def _memoryless_piece(eps1: float, eps2: float, eps12: float) -> list:
+    """Vertices of one law's feedback region, each with its (x, y), east first.
+
+    The region is R1/(1-e1) + R2/(1-e12) <= 1 and R1/(1-e12) + R2/(1-e2) <= 1
+    in the quadrant.  The lines' crossing is a vertex when it lies strictly
+    inside the quadrant.
+    """
     r1m, r2m = 1.0 - eps1, 1.0 - eps2
     g = 1.0 - eps12
-    points = [RatePoint(r1m, 0.0)]
-    params = [{0: (1.0, 0.0)}]
+    piece = [((r1m, 0.0), (1.0, 0.0))]
     if g > 0:
-        # Intersection of R1/(1-e1) + R2/(1-e12) = 1 and R1/(1-e12) + R2/(1-e2) = 1.
         det = 1.0 - (r1m / g) * (r2m / g)
         if det > 1e-12:
             k1 = r1m * (1.0 - r2m / g) / det
             k2 = r2m * (1.0 - r1m / g) / det
             if k1 > 1e-12 and k2 > 1e-12:
-                points.append(RatePoint(k1, k2))
-                params.append({0: (k1 / r1m if r1m else 0.0, k2 / r2m if r2m else 0.0)})
-    points.append(RatePoint(0.0, r2m))
-    params.append({0: (0.0, 1.0)})
-    witnesses = [RegionWitness(kind="memoryless_fb", parameters=p) for p in params]
-    return RateRegion(kind="memoryless_fb", boundary=points, witnesses=witnesses)
+                piece.append(((k1, k2), (k1 / r1m if r1m else 0.0, k2 / r2m if r2m else 0.0)))
+    piece.append(((0.0, r2m), (0.0, 1.0)))
+    return piece
 
 
-def region_memoryless_nofb(eps1: float, eps2: float) -> RateRegion:
-    """Single-segment no-feedback region of a memoryless channel."""
-    if not (0 <= eps1 <= 1 and 0 <= eps2 <= 1):
-        raise ValueError("erasure probabilities must be in [0,1]")
-    points = [RatePoint(1.0 - eps1, 0.0), RatePoint(0.0, 1.0 - eps2)]
-    witnesses = [
-        RegionWitness(kind="memoryless_nofb", parameters={0: (1.0, 0.0)}),
-        RegionWitness(kind="memoryless_nofb", parameters={0: (0.0, 1.0)}),
-    ]
-    return RateRegion(kind="memoryless_nofb", boundary=points, witnesses=witnesses)
+def memoryless_facets(stats: ErasureStats) -> list[tuple[float, float, float]]:
+    """Rows (a, b, h), a R1 + b R2 <= h, one per edge of the law's feedback region.
+
+    A region without an edge longer than 1e-15 is the box R1 <= R1max,
+    R2 <= R2max.
+    """
+    pts = [p for p, _ in _memoryless_piece(stats.eps1, stats.eps2, stats.eps12)]
+    rows = []
+    for (p1, p2), (q1, q2) in zip(pts, pts[1:]):
+        a, b = q2 - p2, p1 - q1
+        if abs(a) >= 1e-15 or abs(b) >= 1e-15:
+            rows.append((a, b, a * p1 + b * p2))
+    return rows or [(1.0, 0.0, pts[0][0]), (0.0, 1.0, pts[-1][1])]
+
+
+def region_memoryless_fb(eps1: float, eps2: float, eps12: float) -> RateRegion:
+    """Closed-form two-segment feedback region of a memoryless channel."""
+    if not 0 <= eps12 <= min(eps1, eps2) <= 1:
+        raise ValueError("need 0 <= eps12 <= min(eps1, eps2) <= 1")
+    if 1.0 - eps1 - eps2 + eps12 < -1e-12:
+        raise ValueError("need eps1 + eps2 - eps12 <= 1: P(both received) = "
+                         f"1 - eps1 - eps2 + eps12 = {1.0 - eps1 - eps2 + eps12:.4g} < 0")
+    piece = _memoryless_piece(eps1, eps2, eps12)
+    return RateRegion(
+        kind="memoryless_fb",
+        boundary=[RatePoint(*p) for p, _ in piece],
+        witnesses=[RegionWitness(kind="memoryless_fb", parameters={0: xy}) for _, xy in piece],
+    )
 
 
 def region_minkowski(stats_by_state: dict, pi, directions=None) -> RateRegion:
     """Weighted sum of per-state memoryless feedback regions.
 
-    The boundary of a Minkowski sum walks every summand's edges merged by
-    slope, steepest first.  Candidate i puts each state at the vertex it
-    has reached after the first i edges, and adds those vertices in state
-    order.  Each witness maps every state to its own (x, y) in parameters
-    and to its contributed rate pair in shares.
+    Each state's piece is its `_memoryless_piece` scaled by its weight, and
+    `_edge_fill` merges the pieces' edges.  Each witness maps every state to
+    its own (x, y) in parameters and to its contributed rate pair in shares.
     """
     table = _key_table(stats_by_state, pi)
-    keys, w = table.keys, table.w
-    summands, edges = [], []
-    for k, key in enumerate(keys):
-        st = stats_by_state[key]
-        sub = region_memoryless_fb(st.eps1, st.eps2, st.eps12)
-        pts = np.array([[p.r1 * w[k], p.r2 * w[k]] for p in sub.boundary])
-        summands.append((key, pts, sub))
-        edges += [(math.atan2(-dx, dy), k) for dx, dy in np.diff(pts, axis=0).tolist()]
-    edges.sort()
-    # at[i, k]: the vertex state k has reached once the first i edges are taken.
-    at = np.zeros((len(edges) + 1, len(keys)), dtype=np.int64)
-    at[np.arange(1, len(edges) + 1), [k for _, k in edges]] = 1
-    at = np.cumsum(at, axis=0)
-    total = sum(pts[at[:, k]] for k, (_, pts, _) in enumerate(summands))
+    keys = table.keys
+    pieces = [_memoryless_piece(st.eps1, st.eps2, st.eps12) for st in stats_by_state.values()]
+    scaled = [w * np.array([p for p, _ in piece]) for w, piece in zip(table.w, pieces)]
+    edges = np.concatenate([np.diff(pts, axis=0) for pts in scaled])
+    key_of = np.repeat(np.arange(len(keys)), [len(pts) - 1 for pts in scaled])
+    points, reached = _edge_fill(key_of, -edges[:, 0], edges[:, 1])
 
     def witness(i: int) -> RegionWitness:
         params, shares = {}, {}
-        for (key, pts, sub), v in zip(summands, at[i].tolist()):
-            params[key] = sub.witnesses[v].parameters[0]
-            shares[key] = (float(pts[v][0]), float(pts[v][1]))
+        for key, piece, pts, v in zip(keys, pieces, scaled, reached(i)):
+            params[key] = piece[v][1]
+            shares[key] = (float(pts[v, 0]), float(pts[v, 1]))
         return RegionWitness(kind="minkowski", parameters=params, shares=shares)
 
-    return _trace("minkowski", np.maximum(total, 0.0), witness)
+    return _trace("minkowski", points, witness)
 
 
 def region_membership(

@@ -17,6 +17,7 @@ from test_regions import (
     random_model,
     stats_for,
     three_state_model,
+    triple,
     vertices_inside,
 )
 
@@ -45,7 +46,6 @@ from duocast.regions import (
     redundancy_transform,
     region_hidden_L,
     region_memoryless_fb,
-    region_memoryless_nofb,
     region_minkowski,
     region_reactive,
     region_uncoded,
@@ -166,9 +166,11 @@ def test_06_region_inclusion_chain():
         vertices_inside(minkowski, reactive)
     for _ in range(10):
         e1, e2 = rng.uniform(0.05, 0.9, size=2)
-        e12 = min(e1, e2) * rng.uniform(0.2, 1.0)
+        # Both receive with probability 1 - e1 - e2 + e12 >= 0.
+        e12 = max(min(e1, e2) * rng.uniform(0.2, 1.0), e1 + e2 - 1.0)
         vertices_inside(
-            region_memoryless_nofb(e1, e2), region_memoryless_fb(e1, e2, e12)
+            region_uncoded({0: triple(e1, e2, e12)}, [1.0]),
+            region_memoryless_fb(e1, e2, e12),
         )
 
 

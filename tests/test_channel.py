@@ -11,7 +11,6 @@ from duocast.channel import (
     OUTCOMES,
     _ge_user_chain,
     _outcome_index,
-    _tensor_two_users,
     belief_update,
     cond_erasure_hidden,
     cond_erasure_visible,
@@ -195,7 +194,7 @@ class TestCondErasureVisible:
     def test_ge_visible_is_ge_hidden_with_certain_erasures(self, eps1, g1, eps2, g2):
         # The direct construction, the oracle: state 2*u1 + u2 emits outcome
         # (u1, u2) with probability 1.
-        P = _tensor_two_users(_ge_user_chain(eps1, g1), _ge_user_chain(eps2, g2))
+        P = np.kron(_ge_user_chain(eps1, g1, 1), _ge_user_chain(eps2, g2, 2))
         E = np.zeros((4, 4))
         for u1 in (0, 1):
             for u2 in (0, 1):
@@ -528,11 +527,33 @@ class TestLoadChannel:
             ({"emission": [[1.0, 0, 0, 0]] * 3}, "emission"),
             ({"emission": "none"}, "emission"),
             ({"allow_periodic": "no"}, "allow_periodic"),
+            # A key the document's form does not read.
+            ({"comment": "two states"}, "comment"),
+            ({"gilbert_elliot": {}, "states": 4}, "states"),
+            ({"gilbert_elliot": {}, "allow_periodic": True}, "allow_periodic"),
+            ({"gilbert_elliot": {"eps1_good": 0.2}}, "gilbert_elliot.eps1_good"),
+            ({"gilbert_elliot": {"kind": "hidden", "eps3": 0.2}}, "gilbert_elliot.eps3"),
+            # A Gilbert-Elliott number outside its range.
+            ({"gilbert_elliot": {"eps1": 1.5}}, "gilbert_elliot.eps1 must lie in (0, 1)"),
+            ({"gilbert_elliot": {"g2": 1.2}}, "gilbert_elliot.g2 must lie in (0, 1)"),
+            # b1 = g1 eps1 / (1 - eps1) = 4.5.
+            ({"gilbert_elliot": {"eps1": 0.9, "g1": 0.5}}, "gilbert_elliot.g1 must be below"),
+            ({"gilbert_elliot": {"kind": "hidden", "eps1_good": float("nan")}},
+             "gilbert_elliot.eps1_good must lie in [0, 1]"),
         ],
     )
     def test_bad_field_is_named(self, change, field):
-        doc = {"states": 2, "transition": [[0.5, 0.5], [0.5, 0.5]],
-               "emission": [[1.0, 0, 0, 0]] * 2, **change}
+        # A change with a gilbert_elliot object edits the bursty or, for the
+        # hidden kind, the noisy document; any other edits the matrix one.
+        change = dict(change)
+        ge = change.pop("gilbert_elliot", None)
+        if ge is None:
+            doc = {"states": 2, "transition": [[0.5, 0.5], [0.5, 0.5]],
+                   "emission": [[1.0, 0, 0, 0]] * 2}
+        else:
+            doc = noisy() if ge.get("kind") == "hidden" else bursty()
+            doc["gilbert_elliot"].update(ge)
+        doc.update(change)
         with pytest.raises(ValueError, match=re.escape(field)):
             load_channel(doc)
 

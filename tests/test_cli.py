@@ -131,6 +131,10 @@ class TestRegionCommand:
             points = [tuple(map(float, row.split(","))) for row in rows]
             support[kind] = max(r1 + r2 for r1, r2 in points)
         assert support["memoryless-nofb"] <= support["memoryless-fb"] + 1e-12
+        # The region without feedback is the one-key uncoded region.
+        assert main(["region", "--channel", channel, "--kind", "memoryless-nofb",
+                     "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["kind"] == "uncoded"
 
 
     @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,7 +33,6 @@ from duocast import (
     region_hidden_L,
     region_membership,
     region_memoryless_fb,
-    region_memoryless_nofb,
     region_minkowski,
     region_reactive,
     region_to_csv,
@@ -85,6 +85,17 @@ def triple(eps1: float, eps2: float, eps12: float) -> ErasureStats:
         eps1_not2=eps1 - eps12,
         eps_not1_2=eps2 - eps12,
         eps_not1_not2=1.0 - eps1 - eps2 + eps12,
+    )
+
+
+def nofb_segment(eps1: float, eps2: float) -> RateRegion:
+    """Oracle: the memoryless region without feedback, the segment between
+    the axis points (1 - eps1, 0) and (0, 1 - eps2)."""
+    return RateRegion(
+        kind="uncoded",
+        boundary=[RatePoint(1.0 - eps1, 0.0), RatePoint(0.0, 1.0 - eps2)],
+        witnesses=[RegionWitness(kind="uncoded", parameters={0: xy})
+                   for xy in ((1.0, 0.0), (0.0, 1.0))],
     )
 
 
@@ -160,17 +171,30 @@ class TestClosedFormRegions:
     def test_memoryless_fb_without_gain_collapses_to_nofb(self):
         # Fully correlated erasures: feedback cannot create side information.
         with_fb = region_memoryless_fb(0.5, 0.5, 0.5)
-        without = region_memoryless_nofb(0.5, 0.5)
+        without = region_uncoded({0: triple(0.5, 0.5, 0.5)}, [1.0])
         assert len(with_fb.boundary) == 2
         assert hausdorff_distance(with_fb, without) < 1e-12
 
     def test_memoryless_nofb_is_single_segment(self):
-        region = region_memoryless_nofb(0.3, 0.45)
+        # The memoryless region without feedback is the one-key uncoded region.
+        region = region_uncoded({0: triple(0.3, 0.45, 0.0)}, [1.0])
         assert [(p.r1, p.r2) for p in region.boundary] == [(0.7, 0.0), (0.0, 0.55)]
+        assert region.witnesses == nofb_segment(0.3, 0.45).witnesses
 
     def test_memoryless_fb_rejects_bad_eps(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("eps12 <= min(eps1, eps2)")):
             region_memoryless_fb(0.3, 0.4, 0.35)
+        # P(both received) = 1 - 0.9 - 0.9 + 0.1 = -0.7.
+        with pytest.raises(ValueError, match=re.escape("eps1 + eps2 - eps12 <= 1")):
+            region_memoryless_fb(0.9, 0.9, 0.1)
+
+    def test_one_key_tracers_equal_the_closed_form(self):
+        rng = np.random.default_rng(28)
+        for law in rng.dirichlet(np.ones(4), size=300):
+            st_ = ErasureStats.from_outcome_probs(law)
+            closed = region_memoryless_fb(st_.eps1, st_.eps2, st_.eps12)
+            for tracer in (region_minkowski, region_visible):
+                assert hausdorff_distance(tracer({0: st_}, [1.0]), closed) < 1e-9
 
 
 class TestVisibleRegion:
@@ -295,7 +319,7 @@ class TestRegionRelations:
         st_ = triple(0.4, 0.3, 0.12)
         model = memoryless(st_.as_outcome_probs())
         region = region_uncoded(stats_for(model), stationary_distribution(model))
-        assert hausdorff_distance(region, region_memoryless_nofb(0.4, 0.3)) < 1e-9
+        assert hausdorff_distance(region, nofb_segment(0.4, 0.3)) < 1e-9
 
 
 def noisy_model() -> ChannelModel:
@@ -1060,7 +1084,7 @@ class TestSerialization:
             region_minkowski(stats, pi),  # witnesses with shares
             region_hidden_L(noisy, 0),
             region_hidden_L(noisy, 2),  # witnesses read from greedy fills
-            region_memoryless_nofb(0.6, 0.4),
+            region_uncoded({0: triple(0.6, 0.4, 0.24)}, [1.0]),
         ]
         for region in cases:
             pieces = list(iter_region_json(region))
@@ -1078,6 +1102,20 @@ class TestSerialization:
 
 
 class TestRegionTypes:
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([0.5, 0.5], "row for 'k' must have 6 entries"),
+            ([float("nan")] * 6, "row for 'k' must be finite"),
+            ([float("inf"), 0, 0, 0, 0, 0], "row for 'k' must be finite"),
+            ([-0.5, 1.5, 0, 0, 0, 0], "negative probability for 'k'"),
+            ([0.5, 0.4, 0, 0, 0, 0], "row for 'k' must sum to 1"),
+        ],
+    )
+    def test_action_distribution_rejects_a_bad_row(self, row, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ActionDistribution(probs={"k": row})
+
     def test_rate_point_rejects_negative(self):
         with pytest.raises(ValueError):
             RatePoint(-0.2, 0.1)
